@@ -147,8 +147,9 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--rules", help="comma-separated rule selection")
+def _add_common(parser, rules=False):
+    if rules:
+        parser.add_argument("--rules", help="comma-separated rule selection")
     parser.add_argument("--output", help="write the result to FILE instead of stdout")
 
 
@@ -163,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern-enum", help="enumerate splitting patterns for a type")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
-    _add_common(p)
+    _add_common(p, rules=True)
     p.set_defaults(func=cmd_pattern_enum)
 
     p = sub.add_parser("i1-bounds", help="admissible first higher isotropy indices")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
-    _add_common(p)
+    _add_common(p, rules=True)
     p.set_defaults(func=cmd_i1_bounds)
 
     p = sub.add_parser("excellent-pairs", help="excellent pairs of a profile")
@@ -179,17 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mdt-solve", help="enumerate partitions passing the rules")
     p.add_argument("profile", help="profile JSON (inline, @FILE or -)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="list partitions (default)")
-    group.add_argument("--count", action="store_true", help="only output the count")
+    p.add_argument("--count", action="store_true", help="only output the count")
     p.add_argument("--max-r", type=int, default=8, help="enumeration bound on r")
-    _add_common(p)
+    _add_common(p, rules=True)
     p.set_defaults(func=cmd_mdt_solve)
 
     p = sub.add_parser("check", help="run the rule checker on one partition")
     p.add_argument("profile", help="profile JSON (inline, @FILE or -)")
     p.add_argument("partition", help="partition JSON (inline, @FILE or -)")
-    _add_common(p)
+    _add_common(p, rules=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("diagram", help="render the shell pyramid diagram")

@@ -24,13 +24,17 @@ Rule identifiers and provenance:
                             automatically when the discrete data forces
                             VPN-ness (maximal splitting, m=1, or m=2 with 2
                             in the pattern) at any tower level; enabling the
-                            rule explicitly asserts the form itself is a VPN
+                            rule explicitly asserts the form itself is a VPN,
+                            which is reported as violated when r + s > 2^n
   R-VISHIK    off           interpretation-sensitive reading of the
-                            stable-birational connection theorem
+                            stable-birational connection theorem; a shell
+                            with dim - 2 j_{t-1} - j_t < 1 requires nothing
 
 The default ("proven") set enables the first eight in their automatic
 scope.  Enabling R-EXC / R-VPN / R-VISHIK by name widens them to their
-asserted, unconditional form.
+asserted, unconditional form.  R-DUAL, R-EXC and R-VPN are connection
+rules: each is stated once, as a table of symbol pairs that the checker
+reports when split and the enumerator merges up front.
 """
 
 from __future__ import annotations
@@ -46,9 +50,17 @@ from .errors import (
     NotHeightOne,
     NotNeighbourEligible,
     OutOfWindow,
-    PatternInvalid,
 )
-from .profile import QuadricProfile, alternating_2adic, strongly_excellent_profile, v2
+from .profile import (
+    QuadricProfile,
+    alternating_2adic,
+    check_pattern,
+    excellent_pairs,
+    pfister_neighbour_invariants,
+    pfister_split,
+    strongly_excellent_profile,
+    v2,
+)
 
 LO = "lo"
 UP = "up"
@@ -252,6 +264,13 @@ def _shift_block(block, j):
     return tuple(sorted(sym.shift(j) for sym in block))
 
 
+def _blocks_by_a(partition) -> dict:
+    """Blocks that hold a lower symbol, keyed by their smallest lower index a."""
+    by_a = {_block_a(block): block for block in partition.blocks}
+    by_a.pop(None, None)  # one-sided upper blocks have no a
+    return by_a
+
+
 # -- rule set ------------------------------------------------------------------
 
 
@@ -305,37 +324,25 @@ class Violation:
         return {"rule": self.rule, "witness": self.witness}
 
 
-def _vpn_invariants(profile: QuadricProfile):
-    # dim = 2^n + m with 1 <= m <= 2^n
-    n = (profile.dim - 1).bit_length() - 1
-    return n, profile.dim - (1 << n)
-
-
-def _vpn_forced(profile: QuadricProfile) -> bool:
-    """Discrete data that forces the form to be a virtual Pfister neighbour."""
-    _, m = _vpn_invariants(profile)
-    if profile.steps[0] == m:  # maximal splitting
-        return True
-    if m == 1:
-        return True
-    return m == 2 and 2 in profile.pattern
-
-
 def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     """Connections contributed by the virtual-Pfister-neighbour lemma.
 
     Automatic scope walks the splitting tower: whenever the t-th kernel is
     provably a VPN, its connections i_lo -- (2^n + i - 1)^up transport to
     Lambda(X) shifted by j_t.  With ``assumed`` the connections for the
-    form itself are added unconditionally.
+    form itself are added whenever r + s <= 2^n (equivalently m <= r);
+    otherwise the form cannot be a neighbour and its pairs would leave
+    Lambda(X).
     """
     pairs = []
     for t in range(profile.height):
         kernel = profile.kernel(t)
-        if not (_vpn_forced(kernel) or (assumed and t == 0)):
+        n, m = pfister_split(kernel.dim)
+        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the pattern
+        forced = kernel.steps[0] == m or m == 1 or (m == 2 and 2 in kernel.pattern)
+        if not (forced or (assumed and t == 0 and m <= kernel.r)):
             continue
         w = profile.pattern[t]
-        n, m = _vpn_invariants(kernel)
         for i in range(m):
             pairs.append((lo(i + w), up((1 << n) + i - 1 + w)))
     # dedupe, preserving order
@@ -348,22 +355,50 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     return tuple(out)
 
 
-def _excellent_pair_symbols(profile: QuadricProfile) -> tuple:
-    from .profile import excellent_pairs
+def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
+    """Enabled connection rule id -> the symbol pairs it forces into one block.
 
-    return tuple((lo(p.a), up(p.b)) for p in excellent_pairs(profile))
-
-
-def _required_pairs(profile: QuadricProfile, rules: RuleSet) -> tuple:
-    """All symbol pairs the enabled rules force into a common block."""
-    pairs = []
+    The one statement of R-DUAL, R-EXC and R-VPN and their scopes: the
+    enumerator merges every pair, the checker reports every split pair.
+    """
+    table = {}
     if "R-DUAL" in rules.enabled:
-        pairs.extend(forced_connections(profile))
+        table["R-DUAL"] = forced_connections(profile)
     if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
-        pairs.extend(_excellent_pair_symbols(profile))
+        table["R-EXC"] = tuple((lo(p.a), up(p.b)) for p in excellent_pairs(profile))
     if "R-VPN" in rules.enabled:
-        pairs.extend(vpn_connections(profile, assumed="R-VPN" in rules.assumed))
-    return tuple(pairs)
+        table["R-VPN"] = vpn_connections(profile, assumed="R-VPN" in rules.assumed)
+    return table
+
+
+_SPLIT_WITNESS = {
+    "R-DUAL": "%s and %s must be co-blocked",
+    "R-EXC": "excellent pair %s, %s split",
+    "R-VPN": "%s and %s must be co-blocked",
+}
+
+
+def _check_connections(rule, connections, partition):
+    return [
+        Violation(rule, _SPLIT_WITNESS[rule] % (a, b))
+        for a, b in connections.get(rule, ())
+        if not partition.co_blocked(a, b)
+    ]
+
+
+def _check_vpn_assertion(profile):
+    """R-VPN asserted: the form must be a neighbour with m in its pattern."""
+    try:
+        m = pfister_neighbour_invariants(profile.dim, profile.s).m
+    except NotNeighbourEligible as exc:
+        return [Violation("R-VPN", str(exc))]
+    if m in profile.pattern:
+        return []
+    return [
+        Violation(
+            "R-VPN", "m = %d not in the splitting pattern %s" % (m, list(profile.pattern))
+        )
+    ]
 
 
 # -- checker -------------------------------------------------------------------
@@ -378,6 +413,7 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
             "partition is over (r=%d, d_X=%d), profile needs (r=%d, d_X=%d)"
             % (partition.r, partition.d_x, profile.r, profile.d_x)
         )
+    connections = _connection_rules(profile, rules)
     violations = []
 
     if "R-PARITY" in rules.enabled:
@@ -387,12 +423,7 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
                     Violation("R-PARITY", "odd block {%s}" % _fmt_block(block))
                 )
 
-    if "R-DUAL" in rules.enabled:
-        for a, b in forced_connections(profile):
-            if not partition.co_blocked(a, b):
-                violations.append(
-                    Violation("R-DUAL", "%s and %s must be co-blocked" % (a, b))
-                )
+    violations.extend(_check_connections("R-DUAL", connections, partition))
 
     if "R-ENDPOINT" in rules.enabled:
         violations.extend(_check_endpoint(profile, partition, rules.endpoint_variant))
@@ -406,30 +437,11 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     if "R-KARPENKO" in rules.enabled:
         violations.extend(_check_karpenko(profile, partition))
 
-    if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
-        for a, b in _excellent_pair_symbols(profile):
-            if not partition.co_blocked(a, b):
-                violations.append(
-                    Violation("R-EXC", "excellent pair %s, %s split" % (a, b))
-                )
+    violations.extend(_check_connections("R-EXC", connections, partition))
 
-    if "R-VPN" in rules.enabled:
-        assumed = "R-VPN" in rules.assumed
-        if assumed:
-            _, m = _vpn_invariants(profile)
-            if m not in profile.pattern:
-                violations.append(
-                    Violation(
-                        "R-VPN",
-                        "m = %d not in the splitting pattern %s"
-                        % (m, list(profile.pattern)),
-                    )
-                )
-        for a, b in vpn_connections(profile, assumed=assumed):
-            if not partition.co_blocked(a, b):
-                violations.append(
-                    Violation("R-VPN", "%s and %s must be co-blocked" % (a, b))
-                )
+    if "R-VPN" in rules.enabled and "R-VPN" in rules.assumed:
+        violations.extend(_check_vpn_assertion(profile))
+    violations.extend(_check_connections("R-VPN", connections, partition))
 
     if "R-VISHIK" in rules.enabled:
         violations.extend(_check_vishik(profile, partition, rules.vishik_reading))
@@ -472,11 +484,7 @@ def _check_endpoint(profile, partition, variant):
 def _check_shift(profile, partition):
     out = []
     p = profile.pattern
-    by_a = {}
-    for block in partition.blocks:
-        a = _block_a(block)
-        if a is not None:
-            by_a[a] = block
+    by_a = _blocks_by_a(partition)
     for t in range(1, profile.height + 1):
         lo_bound, hi_bound = p[t - 1], p[t]
         members = {a: blk for a, blk in by_a.items() if lo_bound <= a < hi_bound}
@@ -520,6 +528,15 @@ def _check_shift(profile, partition):
     return out
 
 
+def _check_interior_jt(rule, profile, mn):
+    """The upper block's smallest positive lower index mn must be some j_t, 0 < t < h."""
+    if mn in profile.pattern[1:-1]:
+        return []
+    return [
+        Violation(rule, "smallest positive lower index %d is not some j_t, t < h" % mn)
+    ]
+
+
 def _check_upper(profile, partition):
     out = []
     upper = partition.block_of(lo(0))
@@ -539,14 +556,7 @@ def _check_upper(profile, partition):
                 Violation("R-UPPER", "upper block of size > 2 needs >= 2 lower symbols")
             )
         else:
-            mn = los[1]  # smallest positive (los[0] == 0)
-            if mn not in profile.pattern[1:-1]:
-                out.append(
-                    Violation(
-                        "R-UPPER",
-                        "smallest positive lower index %d is not some j_t, t < h" % mn,
-                    )
-                )
+            out.extend(_check_interior_jt("R-UPPER", profile, los[1]))
     if profile.height >= 2:
         j1, j2 = profile.pattern[1], profile.pattern[2]
         inside = [i for i in los if j1 <= i < j2]
@@ -588,16 +598,10 @@ def _check_karpenko(profile, partition):
     if not positives:
         return out
     mn = positives[0]
-    interior = list(profile.pattern[1:-1])
-    if mn not in interior:
-        out.append(
-            Violation(
-                "R-KARPENKO",
-                "smallest positive lower index %d is not some j_t, t < h" % mn,
-            )
-        )
-        return out
-    t = interior.index(mn) + 1
+    missing = _check_interior_jt("R-KARPENKO", profile, mn)
+    if missing:
+        return out + missing
+    t = profile.pattern.index(mn)
     i_next = profile.steps[t]
     if v2(i_next) < v2(i1):
         out.append(
@@ -621,16 +625,14 @@ def _check_karpenko(profile, partition):
 def _check_vishik(profile, partition, reading):
     out = []
     p = profile.pattern
-    by_a = {}
-    for block in partition.blocks:
-        a = _block_a(block)
-        if a is not None:
-            by_a[a] = block
+    by_a = _blocks_by_a(partition)
     for t in range(1, profile.height):
         base = by_a.get(p[t - 1])
         if base is None:
             continue
         m_val = profile.dim - 2 * p[t - 1] - p[t]
+        if m_val < 1:  # no expansion, so the shell requires no positions
+            continue
         exp = alternating_2adic(m_val)
         tail = 0
         tails = []
@@ -700,8 +702,9 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
         if rx != ry:
             parent[rx] = ry
 
-    for a, b in _required_pairs(profile, rules):
-        union(a, b)
+    for pairs in _connection_rules(profile, rules).values():
+        for a, b in pairs:
+            union(a, b)
     atoms = {}
     for sym in symbols:
         atoms.setdefault(find(sym), []).append(sym)
@@ -741,14 +744,8 @@ def mdt_pfister_neighbour(profile: QuadricProfile, inner=None) -> MdtPartition:
     complementary profile has type (r - m, s); pass its partition as
     ``inner`` (omit it when r = m).
     """
-    n = (profile.dim - 1).bit_length() - 1
-    m = profile.dim - (1 << n)
-    if profile.r + profile.s > 1 << n:
-        raise NotNeighbourEligible(
-            "r + s = %d exceeds 2^n = %d" % (profile.r + profile.s, 1 << n)
-        )
-    if profile.r < m:
-        raise NotNeighbourEligible("neighbour profile needs r >= m = %d" % m)
+    inv = pfister_neighbour_invariants(profile.dim, profile.s)
+    n, m = inv.n, inv.m
     blocks = [(lo(i), up((1 << n) - 1 + i)) for i in range(m)]
     if profile.r == m:
         if inner:
@@ -772,16 +769,14 @@ def mdt_strongly_excellent(n_list, s: int):
     Returns (profile, partition); the blocks are
     {0_lo, (2^{n_{i+1}-1} - 1)^up}[m_1 + ... + m_i + j].
     """
-    prof, dims = strongly_excellent_profile(n_list, s)
+    prof, _ = strongly_excellent_profile(n_list, s)
     n_list = tuple(int(n) for n in n_list)
     blocks = []
-    offset = 0
-    for i, n_i in enumerate(n_list):
-        m_i = dims[i] - (1 << (n_i - 1))
+    # the pattern's steps are the m_i, so its entries are the running offsets
+    for n_i, offset, m_i in zip(n_list, prof.pattern, prof.steps):
         top = (1 << (n_i - 1)) - 1
         for j in range(m_i):
             blocks.append((lo(offset + j), up(top + offset + j)))
-        offset += m_i
     partition = MdtPartition.of(prof, blocks)
     return prof, partition
 
@@ -823,19 +818,7 @@ class ShellPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", tuple(self.pattern))
-        p = self.pattern
-        if len(p) < 2 or p[0] != 0 or p[-1] != self.r:
-            raise PatternInvalid("pattern must run from 0 to r, got %r" % (p,))
-        if any(a >= b for a, b in zip(p, p[1:])):
-            raise PatternInvalid("pattern must be strictly increasing, got %r" % (p,))
-
-    @property
-    def height(self) -> int:
-        return len(self.pattern) - 1
-
-    @property
-    def steps(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.pattern, self.pattern[1:]))
+        check_pattern(self.r, self.pattern)
 
 
 @dataclass(frozen=True)

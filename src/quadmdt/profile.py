@@ -45,7 +45,11 @@ def v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _check_i1_rules(rules) -> frozenset:
+def _check_i1_args(r: int, s: int, rules) -> frozenset:
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if s < 0:
+        raise ValueError("s must be >= 0")
     if rules is None:
         return DEFAULT_I1_RULES
     rules = frozenset(rules)
@@ -53,6 +57,27 @@ def _check_i1_rules(rules) -> frozenset:
     if unknown:
         raise ValueError("unknown i1 rule(s): %s" % ", ".join(sorted(unknown)))
     return rules
+
+
+def check_pattern(r: int, pattern: tuple) -> None:
+    """Raise PatternInvalid unless 0 = j_0 < j_1 < ... < j_h = r with h >= 1."""
+    if len(pattern) < 2 or pattern[0] != 0 or pattern[-1] != r:
+        raise PatternInvalid("pattern must run from 0 to r, got %r" % (pattern,))
+    if any(a >= b for a, b in zip(pattern, pattern[1:])):
+        raise PatternInvalid("pattern must be strictly increasing, got %r" % (pattern,))
+
+
+def pfister_split(dim: int) -> tuple:
+    """(n, m) with dim = 2^n + m and 1 <= m <= 2^n."""
+    n = (dim - 1).bit_length() - 1
+    return n, dim - (1 << n)
+
+
+def _json_int(value) -> int:
+    # bool is a subclass of int, so test the exact type
+    if type(value) is not int:
+        raise PatternInvalid("malformed profile JSON: %r is not an integer" % (value,))
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,7 +88,6 @@ class QuadricProfile:
     r: int
     s: int
     pattern: tuple
-    anisotropic: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", tuple(self.pattern))
@@ -72,13 +96,8 @@ class QuadricProfile:
                 "need dim = 2r + s with r >= 1, got dim=%d r=%d s=%d"
                 % (self.dim, self.r, self.s)
             )
-        if not self.anisotropic:
-            raise PatternInvalid("profiles model anisotropic forms only")
         p = self.pattern
-        if len(p) < 2 or p[0] != 0 or p[-1] != self.r:
-            raise PatternInvalid("pattern must run from 0 to r, got %r" % (p,))
-        if any(a >= b for a, b in zip(p, p[1:])):
-            raise PatternInvalid("pattern must be strictly increasing, got %r" % (p,))
+        check_pattern(self.r, p)
         # Each step must obey the 2-adic bound applied to its kernel form
         # (of dimension dim - 2 j_{t-1}): i_t <= 2^{v2(kernel dim - i_t)}.
         for t in range(1, len(p)):
@@ -137,10 +156,10 @@ class QuadricProfile:
     def from_json_dict(cls, data: dict) -> "QuadricProfile":
         try:
             return cls(
-                dim=int(data["dim"]),
-                r=int(data["r"]),
-                s=int(data["s"]),
-                pattern=tuple(int(j) for j in data["pattern"]),
+                dim=_json_int(data["dim"]),
+                r=_json_int(data["r"]),
+                s=_json_int(data["s"]),
+                pattern=tuple(_json_int(j) for j in data["pattern"]),
             )
         except (KeyError, TypeError) as exc:
             raise PatternInvalid("malformed profile JSON: %s" % exc) from exc
@@ -191,8 +210,7 @@ def _i1_conjectural_ok(r: int, s: int, i: int) -> bool:
     # (a) writing dim = 2^n + m with 1 <= m <= 2^n: r < m forces i_1 <= m - r;
     # (b) if s < 2^u + i_1 then i_1 <= r - x 2^u <= 2^u - s.
     dim = 2 * r + s
-    n = (dim - 1).bit_length() - 1
-    m = dim - (1 << n)
+    _, m = pfister_split(dim)
     if r < m and i > m - r:
         return False
     u = v2(dim - i)
@@ -211,11 +229,7 @@ def i1_admissible_set(r: int, s: int, rules=None) -> frozenset:
     of the excellent-connections conjecture.  Output is a "not excluded"
     set; realizability is a separate question.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    rules = _check_i1_rules(rules)
+    rules = _check_i1_args(r, s, rules)
     dim = 2 * r + s
     out = set()
     for i in range(1, r + 1):
@@ -236,11 +250,7 @@ def pattern_enumerate(r: int, s: int, rules=None) -> tuple:
     kernel type (r - j_{t-1}, s).  Output patterns are canonical tuples
     (0, ..., r), sorted; they are "not excluded", not necessarily realized.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    rules = _check_i1_rules(rules)
+    rules = _check_i1_args(r, s, rules)
 
     def extend(r_rem: int):
         if r_rem == 0:
@@ -268,19 +278,15 @@ class AlternatingExpansion:
     ``m`` holds m_i = 2^{n_i - 1} - 2^{n_{i+1}} + ... for 1 <= i <= j';
     for odd values the formal m_j would be the half-integer 2^{-1} and is
     not stored (it is never consulted: excellent pairs use k <= j' only).
+    ``j`` is the number of exponents; ``j_prime`` is j for even values and
+    j - 1 for odd ones.
     """
 
     value: int
     n: tuple
     m: tuple
-
-    @property
-    def j(self) -> int:
-        return len(self.n)
-
-    @property
-    def j_prime(self) -> int:
-        return self.j if self.value % 2 == 0 else self.j - 1
+    j: int
+    j_prime: int
 
 
 def alternating_2adic(value: int) -> AlternatingExpansion:
@@ -304,7 +310,7 @@ def alternating_2adic(value: int) -> AlternatingExpansion:
             acc += sign * (1 << n_tuple[u])
             sign = -sign
         m.append(acc)
-    return AlternatingExpansion(value=value, n=n_tuple, m=tuple(m))
+    return AlternatingExpansion(value=value, n=n_tuple, m=tuple(m), j=j, j_prime=j_prime)
 
 
 @dataclass(frozen=True)
@@ -417,14 +423,14 @@ def pfister_neighbour_invariants(dim: int, s: int) -> PfisterNeighbourInvariants
     if s < 0 or (dim - s) % 2 or dim - s < 2:
         raise ValueError("no type (r, s) with r >= 1 matches dim=%d s=%d" % (dim, s))
     r = (dim - s) // 2
-    n = (dim - 1).bit_length() - 1
+    n, m = pfister_split(dim)
     if r + s > 1 << n:
         raise NotNeighbourEligible(
             "r + s = %d exceeds 2^n = %d" % (r + s, 1 << n)
         )
     return PfisterNeighbourInvariants(
         n=n,
-        m=dim - (1 << n),
+        m=m,
         complementary_dim=(1 << (n + 1)) - dim,
         close_neighbour=dim == (1 << (n + 1)) - s,
     )

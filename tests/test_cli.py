@@ -61,6 +61,10 @@ def test_excellent_pairs(capsys):
     code, out, _ = run(capsys, "excellent-pairs", PROFILE_DIM10)
     assert code == 0
     assert json.loads(out) == [[0, 7], [1, 8]]
+    # only the rule-driven subcommands take --rules
+    with pytest.raises(SystemExit) as exc:
+        main(["excellent-pairs", PROFILE_DIM10, "--rules", "R-NOPE"])
+    assert exc.value.code == 2
 
 
 def test_mdt_solve_height_one(capsys):
@@ -104,6 +108,11 @@ def test_mdt_solve_invalid_profile(capsys):
     code, _, err = run(capsys, "mdt-solve", bad)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "StepViolatesI1Bound"
+    for dim in ("6.5", "true", '"6"'):  # only exact JSON integers
+        bad = '{"dim": %s, "r": 2, "s": 2, "pattern": [0, 2]}' % dim
+        code, _, err = run(capsys, "mdt-solve", bad)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "PatternInvalid"
 
 
 def test_mdt_solve_bound_exceeded(capsys):

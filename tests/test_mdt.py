@@ -17,6 +17,7 @@ from quadmdt.mdt import (
     MdtPartition,
     RuleSet,
     ShellPattern,
+    Violation,
     alpha_cycle,
     check_partition,
     enumerate_mdt,
@@ -142,6 +143,8 @@ def test_vpn_connections_gating():
         (lo(0), up(7)),
         (lo(1), up(8)),
     )
+    # r + s > 2^n: no neighbour, so no pairs (they would leave Lambda(X))
+    assert vpn_connections(prof(4, 1, 2, [0, 1]), assumed=True) == ()
 
 
 # -- the checker ---------------------------------------------------------------------
@@ -231,6 +234,7 @@ def _raw_set_partitions(items):
         (10, 3, 4, [0, 1, 3], RuleSet.proven().enable("R-EXC")),
         (7, 3, 1, [0, 1, 2, 3], None),
         (8, 3, 2, [0, 1, 2, 3], RuleSet.proven().enable("R-VISHIK")),
+        (4, 1, 2, [0, 1], RuleSet.proven().enable("R-VPN")),  # r + s > 2^n
     ],
 )
 def test_enumerator_matches_raw_filter(dim, r, s, pattern, rules):
@@ -331,6 +335,10 @@ def test_vishik_rule_behaviour():
     )
     rules_hit = {v.rule for v in check_partition(p, finest, vishik)}
     assert "R-VISHIK" in rules_hit
+    # dim - 2 j_3 - j_4 = 0 has no expansion: that shell requires no positions
+    q = prof(10, 5, 0)
+    report = check_partition(q, MdtPartition.of(q, forced_connections(q)), vishik)
+    assert not any("j_3" in v.witness for v in report)
 
 
 # -- closed-form generators ------------------------------------------------------------
@@ -358,6 +366,11 @@ def test_vpn_assumed_contradicts_pattern():
     assert enumerate_mdt(p, rules) == ()
     part = enumerate_mdt(p)[0]
     assert any(v.rule == "R-VPN" for v in check_partition(p, part, rules))
+    # asserting it where r + s > 2^n is reported, not a crash
+    q = prof(4, 1, 2)
+    assert check_partition(q, mdt_height_one(q), rules) == (
+        Violation("R-VPN", "r + s = 3 exceeds 2^n = 2"),
+    )
 
 
 def test_mdt_pfister_neighbour_pure():
