@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ContextMismatch
-from .profile import QuadricProfile
+from .profile import QuadricProfile, json_int
 
 H = "h"
 L = "l"
@@ -147,11 +147,17 @@ class Cycle:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cycle":
-        context = tuple(QuadricProfile.from_json_dict(p) for p in data["context"])
-        support = [
-            tuple(FactorSymbol(entry["kind"].lower(), int(entry["i"])) for entry in elt)
-            for elt in data["support"]
-        ]
+        try:
+            context = tuple(QuadricProfile.from_json_dict(p) for p in data["context"])
+            support = [
+                tuple(
+                    FactorSymbol(entry["kind"].lower(), json_int(entry["i"]))
+                    for entry in elt
+                )
+                for elt in data["support"]
+            ]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ContextMismatch("malformed cycle JSON: %s" % exc) from exc
         return cls.of_basis(context, *support)
 
     def __str__(self):

@@ -26,6 +26,7 @@ from .profile import (
     excellent_pairs,
     i1_admissible_set,
     pattern_enumerate,
+    profile_json_fields,
 )
 
 
@@ -123,8 +124,8 @@ def cmd_check(args) -> int:
 def cmd_diagram(args) -> int:
     # Diagram shape only needs (r, pattern); the i_1-bound validation is
     # deliberately skipped so classical illustration patterns render.
-    data = _load_json(args.profile)
-    shape = mdt.ShellPattern(r=int(data["r"]), pattern=tuple(data["pattern"]))
+    fields = profile_json_fields(_load_json(args.profile), required=("r", "pattern"))
+    shape = mdt.ShellPattern(r=fields["r"], pattern=fields["pattern"])
     diagram = mdt.shell_diagram(shape)
     if args.format == "svg":
         _emit(args, mdt.render_svg(diagram))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import chow
 from .chow import Cycle, FactorSymbol, h, l
 from .errors import ContextMismatch, DegreeUnderflow, InvalidLevel
-from .profile import QuadricProfile
+from .profile import QuadricProfile, json_int
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,12 @@ class Correspondence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Correspondence":
-        return cls(Cycle.from_json_dict(data), int(data["split"]))
+        cycle = Cycle.from_json_dict(data)
+        try:
+            split = json_int(data["split"])
+        except (KeyError, TypeError) as exc:
+            raise ContextMismatch("malformed correspondence JSON: %s" % exc) from exc
+        return cls(cycle, split)
 
     def __str__(self):
         return "%s | split=%d" % (self.cycle, self.split)

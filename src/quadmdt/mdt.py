@@ -30,17 +30,20 @@ Rule identifiers and provenance:
                             stable-birational connection theorem; a shell
                             with dim - 2 j_{t-1} - j_t < 1 requires nothing
 
-The default ("proven") set enables the first eight in their automatic
-scope.  Enabling R-EXC / R-VPN / R-VISHIK by name widens them to their
-asserted, unconditional form.  R-DUAL, R-EXC and R-VPN are connection
-rules: each is stated once, as a table of symbol pairs that the checker
-reports when split and the enumerator merges up front.
+The library is one ordered table, RULES, with one row per rule: its id,
+provenance, summary and check.  The checker runs the enabled rows in that
+order.  The default ("proven") set enables the first eight in their
+automatic scope.  Enabling R-EXC / R-VPN / R-VISHIK by name widens them to
+their asserted, unconditional form.  R-DUAL, R-EXC and R-VPN are connection
+rules: their scopes are stated once, as a table of symbol pairs per profile
+that the enumerator merges up front and the rows' checks report when split.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .chow import Cycle, h, l
 from .corr import Correspondence
@@ -56,6 +59,7 @@ from .profile import (
     alternating_2adic,
     check_pattern,
     excellent_pairs,
+    json_int,
     pfister_neighbour_invariants,
     pfister_split,
     strongly_excellent_profile,
@@ -68,43 +72,18 @@ UP = "up"
 
 @dataclass(frozen=True)
 class Rule:
-    """Registry entry for a necessary condition."""
+    """One necessary condition: a row of the rule table.
+
+    ``check(profile, partition, rules, pairs)`` returns the witnesses of
+    every way the partition breaks the rule; ``pairs`` are the symbol pairs
+    the rule forces into one block (empty unless it is a connection rule).
+    """
 
     id: str
     provenance: str  # "proven" | "conjectural" | "interpretation-sensitive"
     summary: str
+    check: Callable
 
-
-RULES = {
-    rule.id: rule
-    for rule in (
-        Rule("R-PARITY", "proven", "blocks have even cardinality"),
-        Rule("R-DUAL", "proven", "splitting-pattern connections co-blocked"),
-        Rule("R-ENDPOINT", "proven", "b(L) determined by a(L) and the shell"),
-        Rule("R-SHIFT", "proven", "shell blocks form a full shift orbit"),
-        Rule("R-UPPER", "proven", "structure of the block containing 0_lo"),
-        Rule("R-KARPENKO", "proven", "2-adic bounds inside the upper block"),
-        Rule(
-            "R-EXC",
-            "conjectural",
-            "excellent pairs co-blocked (proven, and auto-applied, for s <= 1)",
-        ),
-        Rule(
-            "R-VPN",
-            "proven",
-            "virtual-Pfister-neighbour connections (auto-applied when forced)",
-        ),
-        Rule(
-            "R-VISHIK",
-            "interpretation-sensitive",
-            "expansion-determined lower positions in shell-based blocks",
-        ),
-    )
-}
-
-RULE_IDS = tuple(RULES)
-
-PROVEN_RULE_IDS = frozenset(RULE_IDS) - {"R-VISHIK"}
 
 SEMANTICS_NOTE = (
     "partitions not excluded by the selected necessary conditions "
@@ -237,7 +216,7 @@ class MdtPartition:
     def from_json_dict(cls, data: dict, profile: QuadricProfile) -> "MdtPartition":
         try:
             blocks = [
-                tuple(LambdaSymbol(entry["kind"], int(entry["i"])) for entry in block)
+                tuple(LambdaSymbol(entry["kind"], json_int(entry["i"])) for entry in block)
                 for block in data["blocks"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
@@ -276,7 +255,7 @@ def _blocks_by_a(partition) -> dict:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Enabled rule ids plus scope and reading options.
+    """Enabled rule ids and their scope.
 
     ``assumed`` widens R-EXC / R-VPN / R-VISHIK beyond their automatic
     (profile-forced) scope: R-EXC then checks excellent pairs for every s,
@@ -285,17 +264,11 @@ class RuleSet:
 
     enabled: frozenset = field(default_factory=lambda: PROVEN_RULE_IDS)
     assumed: frozenset = field(default_factory=frozenset)
-    endpoint_variant: str = "shifted"  # or "reflected" (audit only)
-    vishik_reading: str = "relative"  # or "absolute" (audit only)
 
     def __post_init__(self):
         for rule in self.enabled | self.assumed:
             if rule not in RULE_IDS:
                 raise ValueError("unknown rule id %r" % (rule,))
-        if self.endpoint_variant not in ("shifted", "reflected"):
-            raise ValueError("endpoint_variant must be 'shifted' or 'reflected'")
-        if self.vishik_reading not in ("relative", "absolute"):
-            raise ValueError("vishik_reading must be 'relative' or 'absolute'")
 
     @classmethod
     def proven(cls) -> "RuleSet":
@@ -304,14 +277,9 @@ class RuleSet:
     def enable(self, *rule_ids: str) -> "RuleSet":
         """Opt in to extra rules; scoped rules become unconditional."""
         extra = frozenset(rule_ids)
-        for rule in extra:
-            if rule not in RULE_IDS:
-                raise ValueError("unknown rule id %r" % (rule,))
         return RuleSet(
             enabled=self.enabled | extra,
             assumed=self.assumed | (extra & {"R-EXC", "R-VPN", "R-VISHIK"}),
-            endpoint_variant=self.endpoint_variant,
-            vishik_reading=self.vishik_reading,
         )
 
 
@@ -371,117 +339,63 @@ def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
     return table
 
 
-_SPLIT_WITNESS = {
-    "R-DUAL": "%s and %s must be co-blocked",
-    "R-EXC": "excellent pair %s, %s split",
-    "R-VPN": "%s and %s must be co-blocked",
-}
+def _split_pairs(witness, pairs, partition):
+    """Witnesses of a connection rule: one per pair the partition splits."""
+    return [witness % (a, b) for a, b in pairs if not partition.co_blocked(a, b)]
 
 
-def _check_connections(rule, connections, partition):
-    return [
-        Violation(rule, _SPLIT_WITNESS[rule] % (a, b))
-        for a, b in connections.get(rule, ())
-        if not partition.co_blocked(a, b)
-    ]
+def _check_dual(profile, partition, rules, pairs):
+    return _split_pairs("%s and %s must be co-blocked", pairs, partition)
 
 
-def _check_vpn_assertion(profile):
-    """R-VPN asserted: the form must be a neighbour with m in its pattern."""
-    try:
-        m = pfister_neighbour_invariants(profile.dim, profile.s).m
-    except NotNeighbourEligible as exc:
-        return [Violation("R-VPN", str(exc))]
-    if m in profile.pattern:
-        return []
-    return [
-        Violation(
-            "R-VPN", "m = %d not in the splitting pattern %s" % (m, list(profile.pattern))
-        )
-    ]
+def _check_exc(profile, partition, rules, pairs):
+    return _split_pairs("excellent pair %s, %s split", pairs, partition)
 
 
-# -- checker -------------------------------------------------------------------
-
-
-def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None):
-    """Evaluate every enabled necessary condition; return the violations."""
-    if rules is None:
-        rules = RuleSet.proven()
-    if partition.r != profile.r or partition.d_x != profile.d_x:
-        raise ArityMismatch(
-            "partition is over (r=%d, d_X=%d), profile needs (r=%d, d_X=%d)"
-            % (partition.r, partition.d_x, profile.r, profile.d_x)
-        )
-    connections = _connection_rules(profile, rules)
-    violations = []
-
-    if "R-PARITY" in rules.enabled:
-        for block in partition.blocks:
-            if len(block) % 2:
-                violations.append(
-                    Violation("R-PARITY", "odd block {%s}" % _fmt_block(block))
+def _check_vpn(profile, partition, rules, pairs):
+    """Asserted, the form must be a neighbour with m in its pattern; then the split pairs."""
+    out = []
+    if "R-VPN" in rules.assumed:
+        try:
+            m = pfister_neighbour_invariants(profile.dim, profile.s).m
+        except NotNeighbourEligible as exc:
+            out.append(str(exc))
+        else:
+            if m not in profile.pattern:
+                out.append(
+                    "m = %d not in the splitting pattern %s" % (m, list(profile.pattern))
                 )
-
-    violations.extend(_check_connections("R-DUAL", connections, partition))
-
-    if "R-ENDPOINT" in rules.enabled:
-        violations.extend(_check_endpoint(profile, partition, rules.endpoint_variant))
-
-    if "R-SHIFT" in rules.enabled:
-        violations.extend(_check_shift(profile, partition))
-
-    if "R-UPPER" in rules.enabled:
-        violations.extend(_check_upper(profile, partition))
-
-    if "R-KARPENKO" in rules.enabled:
-        violations.extend(_check_karpenko(profile, partition))
-
-    violations.extend(_check_connections("R-EXC", connections, partition))
-
-    if "R-VPN" in rules.enabled and "R-VPN" in rules.assumed:
-        violations.extend(_check_vpn_assertion(profile))
-    violations.extend(_check_connections("R-VPN", connections, partition))
-
-    if "R-VISHIK" in rules.enabled:
-        violations.extend(_check_vishik(profile, partition, rules.vishik_reading))
-
-    return tuple(violations)
+    return out + _split_pairs("%s and %s must be co-blocked", pairs, partition)
 
 
 def _fmt_block(block) -> str:
     return ", ".join(str(sym) for sym in block)
 
 
-def _check_endpoint(profile, partition, variant):
+def _check_parity(profile, partition, rules, pairs):
+    return [
+        "odd block {%s}" % _fmt_block(block)
+        for block in partition.blocks
+        if len(block) % 2
+    ]
+
+
+def _check_endpoint(profile, partition, rules, pairs):
     out = []
     p = profile.pattern
     for block in partition.blocks:
         a, b = _block_a(block), _block_b(block)
         if a is None or b is None:
-            out.append(
-                Violation(
-                    "R-ENDPOINT",
-                    "one-sided block {%s} has no endpoint pair" % _fmt_block(block),
-                )
-            )
+            out.append("one-sided block {%s} has no endpoint pair" % _fmt_block(block))
             continue
         t = profile.shell_of(a)
-        if variant == "shifted":
-            expected = a + profile.d_x + 1 - p[t - 1] - p[t]
-        else:  # "reflected" audit reading: b mirrors a about the shell
-            expected = profile.d_x - (a + (p[t] - p[t - 1]) - 1)
+        expected = a + profile.d_x + 1 - p[t - 1] - p[t]
         if b != expected:
-            out.append(
-                Violation(
-                    "R-ENDPOINT",
-                    "block {%s}: b = %d, expected %d" % (_fmt_block(block), b, expected),
-                )
-            )
+            out.append("block {%s}: b = %d, expected %d" % (_fmt_block(block), b, expected))
     return out
 
 
-def _check_shift(profile, partition):
+def _check_shift(profile, partition, rules, pairs):
     out = []
     p = profile.pattern
     by_a = _blocks_by_a(partition)
@@ -494,11 +408,8 @@ def _check_shift(profile, partition):
         base = members.get(lo_bound)
         if base is None:
             out.append(
-                Violation(
-                    "R-SHIFT",
-                    "shell %d has blocks based at %s but none at j_%d = %d"
-                    % (t, sorted(members), t - 1, lo_bound),
-                )
+                "shell %d has blocks based at %s but none at j_%d = %d"
+                % (t, sorted(members), t - 1, lo_bound)
             )
             continue
         for k in range(1, step):
@@ -506,11 +417,8 @@ def _check_shift(profile, partition):
             actual = members.get(lo_bound + k)
             if actual is None or tuple(actual) != expected:
                 out.append(
-                    Violation(
-                        "R-SHIFT",
-                        "shell %d: block at a = %d must be the base block "
-                        "shifted by %d" % (t, lo_bound + k, k),
-                    )
+                    "shell %d: block at a = %d must be the base block "
+                    "shifted by %d" % (t, lo_bound + k, k)
                 )
         # part (2): lo members of the base block respect the shell widths
         for sym in base:
@@ -519,65 +427,48 @@ def _check_shift(profile, partition):
             t2 = profile.shell_of(sym.index)
             if sym.index + step > p[t2]:
                 out.append(
-                    Violation(
-                        "R-SHIFT",
-                        "base block of shell %d contains %s with %d + %d > j_%d = %d"
-                        % (t, sym, sym.index, step, t2, p[t2]),
-                    )
+                    "base block of shell %d contains %s with %d + %d > j_%d = %d"
+                    % (t, sym, sym.index, step, t2, p[t2])
                 )
     return out
 
 
-def _check_interior_jt(rule, profile, mn):
+def _check_interior_jt(profile, mn):
     """The upper block's smallest positive lower index mn must be some j_t, 0 < t < h."""
     if mn in profile.pattern[1:-1]:
         return []
-    return [
-        Violation(rule, "smallest positive lower index %d is not some j_t, t < h" % mn)
-    ]
+    return ["smallest positive lower index %d is not some j_t, t < h" % mn]
 
 
-def _check_upper(profile, partition):
+def _check_upper(profile, partition, rules, pairs):
     out = []
     upper = partition.block_of(lo(0))
     b = _block_b(upper)
     expected_b = profile.izhboldin_dim - 1
     if b != expected_b:
-        out.append(
-            Violation(
-                "R-UPPER",
-                "upper block has b = %s, expected Izh - 1 = %d" % (b, expected_b),
-            )
-        )
+        out.append("upper block has b = %s, expected Izh - 1 = %d" % (b, expected_b))
     los = sorted(sym.index for sym in upper if sym.kind == LO)
     if len(upper) != 2:
         if len(los) < 2:
-            out.append(
-                Violation("R-UPPER", "upper block of size > 2 needs >= 2 lower symbols")
-            )
+            out.append("upper block of size > 2 needs >= 2 lower symbols")
         else:
-            out.extend(_check_interior_jt("R-UPPER", profile, los[1]))
+            out.extend(_check_interior_jt(profile, los[1]))
     if profile.height >= 2:
         j1, j2 = profile.pattern[1], profile.pattern[2]
         inside = [i for i in los if j1 <= i < j2]
         if inside:
             i1, i2 = profile.steps[0], profile.steps[1]
             if i2 % i1:
-                out.append(
-                    Violation("R-UPPER", "i_1 = %d does not divide i_2 = %d" % (i1, i2))
-                )
+                out.append("i_1 = %d does not divide i_2 = %d" % (i1, i2))
             expected = list(range(i1, j2 - i1 + 1, i1))
             if inside != expected:
                 out.append(
-                    Violation(
-                        "R-UPPER",
-                        "lower indices %s in [j_1, j_2) must be %s" % (inside, expected),
-                    )
+                    "lower indices %s in [j_1, j_2) must be %s" % (inside, expected)
                 )
     return out
 
 
-def _check_karpenko(profile, partition):
+def _check_karpenko(profile, partition, rules, pairs):
     out = []
     upper = partition.block_of(lo(0))
     if len(upper) <= 2:
@@ -589,40 +480,27 @@ def _check_karpenko(profile, partition):
     )
     for i in positives:
         if i % (1 << v):
-            out.append(
-                Violation(
-                    "R-KARPENKO",
-                    "lower index %d in the upper block not divisible by 2^%d" % (i, v),
-                )
-            )
+            out.append("lower index %d in the upper block not divisible by 2^%d" % (i, v))
     if not positives:
         return out
     mn = positives[0]
-    missing = _check_interior_jt("R-KARPENKO", profile, mn)
+    missing = _check_interior_jt(profile, mn)
     if missing:
         return out + missing
     t = profile.pattern.index(mn)
     i_next = profile.steps[t]
     if v2(i_next) < v2(i1):
-        out.append(
-            Violation(
-                "R-KARPENKO",
-                "v2(i_%d) = %d < v2(i_1) = %d" % (t + 1, v2(i_next), v2(i1)),
-            )
-        )
+        out.append("v2(i_%d) = %d < v2(i_1) = %d" % (t + 1, v2(i_next), v2(i1)))
     # second theorem; v2(0) counts as +infinity
     gap = mn - i1
     if (gap == 0 or v2(gap) >= v2(i1) + 2) and v2(i_next) > v2(i1) + 1:
         out.append(
-            Violation(
-                "R-KARPENKO",
-                "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d" % (t + 1, v2(i_next), v2(i1) + 1),
-            )
+            "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d" % (t + 1, v2(i_next), v2(i1) + 1)
         )
     return out
 
 
-def _check_vishik(profile, partition, reading):
+def _check_vishik(profile, partition, rules, pairs):
     out = []
     p = profile.pattern
     by_a = _blocks_by_a(partition)
@@ -642,20 +520,81 @@ def _check_vishik(profile, partition, reading):
             tails.append(tail)
         tails.reverse()
         for k in range(1, exp.j + 1):
-            pos = (m_val - tails[k - 1]) // 2
-            if reading == "relative":
-                pos += p[t - 1]
+            pos = (m_val - tails[k - 1]) // 2 + p[t - 1]
             if not 0 <= pos < profile.r:
                 continue
             if lo(pos) not in base:
                 out.append(
-                    Violation(
-                        "R-VISHIK",
-                        "block at a = j_%d must contain %s (k = %d)"
-                        % (t - 1, lo(pos), k),
-                    )
+                    "block at a = j_%d must contain %s (k = %d)" % (t - 1, lo(pos), k)
                 )
     return out
+
+
+# -- the rule table and the checker ----------------------------------------------
+
+
+RULES = {
+    rule.id: rule
+    for rule in (
+        Rule("R-PARITY", "proven", "blocks have even cardinality", _check_parity),
+        Rule("R-DUAL", "proven", "splitting-pattern connections co-blocked", _check_dual),
+        Rule(
+            "R-ENDPOINT", "proven", "b(L) determined by a(L) and the shell", _check_endpoint
+        ),
+        Rule("R-SHIFT", "proven", "shell blocks form a full shift orbit", _check_shift),
+        Rule("R-UPPER", "proven", "structure of the block containing 0_lo", _check_upper),
+        Rule(
+            "R-KARPENKO", "proven", "2-adic bounds inside the upper block", _check_karpenko
+        ),
+        Rule(
+            "R-EXC",
+            "conjectural",
+            "excellent pairs co-blocked (proven, and auto-applied, for s <= 1)",
+            _check_exc,
+        ),
+        Rule(
+            "R-VPN",
+            "proven",
+            "virtual-Pfister-neighbour connections (auto-applied when forced)",
+            _check_vpn,
+        ),
+        Rule(
+            "R-VISHIK",
+            "interpretation-sensitive",
+            "expansion-determined lower positions in shell-based blocks",
+            _check_vishik,
+        ),
+    )
+}
+
+RULE_IDS = tuple(RULES)
+
+PROVEN_RULE_IDS = frozenset(RULE_IDS) - {"R-VISHIK"}
+
+
+def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None):
+    """Evaluate every enabled necessary condition; return the violations.
+
+    The violations come in RULE_IDS order, each rule's in its check's order.
+    """
+    if rules is None:
+        rules = RuleSet.proven()
+    if partition.r != profile.r or partition.d_x != profile.d_x:
+        raise ArityMismatch(
+            "partition is over (r=%d, d_X=%d), profile needs (r=%d, d_X=%d)"
+            % (partition.r, partition.d_x, profile.r, profile.d_x)
+        )
+    return _violations(profile, partition, rules, _connection_rules(profile, rules))
+
+
+def _violations(profile, partition, rules, connections):
+    """check_partition's body, given the profile's connection table."""
+    return tuple(
+        Violation(rule.id, witness)
+        for rule in RULES.values()
+        if rule.id in rules.enabled
+        for witness in rule.check(profile, partition, rules, connections.get(rule.id, ()))
+    )
 
 
 # -- enumerator ----------------------------------------------------------------
@@ -675,10 +614,11 @@ def _set_partitions(items):
 def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     """All partitions of Lambda(X) passing every enabled rule.
 
-    Connection-forcing rules (R-DUAL, scoped R-EXC/R-VPN) are propagated
-    up front as union-find merges; the surviving atoms are partitioned
-    exhaustively and each candidate runs through the full checker, so the
-    output agrees with check_partition by construction.  The result is
+    The connection table (R-DUAL, scoped R-EXC/R-VPN) is built once: its
+    pairs are propagated up front as union-find merges, the surviving atoms
+    are partitioned exhaustively, and each candidate runs through the
+    checker's body with that same table, so the output agrees with
+    check_partition by construction.  The result is
     canonically sorted and independent of evaluation order (the search is
     embarrassingly parallel; this implementation is sequential).
     """
@@ -702,7 +642,8 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
         if rx != ry:
             parent[rx] = ry
 
-    for pairs in _connection_rules(profile, rules).values():
+    connections = _connection_rules(profile, rules)
+    for pairs in connections.values():
         for a, b in pairs:
             union(a, b)
     atoms = {}
@@ -719,7 +660,7 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     for grouping in _set_partitions(atom_list):
         blocks = [tuple(itertools.chain.from_iterable(group)) for group in grouping]
         partition = MdtPartition.of(profile, blocks)
-        if not check_partition(profile, partition, rules):
+        if not _violations(profile, partition, rules, connections):
             results.append(partition)
     return tuple(sorted(results, key=lambda part: part.blocks))
 

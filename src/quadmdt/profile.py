@@ -73,11 +73,43 @@ def pfister_split(dim: int) -> tuple:
     return n, dim - (1 << n)
 
 
-def _json_int(value) -> int:
+_PROFILE_KEYS = ("dim", "r", "s", "pattern")
+
+
+def json_int(value) -> int:
+    """An exact JSON integer; anything else (6.5, true, "6") raises TypeError."""
     # bool is a subclass of int, so test the exact type
     if type(value) is not int:
-        raise PatternInvalid("malformed profile JSON: %r is not an integer" % (value,))
+        raise TypeError("%r is not an integer" % (value,))
     return value
+
+
+def profile_json_fields(data, required=_PROFILE_KEYS) -> dict:
+    """The fields of a profile JSON object: exact integers and a pattern tuple.
+
+    Keys other than dim, r, s and pattern, a missing ``required`` key, and
+    any value that is not an exact integer raise PatternInvalid.
+    """
+    if not isinstance(data, dict):
+        raise PatternInvalid("malformed profile JSON: %r is not an object" % (data,))
+    unknown = sorted(set(data) - set(_PROFILE_KEYS))
+    if unknown:
+        raise PatternInvalid("malformed profile JSON: unknown keys %s" % unknown)
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise PatternInvalid("malformed profile JSON: missing keys %s" % missing)
+    try:
+        return {
+            key: tuple(json_int(j) for j in value) if key == "pattern" else json_int(value)
+            for key, value in data.items()
+        }
+    except TypeError as exc:
+        raise PatternInvalid("malformed profile JSON: %s" % exc) from exc
+
+
+def _i1_bound(dim: int, i: int) -> int:
+    """Karpenko's 2-adic bound 2^{v2(dim - i)} on a first higher isotropy index i."""
+    return 1 << v2(dim - i)
 
 
 @dataclass(frozen=True)
@@ -103,10 +135,11 @@ class QuadricProfile:
         for t in range(1, len(p)):
             step = p[t] - p[t - 1]
             kernel_dim = self.dim - 2 * p[t - 1]
-            if step > 1 << v2(kernel_dim - step):
+            bound = _i1_bound(kernel_dim, step)
+            if step > bound:
                 raise StepViolatesI1Bound(
                     "step i_%d = %d exceeds bound %d for kernel dimension %d"
-                    % (t, step, 1 << v2(kernel_dim - step), kernel_dim)
+                    % (t, step, bound, kernel_dim)
                 )
 
     @property
@@ -154,15 +187,7 @@ class QuadricProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadricProfile":
-        try:
-            return cls(
-                dim=_json_int(data["dim"]),
-                r=_json_int(data["r"]),
-                s=_json_int(data["s"]),
-                pattern=tuple(_json_int(j) for j in data["pattern"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise PatternInvalid("malformed profile JSON: %s" % exc) from exc
+        return cls(**profile_json_fields(data))
 
     @classmethod
     def from_json(cls, text: str) -> "QuadricProfile":
@@ -189,20 +214,20 @@ def i1_max_by_theorem(dim: int) -> int:
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    return max(i for i in range(1, dim) if i <= 1 << v2(dim - i))
+    return max(i for i in range(1, dim) if i <= _i1_bound(dim, i))
+
+
+def _i1_slack_ok(r: int, s: int, i: int, u: int) -> bool:
+    """i <= r - x 2^u <= 2^u - s, where x 2^u < r <= (x + 1) 2^u."""
+    slack = r - (((r - 1) >> u) << u)
+    return i <= slack <= (1 << u) - s
 
 
 def _i1_singular_ok(r: int, s: int, i: int) -> bool:
-    # Consequence of the i_1 >= s theorem: with u = v2(Izh) and
-    # x2^u < r <= (x+1)2^u, an actual form must satisfy s < 2^u and
-    # i_1 <= r - x 2^u <= 2^u - s.  Values of i that would contradict
-    # this cannot occur, so they are filtered out.
-    if i < s:
-        return True
-    u = v2(2 * r + s - i)
-    x = (r - 1) >> u
-    slack = r - (x << u)
-    return s < (1 << u) and i <= slack and slack <= (1 << u) - s
+    # Consequence of the i_1 >= s theorem: with u = v2(Izh) an actual form
+    # must pass the slack test (which, as i >= 1, implies s < 2^u).  Values
+    # of i that would contradict this cannot occur, so they are filtered out.
+    return i < s or _i1_slack_ok(r, s, i, v2(2 * r + s - i))
 
 
 def _i1_conjectural_ok(r: int, s: int, i: int) -> bool:
@@ -214,11 +239,7 @@ def _i1_conjectural_ok(r: int, s: int, i: int) -> bool:
     if r < m and i > m - r:
         return False
     u = v2(dim - i)
-    x = (r - 1) >> u
-    slack = r - (x << u)
-    if s < (1 << u) + i and not (i <= slack and slack <= (1 << u) - s):
-        return False
-    return True
+    return s >= (1 << u) + i or _i1_slack_ok(r, s, i, u)
 
 
 def i1_admissible_set(r: int, s: int, rules=None) -> frozenset:
@@ -233,7 +254,7 @@ def i1_admissible_set(r: int, s: int, rules=None) -> frozenset:
     dim = 2 * r + s
     out = set()
     for i in range(1, r + 1):
-        if I1_BASE in rules and i > 1 << v2(dim - i):
+        if I1_BASE in rules and i > _i1_bound(dim, i):
             continue
         if I1_SINGULAR in rules and not _i1_singular_ok(r, s, i):
             continue

@@ -113,6 +113,10 @@ def test_mdt_solve_invalid_profile(capsys):
         code, _, err = run(capsys, "mdt-solve", bad)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "PatternInvalid"
+    unknown = '{"dim": 6, "r": 2, "s": 2, "pattern": [0, 2], "height": 1}'
+    code, _, err = run(capsys, "mdt-solve", unknown)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "PatternInvalid"
 
 
 def test_mdt_solve_bound_exceeded(capsys):
@@ -150,6 +154,11 @@ def test_check_subcommand(capsys):
     code, out, _ = run(capsys, "check", PROFILE_22, good)
     assert code == 0
     assert json.loads(out) == []
+    for exact, loose in (('"i": 0', '"i": 0.7'), ('"i": 1', '"i": true')):
+        bad = good.replace(exact, loose)  # int() would read 0 and 1
+        code, _, err = run(capsys, "check", PROFILE_22, bad)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ArityMismatch"
 
 
 def test_diagram_ascii(capsys):
@@ -161,6 +170,20 @@ def test_diagram_ascii(capsys):
     assert lines[-1].split() == ["0", "1", "2", "2", "1", "0"]
     code2, out2, _ = run(capsys, "diagram", shape)
     assert out2 == out  # byte-identical reruns
+    # a full profile object is accepted as well, without its step bounds
+    full = '{"dim": 28, "r": 12, "s": 4, "pattern": [0, 2, 8, 12]}'
+    assert run(capsys, "diagram", full)[1] == out
+    for bad in (
+        '{"r": 4.5, "pattern": [0, 2, 4]}',
+        '{"r": true, "pattern": [0, 1]}',
+        '{"r": 4, "pattern": [0, 2.0, 4]}',
+        '{"r": 4, "pattern": 7}',
+        '{"r": 4, "pattern": [0, 4], "rank": 4}',
+        "[1, 2]",
+    ):
+        code, out, err = run(capsys, "diagram", bad)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "PatternInvalid"
 
 
 def test_diagram_svg_deterministic(capsys):
@@ -214,6 +237,15 @@ def test_compose_command(capsys):
     result = json.loads(out)
     assert result["support"] == [[{"kind": "H", "i": 0}, {"kind": "L", "i": 1}]]
     assert result["split"] == 1
+    for bad in (
+        f.replace('"i": 0', '"i": 0.5'),
+        f.replace('"split": 1', '"split": 1.9'),
+        f.replace('"kind": "H"', '"kind": 1'),
+        "[]",
+    ):
+        code, out, err = run(capsys, "compose", bad, g)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ContextMismatch"
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from quadmdt.errors import (
     OutOfWindow,
 )
 from quadmdt.mdt import (
+    RULE_IDS,
     MdtPartition,
     RuleSet,
     ShellPattern,
@@ -167,8 +168,11 @@ def test_check_dual_violation():
 
 def test_check_parity_violation_on_singleton():
     part = blocks(P22, [lo(0)], [lo(1), up(3), up(4)])
-    rules = {v.rule for v in check_partition(P22, part)}
+    rules = [v.rule for v in check_partition(P22, part)]
     assert "R-PARITY" in rules
+    # a partition that breaks several rules is reported in RULE_IDS order
+    assert len(set(rules)) > 2
+    assert rules == sorted(rules, key=RULE_IDS.index)
 
 
 def test_check_endpoint_violation():
@@ -235,6 +239,7 @@ def _raw_set_partitions(items):
         (7, 3, 1, [0, 1, 2, 3], None),
         (8, 3, 2, [0, 1, 2, 3], RuleSet.proven().enable("R-VISHIK")),
         (4, 1, 2, [0, 1], RuleSet.proven().enable("R-VPN")),  # r + s > 2^n
+        (10, 3, 4, [0, 1, 3], RuleSet.proven().enable("R-EXC", "R-VPN")),
     ],
 )
 def test_enumerator_matches_raw_filter(dim, r, s, pattern, rules):
@@ -311,16 +316,6 @@ def test_rule_set_unknown_id():
         RuleSet.proven().enable("R-NOPE")
     with pytest.raises(ValueError):
         RuleSet(enabled=frozenset({"R-BOGUS"}))
-
-
-def test_endpoint_reflected_variant_is_auditable():
-    # the reflected reading rejects the true height-1 blocks at a > 0,
-    # which is exactly why the shifted reading is the default
-    part = mdt_height_one(P22)
-    reflected = RuleSet(endpoint_variant="reflected")
-    rules = {v.rule for v in check_partition(P22, part, reflected)}
-    assert "R-ENDPOINT" in rules
-    assert check_partition(P22, part) == ()
 
 
 def test_vishik_rule_behaviour():
