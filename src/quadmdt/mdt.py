@@ -37,11 +37,21 @@ automatic scope.  Enabling R-EXC / R-VPN / R-VISHIK by name widens them to
 their asserted, unconditional form.  R-DUAL, R-EXC and R-VPN are connection
 rules: their scopes are stated once, as a table of symbol pairs per profile
 that the enumerator merges up front and the rows' checks report when split.
+
+The rows work on a compiled form of a (profile, RuleSet) pair: Lambda(X)
+encoded as the integers 0..2r-1 in lambda_set order (so integer order is
+symbol order), with the profile-only data -- shells, expected endpoints,
+Izh - 1, the interior j_t, the R-VPN assertion and the connection pairs --
+computed once.  A candidate is one block position per symbol plus its
+blocks as ascending int tuples.  Each row's check yields its witnesses and
+formats symbols only when it yields one: check_partition collects every
+witness, while the enumerator drops a candidate at its first and builds an
+MdtPartition only for the survivors.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,9 +84,10 @@ UP = "up"
 class Rule:
     """One necessary condition: a row of the rule table.
 
-    ``check(profile, partition, rules, pairs)`` returns the witnesses of
-    every way the partition breaks the rule; ``pairs`` are the symbol pairs
-    the rule forces into one block (empty unless it is a connection rule).
+    ``check(compiled, block_of, blocks)`` yields the witness of every way a
+    candidate breaks the rule: ``compiled`` is the profile and rules over
+    integer symbols, and the candidate is given by each symbol's block
+    position and its blocks as ascending int tuples (see _compile).
     """
 
     id: str
@@ -109,10 +120,15 @@ class LambdaSymbol:
         return "%d_lo" % self.index if self.kind == LO else "%d^up" % self.index
 
 
+# symbols are immutable, so each is built once and shared: the connection
+# tables, the witnesses and the survivors of every compiled rule set name the
+# same few symbols over and over
+@functools.lru_cache(maxsize=4096)
 def lo(i: int) -> LambdaSymbol:
     return LambdaSymbol(LO, i)
 
 
+@functools.lru_cache(maxsize=4096)
 def up(i: int) -> LambdaSymbol:
     return LambdaSymbol(UP, i)
 
@@ -170,12 +186,12 @@ class MdtPartition:
         blocks = tuple(
             tuple(sorted(block)) for block in self.blocks
         )
+        if not all(blocks):
+            raise ArityMismatch("empty block")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         object.__setattr__(self, "blocks", blocks)
         seen = set()
         for block in blocks:
-            if not block:
-                raise ArityMismatch("empty block")
             for sym in block:
                 if sym in seen:
                     raise ArityMismatch("symbol %s appears twice" % sym)
@@ -184,11 +200,8 @@ class MdtPartition:
                     raise ArityMismatch("%s outside the lo window" % sym)
                 if sym.kind == UP and not self.d_x - self.r < sym.index <= self.d_x:
                     raise ArityMismatch("%s outside the up window" % sym)
-        expected = set(
-            [lo(i) for i in range(self.r)]
-            + [up(i) for i in range(self.d_x - self.r + 1, self.d_x + 1)]
-        )
-        if seen != expected:
+        # distinct symbols inside both windows: 2r of them are exactly Lambda(X)
+        if len(seen) != 2 * self.r:
             raise ArityMismatch("blocks do not cover Lambda(X) exactly")
 
     @classmethod
@@ -215,12 +228,18 @@ class MdtPartition:
     @classmethod
     def from_json_dict(cls, data: dict, profile: QuadricProfile) -> "MdtPartition":
         try:
-            blocks = [
-                tuple(LambdaSymbol(entry["kind"], json_int(entry["i"])) for entry in block)
-                for block in data["blocks"]
-            ]
+            unknown = set(data) - {"blocks"}
+            blocks = []
+            for block in data["blocks"]:
+                for entry in block:
+                    unknown.update(set(entry) - {"kind", "i"})
+                blocks.append(
+                    tuple(LambdaSymbol(entry["kind"], json_int(entry["i"])) for entry in block)
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise ArityMismatch("malformed partition JSON: %s" % exc) from exc
+        if unknown:
+            raise ArityMismatch("malformed partition JSON: unknown keys %s" % sorted(unknown))
         return cls.of(profile, blocks)
 
     def __str__(self):
@@ -229,25 +248,8 @@ class MdtPartition:
         )
 
 
-def _block_a(block):
-    los = [sym.index for sym in block if sym.kind == LO]
-    return min(los) if los else None
-
-
-def _block_b(block):
-    ups = [sym.index for sym in block if sym.kind == UP]
-    return max(ups) if ups else None
-
-
 def _shift_block(block, j):
     return tuple(sorted(sym.shift(j) for sym in block))
-
-
-def _blocks_by_a(partition) -> dict:
-    """Blocks that hold a lower symbol, keyed by their smallest lower index a."""
-    by_a = {_block_a(block): block for block in partition.blocks}
-    by_a.pop(None, None)  # one-sided upper blocks have no a
-    return by_a
 
 
 # -- rule set ------------------------------------------------------------------
@@ -302,25 +304,19 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     otherwise the form cannot be a neighbour and its pairs would leave
     Lambda(X).
     """
-    pairs = []
+    pairs = {}  # (lower index, upper index) -> None: deduped, in order
+    p = profile.pattern
     for t in range(profile.height):
-        kernel = profile.kernel(t)
-        n, m = pfister_split(kernel.dim)
-        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the pattern
-        forced = kernel.steps[0] == m or m == 1 or (m == 2 and 2 in kernel.pattern)
-        if not (forced or (assumed and t == 0 and m <= kernel.r)):
+        w = p[t]
+        n, m = pfister_split(profile.dim - 2 * w)  # the t-th kernel's dimension
+        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the kernel's
+        # pattern, which is p[t:] shifted down by w
+        forced = p[t + 1] - w == m or m == 1 or (m == 2 and w + 2 in p)
+        if not (forced or (assumed and t == 0 and m <= profile.r)):
             continue
-        w = profile.pattern[t]
         for i in range(m):
-            pairs.append((lo(i + w), up((1 << n) + i - 1 + w)))
-    # dedupe, preserving order
-    seen = set()
-    out = []
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return tuple(out)
+            pairs[(i + w, (1 << n) + i - 1 + w)] = None
+    return tuple((lo(a), up(b)) for a, b in pairs)
 
 
 def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
@@ -339,177 +335,59 @@ def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
     return table
 
 
-def _split_pairs(witness, pairs, partition):
-    """Witnesses of a connection rule: one per pair the partition splits."""
-    return [witness % (a, b) for a, b in pairs if not partition.co_blocked(a, b)]
+# -- the compiled form -----------------------------------------------------------
 
 
-def _check_dual(profile, partition, rules, pairs):
-    return _split_pairs("%s and %s must be co-blocked", pairs, partition)
+class _Compiled:
+    """A profile and a RuleSet over the integer symbols 0..2r-1.
 
+    Symbol k is lambda_set(profile)[k], so integer order is LambdaSymbol
+    order: k < r is k_lo, and k >= r is an upper symbol.  Every attribute
+    depends on the profile and the rules only; _compile sets them once.
+    """
 
-def _check_exc(profile, partition, rules, pairs):
-    return _split_pairs("excellent pair %s, %s split", pairs, partition)
-
-
-def _check_vpn(profile, partition, rules, pairs):
-    """Asserted, the form must be a neighbour with m in its pattern; then the split pairs."""
-    out = []
-    if "R-VPN" in rules.assumed:
-        try:
-            m = pfister_neighbour_invariants(profile.dim, profile.s).m
-        except NotNeighbourEligible as exc:
-            out.append(str(exc))
-        else:
-            if m not in profile.pattern:
-                out.append(
-                    "m = %d not in the splitting pattern %s" % (m, list(profile.pattern))
-                )
-    return out + _split_pairs("%s and %s must be co-blocked", pairs, partition)
-
-
-def _fmt_block(block) -> str:
-    return ", ".join(str(sym) for sym in block)
-
-
-def _check_parity(profile, partition, rules, pairs):
-    return [
-        "odd block {%s}" % _fmt_block(block)
-        for block in partition.blocks
-        if len(block) % 2
-    ]
-
-
-def _check_endpoint(profile, partition, rules, pairs):
-    out = []
-    p = profile.pattern
-    for block in partition.blocks:
-        a, b = _block_a(block), _block_b(block)
-        if a is None or b is None:
-            out.append("one-sided block {%s} has no endpoint pair" % _fmt_block(block))
-            continue
-        t = profile.shell_of(a)
-        expected = a + profile.d_x + 1 - p[t - 1] - p[t]
-        if b != expected:
-            out.append("block {%s}: b = %d, expected %d" % (_fmt_block(block), b, expected))
-    return out
-
-
-def _check_shift(profile, partition, rules, pairs):
-    out = []
-    p = profile.pattern
-    by_a = _blocks_by_a(partition)
-    for t in range(1, profile.height + 1):
-        lo_bound, hi_bound = p[t - 1], p[t]
-        members = {a: blk for a, blk in by_a.items() if lo_bound <= a < hi_bound}
-        if not members:
-            continue
-        step = hi_bound - lo_bound
-        base = members.get(lo_bound)
-        if base is None:
-            out.append(
-                "shell %d has blocks based at %s but none at j_%d = %d"
-                % (t, sorted(members), t - 1, lo_bound)
-            )
-            continue
-        for k in range(1, step):
-            expected = _shift_block(base, k)
-            actual = members.get(lo_bound + k)
-            if actual is None or tuple(actual) != expected:
-                out.append(
-                    "shell %d: block at a = %d must be the base block "
-                    "shifted by %d" % (t, lo_bound + k, k)
-                )
-        # part (2): lo members of the base block respect the shell widths
-        for sym in base:
-            if sym.kind != LO:
-                continue
-            t2 = profile.shell_of(sym.index)
-            if sym.index + step > p[t2]:
-                out.append(
-                    "base block of shell %d contains %s with %d + %d > j_%d = %d"
-                    % (t, sym, sym.index, step, t2, p[t2])
-                )
-    return out
-
-
-def _check_interior_jt(profile, mn):
-    """The upper block's smallest positive lower index mn must be some j_t, 0 < t < h."""
-    if mn in profile.pattern[1:-1]:
-        return []
-    return ["smallest positive lower index %d is not some j_t, t < h" % mn]
-
-
-def _check_upper(profile, partition, rules, pairs):
-    out = []
-    upper = partition.block_of(lo(0))
-    b = _block_b(upper)
-    expected_b = profile.izhboldin_dim - 1
-    if b != expected_b:
-        out.append("upper block has b = %s, expected Izh - 1 = %d" % (b, expected_b))
-    los = sorted(sym.index for sym in upper if sym.kind == LO)
-    if len(upper) != 2:
-        if len(los) < 2:
-            out.append("upper block of size > 2 needs >= 2 lower symbols")
-        else:
-            out.extend(_check_interior_jt(profile, los[1]))
-    if profile.height >= 2:
-        j1, j2 = profile.pattern[1], profile.pattern[2]
-        inside = [i for i in los if j1 <= i < j2]
-        if inside:
-            i1, i2 = profile.steps[0], profile.steps[1]
-            if i2 % i1:
-                out.append("i_1 = %d does not divide i_2 = %d" % (i1, i2))
-            expected = list(range(i1, j2 - i1 + 1, i1))
-            if inside != expected:
-                out.append(
-                    "lower indices %s in [j_1, j_2) must be %s" % (inside, expected)
-                )
-    return out
-
-
-def _check_karpenko(profile, partition, rules, pairs):
-    out = []
-    upper = partition.block_of(lo(0))
-    if len(upper) <= 2:
-        return out
-    i1 = profile.steps[0]
-    v = (i1 - 1).bit_length()  # smallest v with i1 <= 2^v
-    positives = sorted(
-        sym.index for sym in upper if sym.kind == LO and sym.index > 0
+    __slots__ = (
+        "r",
+        "up_offset",  # symbol i^up is i + up_offset
+        "pattern",
+        "steps",
+        "shell",  # lower index -> its shell t
+        "expected_b",  # lower index a -> the b that R-ENDPOINT requires
+        "izh_b",  # Izh - 1, the b that R-UPPER requires
+        "interior",  # j_t for 0 < t < h
+        "vpn_assertion",  # what an asserted R-VPN reports on every partition
+        "connections",  # connection rule id -> the [a, b] int pairs it forces together
+        "vishik",  # (t, ((position, k), ...)) for each shell R-VISHIK constrains
+        "rows",  # the enabled RULES rows, in table order
     )
-    for i in positives:
-        if i % (1 << v):
-            out.append("lower index %d in the upper block not divisible by 2^%d" % (i, v))
-    if not positives:
-        return out
-    mn = positives[0]
-    missing = _check_interior_jt(profile, mn)
-    if missing:
-        return out + missing
-    t = profile.pattern.index(mn)
-    i_next = profile.steps[t]
-    if v2(i_next) < v2(i1):
-        out.append("v2(i_%d) = %d < v2(i_1) = %d" % (t + 1, v2(i_next), v2(i1)))
-    # second theorem; v2(0) counts as +infinity
-    gap = mn - i1
-    if (gap == 0 or v2(gap) >= v2(i1) + 2) and v2(i_next) > v2(i1) + 1:
-        out.append(
-            "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d" % (t + 1, v2(i_next), v2(i1) + 1)
-        )
-    return out
+
+    def code(self, sym: LambdaSymbol) -> int:
+        return sym.index if sym.kind == LO else sym.index + self.up_offset
+
+    def symbol(self, k: int) -> LambdaSymbol:
+        return lo(k) if k < self.r else up(k - self.up_offset)
 
 
-def _check_vishik(profile, partition, rules, pairs):
+def _vpn_assertion(profile: QuadricProfile) -> tuple:
+    """Asserted, the form must be a neighbour with m in its pattern."""
+    try:
+        m = pfister_neighbour_invariants(profile.dim, profile.s).m
+    except NotNeighbourEligible as exc:
+        return (str(exc),)
+    if m not in profile.pattern:
+        return ("m = %d not in the splitting pattern %s" % (m, list(profile.pattern)),)
+    return ()
+
+
+def _vishik_positions(profile: QuadricProfile) -> tuple:
+    """Per shell 1 <= t < h, the lower positions (with their k) that the block
+    based at j_{t-1} must hold; a shell with dim - 2 j_{t-1} - j_t < 1 has no
+    expansion and requires none."""
     out = []
     p = profile.pattern
-    by_a = _blocks_by_a(partition)
     for t in range(1, profile.height):
-        base = by_a.get(p[t - 1])
-        if base is None:
-            continue
         m_val = profile.dim - 2 * p[t - 1] - p[t]
-        if m_val < 1:  # no expansion, so the shell requires no positions
+        if m_val < 1:
             continue
         exp = alternating_2adic(m_val)
         tail = 0
@@ -519,15 +397,193 @@ def _check_vishik(profile, partition, rules, pairs):
             tail = (1 << n_k) - tail
             tails.append(tail)
         tails.reverse()
+        positions = []
         for k in range(1, exp.j + 1):
             pos = (m_val - tails[k - 1]) // 2 + p[t - 1]
-            if not 0 <= pos < profile.r:
-                continue
-            if lo(pos) not in base:
-                out.append(
-                    "block at a = j_%d must contain %s (k = %d)" % (t - 1, lo(pos), k)
+            if 0 <= pos < profile.r:
+                positions.append((pos, k))
+        out.append((t, tuple(positions)))
+    return tuple(out)
+
+
+def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
+    c = _Compiled()
+    c.r = r = profile.r
+    c.pattern = p = profile.pattern
+    c.up_offset = 2 * r - 1 - profile.d_x
+    c.steps = profile.steps
+    c.shell = tuple(t for t in range(1, len(p)) for _ in range(p[t - 1], p[t]))
+    c.expected_b = tuple(
+        a + profile.d_x + 1 - p[t - 1] - p[t] for a, t in enumerate(c.shell)
+    )
+    c.izh_b = profile.izhboldin_dim - 1
+    c.interior = frozenset(p[1:-1])
+    c.vpn_assertion = _vpn_assertion(profile) if "R-VPN" in rules.assumed else ()
+    c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else ()
+    c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
+    # pairs as 2-lists: one-shot checks compile per call, and fresh 2-tuples
+    # there raised the peak memory of check_oneshot by 0.6-0.8 MB (of ~30)
+    c.connections = {
+        rule_id: [[c.code(a), c.code(b)] for a, b in pairs]
+        for rule_id, pairs in _connection_rules(profile, rules).items()
+    }
+    return c
+
+
+# -- the rule rows ---------------------------------------------------------------
+#
+# Each check reads the compiled form and one candidate: ``block_of[k]`` is the
+# position of symbol k's block in ``blocks``, the canonically ordered blocks
+# as ascending int tuples.  A lower symbol sorts before every upper one, so a
+# block's a is its first symbol when that is lower, and its b its last symbol
+# when that is upper; 0_lo's block is blocks[0].
+
+
+def _fmt(c, block) -> str:
+    return ", ".join([str(c.symbol(k)) for k in block])
+
+
+def _split_pairs(c, rule_id, witness, block_of):
+    """Witnesses of a connection rule: one per pair the candidate splits."""
+    for a, b in c.connections.get(rule_id, ()):
+        if block_of[a] != block_of[b]:
+            yield witness % (c.symbol(a), c.symbol(b))
+
+
+def _check_dual(c, block_of, blocks):
+    yield from _split_pairs(c, "R-DUAL", "%s and %s must be co-blocked", block_of)
+
+
+def _check_exc(c, block_of, blocks):
+    yield from _split_pairs(c, "R-EXC", "excellent pair %s, %s split", block_of)
+
+
+def _check_vpn(c, block_of, blocks):
+    yield from c.vpn_assertion
+    yield from _split_pairs(c, "R-VPN", "%s and %s must be co-blocked", block_of)
+
+
+def _check_parity(c, block_of, blocks):
+    for block in blocks:
+        if len(block) % 2:
+            yield "odd block {%s}" % _fmt(c, block)
+
+
+def _check_endpoint(c, block_of, blocks):
+    r, expected_b = c.r, c.expected_b
+    for block in blocks:
+        a, top = block[0], block[-1]
+        if a >= r or top < r:
+            yield "one-sided block {%s} has no endpoint pair" % _fmt(c, block)
+        elif top - c.up_offset != expected_b[a]:
+            yield "block {%s}: b = %d, expected %d" % (
+                _fmt(c, block), top - c.up_offset, expected_b[a]
+            )
+
+
+def _check_shift(c, block_of, blocks):
+    r, p = c.r, c.pattern
+    for t in range(1, len(p)):
+        lo_bound, hi_bound = p[t - 1], p[t]
+        members = {
+            a: blocks[block_of[a]]
+            for a in range(lo_bound, hi_bound)
+            if blocks[block_of[a]][0] == a
+        }
+        if not members:
+            continue
+        step = hi_bound - lo_bound
+        base = members.get(lo_bound)
+        if base is None:
+            yield (
+                "shell %d has blocks based at %s but none at j_%d = %d"
+                % (t, sorted(members), t - 1, lo_bound)
+            )
+            continue
+        lowers = [k for k in base if k < r]
+        for k in range(1, step):
+            # a lower symbol shifted to r or beyond leaves Lambda(X)
+            shifted = tuple(x + k for x in base)
+            if lowers[-1] + k >= r or members.get(lo_bound + k) != shifted:
+                yield (
+                    "shell %d: block at a = %d must be the base block "
+                    "shifted by %d" % (t, lo_bound + k, k)
                 )
-    return out
+        # part (2): lo members of the base block respect the shell widths
+        for i in lowers:
+            t2 = c.shell[i]
+            if i + step > p[t2]:
+                yield (
+                    "base block of shell %d contains %s with %d + %d > j_%d = %d"
+                    % (t, c.symbol(i), i, step, t2, p[t2])
+                )
+
+
+# the upper block's smallest positive lower index must be some j_t, 0 < t < h
+_NOT_INTERIOR_JT = "smallest positive lower index %d is not some j_t, t < h"
+
+
+def _check_upper(c, block_of, blocks):
+    upper = blocks[0]
+    r = c.r
+    b = upper[-1] - c.up_offset if upper[-1] >= r else None
+    if b != c.izh_b:
+        yield "upper block has b = %s, expected Izh - 1 = %d" % (b, c.izh_b)
+    los = [k for k in upper if k < r]
+    if len(upper) != 2:
+        if len(los) < 2:
+            yield "upper block of size > 2 needs >= 2 lower symbols"
+        elif los[1] not in c.interior:
+            yield _NOT_INTERIOR_JT % los[1]
+    if len(c.pattern) >= 3:
+        j1, j2 = c.pattern[1], c.pattern[2]
+        inside = [i for i in los if j1 <= i < j2]
+        if inside:
+            i1, i2 = c.steps[0], c.steps[1]
+            if i2 % i1:
+                yield "i_1 = %d does not divide i_2 = %d" % (i1, i2)
+            expected = list(range(i1, j2 - i1 + 1, i1))
+            if inside != expected:
+                yield "lower indices %s in [j_1, j_2) must be %s" % (inside, expected)
+
+
+def _check_karpenko(c, block_of, blocks):
+    upper = blocks[0]
+    if len(upper) <= 2:
+        return
+    i1 = c.steps[0]
+    v = (i1 - 1).bit_length()  # smallest v with i1 <= 2^v
+    positives = [k for k in upper[1:] if k < c.r]
+    for i in positives:
+        if i % (1 << v):
+            yield "lower index %d in the upper block not divisible by 2^%d" % (i, v)
+    if not positives:
+        return
+    mn = positives[0]
+    if mn not in c.interior:
+        yield _NOT_INTERIOR_JT % mn
+        return
+    t = c.pattern.index(mn)
+    i_next = c.steps[t]
+    if v2(i_next) < v2(i1):
+        yield "v2(i_%d) = %d < v2(i_1) = %d" % (t + 1, v2(i_next), v2(i1))
+    # second theorem; v2(0) counts as +infinity
+    gap = mn - i1
+    if (gap == 0 or v2(gap) >= v2(i1) + 2) and v2(i_next) > v2(i1) + 1:
+        yield "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d" % (t + 1, v2(i_next), v2(i1) + 1)
+
+
+def _check_vishik(c, block_of, blocks):
+    for t, positions in c.vishik:
+        a = c.pattern[t - 1]
+        base = block_of[a]
+        if blocks[base][0] != a:  # no block is based at j_{t-1}
+            continue
+        for pos, k in positions:
+            if block_of[pos] != base:
+                yield "block at a = j_%d must contain %s (k = %d)" % (
+                    t - 1, c.symbol(pos), k
+                )
 
 
 # -- the rule table and the checker ----------------------------------------------
@@ -584,43 +640,79 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
             "partition is over (r=%d, d_X=%d), profile needs (r=%d, d_X=%d)"
             % (partition.r, partition.d_x, profile.r, profile.d_x)
         )
-    return _violations(profile, partition, rules, _connection_rules(profile, rules))
-
-
-def _violations(profile, partition, rules, connections):
-    """check_partition's body, given the profile's connection table."""
+    c = _compile(profile, rules)
+    blocks = tuple(tuple(c.code(sym) for sym in block) for block in partition.blocks)
+    block_of = [0] * (2 * profile.r)
+    for position, block in enumerate(blocks):
+        for k in block:
+            block_of[k] = position
     return tuple(
         Violation(rule.id, witness)
-        for rule in RULES.values()
-        if rule.id in rules.enabled
-        for witness in rule.check(profile, partition, rules, connections.get(rule.id, ()))
+        for rule in c.rows
+        for witness in rule.check(c, block_of, blocks)
     )
 
 
 # -- enumerator ----------------------------------------------------------------
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for smaller in _set_partitions(rest):
-        for k in range(len(smaller)):
-            yield smaller[:k] + [[first] + smaller[k]] + smaller[k + 1 :]
-        yield [[first]] + smaller
+def _partitions(atoms, n):
+    """Every partition of the atoms, as (block_of, blocks) over symbols 0..n-1.
+
+    One restricted-growth string g per partition (Knuth, TAOCP 4A 7.2.1.5,
+    Algorithm H): atom i goes to block g[i], where g[0] = 0 and g[i] is at
+    most 1 + max(g[:i]).  The atoms come sorted by their smallest symbol, so
+    the blocks come numbered in canonical order.
+    """
+    m = len(atoms)
+    atom_of = [0] * n
+    for i, atom in enumerate(atoms):
+        for k in atom:
+            atom_of[k] = i
+    merged = {}  # bitmask of atoms -> their symbols, ascending
+    g = [0] * m
+    bound = [1] * m  # bound[i] = 1 + max(g[:i])
+    while True:
+        masks = [0] * max(bound[-1], g[-1] + 1)
+        for i, block in enumerate(g):
+            masks[block] |= 1 << i
+        blocks = []
+        for mask in masks:
+            block = merged.get(mask)
+            if block is None:
+                block = merged[mask] = tuple(
+                    sorted(k for i, atom in enumerate(atoms) if mask >> i & 1 for k in atom)
+                )
+            blocks.append(block)
+        yield [g[i] for i in atom_of], tuple(blocks)
+        i = m - 1
+        while i > 0 and g[i] == bound[i]:
+            i -= 1
+        if i == 0:
+            return
+        g[i] += 1
+        for j in range(i + 1, m):
+            g[j] = 0
+            bound[j] = max(bound[i], g[i] + 1)
+
+
+def _passes(c, block_of, blocks) -> bool:
+    """No enabled row yields a witness; stops at the first one."""
+    for rule in c.rows:
+        for _ in rule.check(c, block_of, blocks):
+            return False
+    return True
 
 
 def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     """All partitions of Lambda(X) passing every enabled rule.
 
-    The connection table (R-DUAL, scoped R-EXC/R-VPN) is built once: its
-    pairs are propagated up front as union-find merges, the surviving atoms
-    are partitioned exhaustively, and each candidate runs through the
-    checker's body with that same table, so the output agrees with
-    check_partition by construction.  The result is
-    canonically sorted and independent of evaluation order (the search is
-    embarrassingly parallel; this implementation is sequential).
+    The profile and rules are compiled once.  The pairs of the connection
+    rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find,
+    every partition of the resulting atoms runs through the rule rows
+    until the first witness, and only the survivors become MdtPartitions,
+    so the output agrees with check_partition by construction.  The result
+    is canonically sorted and independent of evaluation order.
     """
     if rules is None:
         rules = RuleSet.proven()
@@ -628,8 +720,9 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
         raise BoundExceeded(
             "r = %d exceeds the enumeration bound %d" % (profile.r, max_r)
         )
-    symbols = lambda_set(profile)
-    parent = {sym: sym for sym in symbols}
+    c = _compile(profile, rules)
+    n = 2 * profile.r
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -637,32 +730,30 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    connections = _connection_rules(profile, rules)
-    for pairs in connections.values():
+    for pairs in c.connections.values():
         for a, b in pairs:
-            union(a, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
     atoms = {}
-    for sym in symbols:
-        atoms.setdefault(find(sym), []).append(sym)
-    atom_list = sorted(atoms.values(), key=lambda a: min(a))
+    for k in range(n):
+        atoms.setdefault(find(k), []).append(k)
+    atom_list = sorted(atoms.values())
     # Bell(10) candidate partitions is the practical ceiling; rule sets
     # without R-DUAL leave 2r single-symbol atoms and hit this early.
     if len(atom_list) > 10:
         raise BoundExceeded(
             "%d unconstrained atoms exceed the search bound" % len(atom_list)
         )
-    results = []
-    for grouping in _set_partitions(atom_list):
-        blocks = [tuple(itertools.chain.from_iterable(group)) for group in grouping]
-        partition = MdtPartition.of(profile, blocks)
-        if not _violations(profile, partition, rules, connections):
-            results.append(partition)
-    return tuple(sorted(results, key=lambda part: part.blocks))
+    survivors = sorted(
+        blocks
+        for block_of, blocks in _partitions(atom_list, n)
+        if _passes(c, block_of, blocks)
+    )
+    return tuple(
+        MdtPartition.of(profile, [[c.symbol(k) for k in block] for block in blocks])
+        for blocks in survivors
+    )
 
 
 # -- closed-form generators ----------------------------------------------------

@@ -154,8 +154,15 @@ def test_check_subcommand(capsys):
     code, out, _ = run(capsys, "check", PROFILE_22, good)
     assert code == 0
     assert json.loads(out) == []
-    for exact, loose in (('"i": 0', '"i": 0.7'), ('"i": 1', '"i": true')):
-        bad = good.replace(exact, loose)  # int() would read 0 and 1
+    for exact, loose in (
+        ('"i": 0', '"i": 0.7'),  # int() would read 0 and 1
+        ('"i": 1', '"i": true'),
+        ("]]}", "], []]}"),  # an empty block
+        ("]]}", "]], \"extra\": 1}"),  # an unknown top-level key
+        ('"i": 4}', '"i": 4, "x": 0}'),  # an unknown symbol key
+    ):
+        bad = good.replace(exact, loose)
+        assert bad != good
         code, _, err = run(capsys, "check", PROFILE_22, bad)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ArityMismatch"

@@ -1,6 +1,8 @@
 """Tests for lambda symbols, the rule checker, the enumerator and generators."""
 
+import json
 import pathlib
+import re
 
 import pytest
 
@@ -15,6 +17,7 @@ from quadmdt.errors import (
 )
 from quadmdt.mdt import (
     RULE_IDS,
+    LambdaSymbol,
     MdtPartition,
     RuleSet,
     ShellPattern,
@@ -35,7 +38,7 @@ from quadmdt.mdt import (
     up,
     vpn_connections,
 )
-from quadmdt.profile import excellent_pairs, mk_profile, pattern_enumerate
+from quadmdt.profile import QuadricProfile, excellent_pairs, mk_profile, pattern_enumerate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -204,6 +207,55 @@ def test_partition_validation():
         blocks(P22, [lo(0), lo(0), up(3)], [lo(1), up(4)])  # duplicate
     with pytest.raises(ArityMismatch):
         blocks(P22, [lo(0), lo(2), up(3)], [lo(1), up(4)])  # out of window
+    with pytest.raises(ArityMismatch):
+        blocks(P22, [lo(0), up(3)], [lo(1), up(4)], [])  # empty block
+
+
+# one pattern per witness format of the rule table
+WITNESS_FORMATS = (
+    r"\d+_lo and \d+\^up must be co-blocked",
+    r"excellent pair \d+_lo, \d+\^up split",
+    r"r \+ s = \d+ exceeds 2\^n = \d+",
+    r"m = \d+ not in the splitting pattern \[[\d, ]+\]",
+    r"odd block \{.*\}",
+    r"one-sided block \{.*\} has no endpoint pair",
+    r"block \{.*\}: b = \d+, expected \d+",
+    r"shell \d+ has blocks based at \[.*\] but none at j_\d+ = \d+",
+    r"shell \d+: block at a = \d+ must be the base block shifted by \d+",
+    r"base block of shell \d+ contains \d+_lo with \d+ \+ \d+ > j_\d+ = \d+",
+    r"smallest positive lower index \d+ is not some j_t, t < h",
+    r"upper block has b = \d+, expected Izh - 1 = \d+",
+    r"upper block has b = None, expected Izh - 1 = \d+",
+    r"upper block of size > 2 needs >= 2 lower symbols",
+    r"i_1 = \d+ does not divide i_2 = \d+",
+    r"lower indices \[.*\] in \[j_1, j_2\) must be \[.*\]",
+    r"lower index \d+ in the upper block not divisible by 2\^\d+",
+    r"v2\(i_\d+\) = \d+ < v2\(i_1\) = \d+",
+    r"v2\(i_\d+\) = \d+ exceeds v2\(i_1\) \+ 1 = \d+",
+    r"block at a = j_\d+ must contain \d+_lo \(k = \d+\)",
+)
+
+
+def test_check_reports_golden():
+    # full (rule, witness) reports for seeded partitions of r <= 8 profiles
+    # under five rule sets, recorded before the rule rows moved to integer
+    # symbols: the file pins every witness's text and order
+    records = json.loads((GOLDEN / "check_reports.json").read_text())
+    hit = set()
+    for record in records:
+        profile = QuadricProfile.from_json_dict(record["profile"])
+        part = MdtPartition.of(
+            profile,
+            [[LambdaSymbol(kind, i) for kind, i in block] for block in record["blocks"]],
+        )
+        rules = RuleSet.proven().enable(*record["enable"])
+        report = [[v.rule, v.witness] for v in check_partition(profile, part, rules)]
+        assert report == record["report"], (record["profile"], record["blocks"])
+        for _, witness in report:
+            matched = [f for f in WITNESS_FORMATS if re.fullmatch(f, witness)]
+            assert matched, witness
+            hit.update(matched)
+    assert hit == set(WITNESS_FORMATS)
 
 
 def test_partition_json_round_trip():
@@ -254,6 +306,51 @@ def test_enumerator_matches_raw_filter(dim, r, s, pattern, rules):
     expected.sort(key=lambda part: part.blocks)
     got = list(enumerate_mdt(profile, rules))
     assert got == expected
+
+
+def _atoms(profile, rules):
+    """Lambda(X) merged along the pairs of the enabled connection rules,
+    read from the public pair lists."""
+    pairs = []
+    if "R-DUAL" in rules.enabled:
+        pairs += forced_connections(profile)
+    if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
+        pairs += [(lo(p.a), up(p.b)) for p in excellent_pairs(profile)]
+    if "R-VPN" in rules.enabled:
+        pairs += vpn_connections(profile, assumed="R-VPN" in rules.assumed)
+    atom_of = {sym: (sym,) for sym in lambda_set(profile)}
+    for a, b in pairs:
+        if atom_of[a] is not atom_of[b]:
+            merged = atom_of[a] + atom_of[b]
+            for sym in merged:
+                atom_of[sym] = merged
+    return list({id(atom): atom for atom in atom_of.values()}.values())
+
+
+ATOM_ORACLE_PROFILES = [
+    mk_profile(2 * r + s, r, s, pattern)
+    for r in range(1, 5)
+    for s in range(9)
+    for pattern in pattern_enumerate(r, s)
+] + [
+    mk_profile(16, 8, 0, [0, 8]),
+    mk_profile(19, 8, 3, list(range(9))),
+    mk_profile(16, 8, 0, [0, 2, 6, 7, 8]),
+]
+
+
+@pytest.mark.parametrize("extra", [(), ("R-EXC",)])
+def test_enumerator_matches_atom_oracle(extra):
+    # every partition of the atoms, filtered through the public checker
+    rules = RuleSet.proven().enable(*extra)
+    for profile in ATOM_ORACLE_PROFILES:
+        expected = []
+        for grouping in _raw_set_partitions(_atoms(profile, rules)):
+            part = MdtPartition.of(profile, [sum(group, ()) for group in grouping])
+            if not check_partition(profile, part, rules):
+                expected.append(part)
+        expected.sort(key=lambda part: part.blocks)
+        assert list(enumerate_mdt(profile, rules)) == expected, str(profile)
 
 
 def test_enumerate_height_one_unique():
