@@ -17,11 +17,13 @@ and the Steenrod operations
     S^j l_i = C(dim - i - 1, j) l_{i-j}  if j <= i, else 0
 
 with binomials mod 2, extended to products by the Cartan-type sum over
-compositions of j.
+compositions of j.  S^{j_t} vanishes on a factor once j_t >= r, so only
+compositions with every part at most r - 1 contribute.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -61,10 +63,14 @@ class FactorSymbol:
         return "%s%d" % (self.kind, self.index)
 
 
+# symbols are immutable, so each is built once and shared: every product,
+# Steenrod square and composition names the same few symbols over and over
+@functools.lru_cache(maxsize=4096)
 def h(i: int) -> FactorSymbol:
     return FactorSymbol(H, i)
 
 
+@functools.lru_cache(maxsize=4096)
 def l(i: int) -> FactorSymbol:
     return FactorSymbol(L, i)
 
@@ -241,14 +247,16 @@ def steenrod_factor(j: int, sym: FactorSymbol, profile: QuadricProfile):
 def steenrod(j: int, c: Cycle) -> Cycle:
     """Cohomological-type Steenrod operation S^j on R_X.
 
-    On products it distributes over all compositions j = j_1 + ... + j_m.
+    On products it distributes over all compositions j = j_1 + ... + j_m;
+    a part j_t >= r kills its factor, so the parts are capped at r - 1 and
+    the result is 0 once j exceeds the sum of the caps.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     support = set()
-    arity = c.arity
+    caps = tuple(prof.r - 1 for prof in c.context)
     for elt in c.support:
-        for split in _compositions(j, arity):
+        for split in _compositions(j, caps):
             out = []
             for jt, sym, prof in zip(split, elt, c.context):
                 res = steenrod_factor(jt, sym, prof)
@@ -260,16 +268,15 @@ def steenrod(j: int, c: Cycle) -> Cycle:
     return Cycle(c.context, frozenset(support))
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
+def _compositions(total: int, caps: tuple):
+    """Compositions of total with part t in [0, caps[t]]; none if total > sum(caps)."""
+    if not caps:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+    rest_max = sum(caps[1:])
+    for head in range(max(0, total - rest_max), min(total, caps[0]) + 1):
+        for rest in _compositions(total - head, caps[1:]):
             yield (head,) + rest
 
 

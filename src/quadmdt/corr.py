@@ -5,9 +5,15 @@ block of factors.  Composition follows the bilinear law
 
     (b' x c) o (a x b) = deg(b b') a x c
 
-evaluated entirely inside R: the middle product is computed with the
-multiplication table and deg picks the all-l_0 coefficient.  This makes
-composition total on mixed-degree cycles.
+evaluated entirely inside R: deg(b b') is 1 exactly when the product of
+the two middle tuples is the all-l_0 tuple, i.e. when every middle factor
+of b' is a partner of the matching factor of b -- a symbol whose product
+with it is l_0 under the multiplication table.  Such a product pairs equal
+indices (h^i l_i, and l_m l_m with m = (dim - 2)/2 in the exceptional case
+dim == 2 (mod 4)), so each symbol has at most two partners.  compose
+indexes g by its middle tuple and, for each term of f, looks up only the
+partner middles instead of pairing every term of f with every term of g.
+This makes composition total on mixed-degree cycles.
 
 Isotropic reduction (reduce_f / reduce_g) shifts every index down/up by
 the Witt index of the chosen splitting-tower level.  Both h- and l-symbols
@@ -18,6 +24,7 @@ tests).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import chow
@@ -74,28 +81,36 @@ class Correspondence:
 
 
 def compose(f: Correspondence, g: Correspondence) -> Correspondence:
-    """Composite correspondence "f then g": Corr(X,Y) x Corr(Y,Z) -> Corr(X,Z)."""
+    """Composite correspondence "f then g": Corr(X,Y) x Corr(Y,Z) -> Corr(X,Z).
+
+    A pair of terms a x b of f and b' x c of g contributes a x c exactly when
+    deg(b b') = 1, that is when b' is a product of factorwise partners of b.
+    So g is indexed once by its middle tuple, and each term of f visits only
+    its partner middles (at most 2^k for k middle factors, the empty tuple
+    when the middle is empty); the result is the bilinear law's F2 sum.
+    """
     middle = f.right_context
     if middle != g.left_context:
         raise ContextMismatch("middle contexts do not match")
     context = f.left_context + g.right_context
+    rights = {}
+    for eg in g.cycle.support:
+        rights.setdefault(eg[: g.split], []).append(eg[g.split :])
     support = set()
     for ef in f.cycle.support:
-        left, mid_f = ef[: f.split], ef[f.split :]
-        for eg in g.cycle.support:
-            mid_g, right = eg[: g.split], eg[g.split :]
-            if _middle_degree(mid_f, mid_g, middle):
+        left = ef[: f.split]
+        duals = [_partners(sym, prof) for sym, prof in zip(ef[f.split :], middle)]
+        for mid in itertools.product(*duals):
+            for right in rights.get(mid, ()):
                 support.symmetric_difference_update({left + right})
     return Correspondence(Cycle(context, frozenset(support)), f.split)
 
 
-def _middle_degree(mid_f, mid_g, middle) -> int:
-    # deg of the product of two basis tuples: 1 iff every factor product is l_0.
-    for sa, sb, prof in zip(mid_f, mid_g, middle):
-        prod = chow.mul_factor(sa, sb, prof)
-        if prod is None or prod != l(0):
-            return 0
-    return 1
+def _partners(sym: FactorSymbol, profile: QuadricProfile) -> list:
+    # The symbols b with sym * b = l_0.  A product equal to l_0 pairs equal
+    # indices, so h^i and l_i are the only candidates.
+    i = sym.index
+    return [b for b in (h(i), l(i)) if chow.mul_factor(sym, b, profile) == l(0)]
 
 
 def diagonal_class(profile: QuadricProfile) -> Correspondence:

@@ -1,5 +1,6 @@
 """Tests for the cycle ring: multiplication table, Steenrod operations, notation."""
 
+import json
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from quadmdt.chow import (
     mul_factor,
     point_cycle,
     steenrod,
+    steenrod_factor,
 )
 from quadmdt.errors import ContextMismatch
 from quadmdt.profile import mk_profile
@@ -35,6 +37,24 @@ P630 = prof(6, 3, 0)  # dim 6, r = 3: the exceptional l*l case
 
 def single(profile, sym):
     return Cycle.of_basis((profile,), (sym,))
+
+
+# r <= 5, s <= 2; includes the exceptional s = 0, odd-r profiles.
+SMALL_PROFILES = [prof(2 * r + s, r, s) for r in range(1, 6) for s in range(3)]
+
+
+def factor_symbols(profile):
+    indices = range(profile.r)
+    return st.sampled_from([h(i) for i in indices] + [l(i) for i in indices])
+
+
+@st.composite
+def cycles(draw, min_arity=1, max_arity=3):
+    """A random cycle over a random context of small profiles."""
+    profiles = st.sampled_from(SMALL_PROFILES)
+    context = tuple(draw(st.lists(profiles, min_size=min_arity, max_size=max_arity)))
+    terms = draw(st.lists(st.tuples(*map(factor_symbols, context)), max_size=10))
+    return Cycle.of_basis(context, *terms)
 
 
 # -- multiplication table ----------------------------------------------------------
@@ -205,6 +225,57 @@ def test_steenrod_multifactor_matches_cartan_split():
                 assert lhs == rhs
 
 
+def _compositions_uncapped(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions_uncapped(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _steenrod_uncapped(j, c):
+    """S^j summed over every composition of j, with no cap on the parts."""
+    support = set()
+    for elt in c.support:
+        for split in _compositions_uncapped(j, c.arity):
+            out = []
+            for jt, sym, prof_t in zip(split, elt, c.context):
+                res = steenrod_factor(jt, sym, prof_t)
+                if res is None:
+                    break
+                out.append(res)
+            else:
+                support.symmetric_difference_update({tuple(out)})
+    return Cycle(c.context, frozenset(support))
+
+
+@given(cycles(min_arity=0), st.integers(min_value=0, max_value=16))
+def test_steenrod_matches_uncapped_oracle(c, j):
+    assert steenrod(j, c) == _steenrod_uncapped(j, c)
+
+
+def test_steenrod_zero_beyond_part_caps():
+    # Every part at its cap r - 1 keeps l1*l1*l2 alive (C(3,1), C(3,1), C(6,2)
+    # are odd), so the bound sum(r - 1) is attained; one more kills everything.
+    p, q = prof(5, 2, 1), prof(9, 3, 3)
+    ctx = (p, p, q)
+    full = Cycle.of_basis(ctx, *basis_tuples(ctx))
+    top = sum(x.r - 1 for x in ctx)
+    assert steenrod(top, full) == _steenrod_uncapped(top, full)
+    assert (l(0), l(0), l(0)) in steenrod(top, full).support
+    assert _steenrod_uncapped(top + 1, full) == Cycle.zero(ctx)
+    for j in (top + 1, 10**6):
+        assert steenrod(j, full) == Cycle.zero(ctx)
+    p622 = prof(6, 2, 2)
+    ctx = (p622, p622, p622)
+    assert steenrod(10**6, cycle_from_text("h0*h0*h0", ctx)) == Cycle.zero(ctx)
+
+
 # -- binomials mod 2 -----------------------------------------------------------------
 
 
@@ -265,3 +336,14 @@ def test_cycle_json_round_trip():
     data = c.to_json_dict()
     assert data["support"][0][0]["kind"] in ("H", "L")
     assert Cycle.from_json_dict(data) == c
+
+
+@given(cycles())
+def test_cycle_json_round_trip_random(c):
+    data = json.loads(json.dumps(c.to_json_dict()))
+    assert Cycle.from_json_dict(data) == c
+
+
+@given(cycles())
+def test_text_notation_round_trip_random(c):
+    assert cycle_from_text(cycle_to_text(c), c.context) == c

@@ -1,12 +1,15 @@
 """Tests for composition, derivatives, essential parts and isotropic reduction."""
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quadmdt.chow import Cycle, basis_tuples, h, l
+from quadmdt.chow import Cycle, basis_tuples, h, l, mul_factor
 from quadmdt.corr import (
     Correspondence,
+    _partners,
     cap,
     compose,
     contains,
@@ -38,6 +41,54 @@ def basis_corrs(profile):
     return [Correspondence(Cycle.of_basis(ctx, e), 1) for e in basis_tuples(ctx)]
 
 
+# r <= 3, s <= 2; includes the exceptional s = 0, odd-r profiles (2,1,0) and (6,3,0).
+SMALL_PROFILES = [prof(2 * r + s, r, s) for r in range(1, 4) for s in range(3)]
+
+
+def factor_basis(profile):
+    return [h(i) for i in range(profile.r)] + [l(i) for i in range(profile.r)]
+
+
+def contexts(min_size, max_size):
+    profiles = st.sampled_from(SMALL_PROFILES)
+    return st.lists(profiles, min_size=min_size, max_size=max_size).map(tuple)
+
+
+def symbols(context):
+    return st.tuples(*(st.sampled_from(factor_basis(p)) for p in context))
+
+
+def terms(context, max_size=8):
+    return st.lists(symbols(context), max_size=max_size)
+
+
+def _middle_degree(mid_f, mid_g, middle) -> int:
+    # deg of the product of two basis tuples: 1 iff every factor product is l_0.
+    for sa, sb, p in zip(mid_f, mid_g, middle):
+        prod = mul_factor(sa, sb, p)
+        if prod is None or prod != l(0):
+            return 0
+    return 1
+
+
+def _compose_pairwise(f, g):
+    """The bilinear law term by term: every f-term against every g-term."""
+    middle = f.right_context
+    context = f.left_context + g.right_context
+    support = set()
+    for ef in f.cycle.support:
+        left, mid_f = ef[: f.split], ef[f.split :]
+        for eg in g.cycle.support:
+            mid_g, right = eg[: g.split], eg[g.split :]
+            if _middle_degree(mid_f, mid_g, middle):
+                support.symmetric_difference_update({left + right})
+    return Correspondence(Cycle(context, frozenset(support)), f.split)
+
+
+def _scan_partners(sym, profile):
+    return [b for b in factor_basis(profile) if mul_factor(sym, b, profile) == l(0)]
+
+
 # -- composition -----------------------------------------------------------------
 
 
@@ -51,6 +102,48 @@ def test_compose_spec_examples():
     f2 = corr2(p, (h(0), l(1)))
     g2 = corr2(p, (h(0), h(0)))
     assert not compose(f2, g2)
+
+
+def test_partners_match_mul_factor_scan():
+    for r in range(1, 7):
+        for s in range(5):
+            for pattern in pattern_enumerate(r, s):
+                p = prof(2 * r + s, r, s, pattern)
+                for sym in factor_basis(p):
+                    assert _partners(sym, p) == _scan_partners(sym, p), (p, sym)
+
+
+@given(st.data())
+def test_compose_matches_pairwise_oracle(data):
+    left = data.draw(contexts(0, 2))
+    middle = data.draw(contexts(0, 3))
+    right = data.draw(contexts(0, 2))
+    f_terms = data.draw(terms(left + middle))
+    g_terms = data.draw(terms(middle + right))
+    # Random middles rarely pair with degree 1, so give some f-terms a g-term
+    # whose middle is dual to theirs.
+    paired = []
+    if f_terms:
+        paired = data.draw(st.lists(st.sampled_from(f_terms), min_size=1, max_size=4))
+    for ef in paired:
+        mid = tuple(
+            data.draw(st.sampled_from(_scan_partners(sym, p)))
+            for sym, p in zip(ef[len(left) :], middle)
+        )
+        g_terms.append(mid + data.draw(symbols(right)))
+    f = Correspondence(Cycle.of_basis(left + middle, *f_terms), len(left))
+    g = Correspondence(Cycle.of_basis(middle + right, *g_terms), len(middle))
+    assert compose(f, g) == _compose_pairwise(f, g)
+
+
+@given(st.data())
+def test_correspondence_json_round_trip(data):
+    context = data.draw(contexts(1, 3))
+    x = Correspondence(
+        Cycle.of_basis(context, *data.draw(terms(context))),
+        data.draw(st.integers(0, len(context))),
+    )
+    assert Correspondence.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
 
 
 def test_compose_middle_mismatch():
