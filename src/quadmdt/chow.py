@@ -19,6 +19,14 @@ and the Steenrod operations
 with binomials mod 2, extended to products by the Cartan-type sum over
 compositions of j.  S^{j_t} vanishes on a factor once j_t >= r, so only
 compositions with every part at most r - 1 contribute.
+
+mul and steenrod visit only the terms that can be nonzero.  Each indexes
+its supports as prefix trees, one level per factor, and walks them factor
+by factor: mul follows, for each symbol of a, only its factor partners
+in b (the symbols with a nonzero product), and steenrod only the nonzero
+squares S^{j_t} of each symbol, carrying the part of j still to be spent.
+Both per-symbol lists are cached per (symbol, profile) and built from
+mul_factor and steenrod_factor, so each table above is stated once.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContextMismatch
@@ -182,10 +191,11 @@ def point_cycle(context) -> Cycle:
 
 def basis_tuples(context):
     """Iterate the standard basis of R_X in sorted order."""
-    per_factor = [
-        [h(i) for i in range(p.r)] + [l(i) for i in range(p.r)] for p in context
-    ]
-    return itertools.product(*per_factor)
+    return itertools.product(*(_factor_basis(p) for p in context))
+
+
+def _factor_basis(profile: QuadricProfile) -> list:
+    return [h(i) for i in range(profile.r)] + [l(i) for i in range(profile.r)]
 
 
 def mul_factor(a: FactorSymbol, b: FactorSymbol, profile: QuadricProfile):
@@ -204,21 +214,76 @@ def mul_factor(a: FactorSymbol, b: FactorSymbol, profile: QuadricProfile):
 
 
 def mul(a: Cycle, b: Cycle) -> Cycle:
-    """Bilinear componentwise product in R_X."""
+    """Bilinear componentwise product in R_X.
+
+    The bilinear law sums the factorwise product over every pair of terms.
+    A pair contributes exactly when every factor product is nonzero, so
+    both supports are indexed once as prefix trees (one level per factor)
+    and walked together: at each level a branch of a's tree follows, in b's
+    tree, only the branches of its factor partners -- the symbols whose
+    product with its symbol is nonzero.  Each nonzero pair of terms is
+    reached once, at the end of its two paths, and the F2 sum of the
+    products is the bilinear law's.
+    """
     if a.context != b.context:
         raise ContextMismatch("cannot multiply cycles over different contexts")
-    support = set()
-    for ea in a.support:
-        for eb in b.support:
-            out = []
-            for sa, sb, prof in zip(ea, eb, a.context):
-                prod = mul_factor(sa, sb, prof)
-                if prod is None:
-                    break
-                out.append(prod)
-            else:
-                support.symmetric_difference_update({tuple(out)})
-    return Cycle(a.context, frozenset(support))
+    if not a.support or not b.support:
+        return Cycle(a.context, frozenset())
+    frontier = [(_prefix_tree(a.support), _prefix_tree(b.support), ())]
+    for prof in a.context:
+        frontier = _partner_level(frontier, prof)
+    return Cycle(a.context, _odd_terms(out for _, _, out in frontier))
+
+
+# The walks chain one generator per factor, so a term is summed as soon as
+# its last factor is reached and no level is ever held in full.  Each level
+# is a function so that it binds its own profile: a generator expression
+# in the loop would look the loop variable up only when it runs.
+
+
+def _partner_level(frontier, prof):
+    return (
+        (a_child, b_child, out + (prod,))
+        for a_node, b_node, out in frontier
+        for sa, a_child in a_node.items()
+        for sb, prod in _factor_partners(sa, prof)
+        if (b_child := b_node.get(sb)) is not None
+    )
+
+
+def _square_level(frontier, prof, rest):
+    return (
+        (child, left - jt, out + (res,))
+        for node, left, out in frontier
+        for sym, child in node.items()
+        for jt, res in _factor_squares(sym, prof)
+        if 0 <= left - jt <= rest
+    )
+
+
+def _prefix_tree(support) -> dict:
+    """Nested dicts, one level per factor: each term is a path from the root."""
+    tree = {}
+    for elt in support:
+        node = tree
+        for sym in elt:
+            node = node.setdefault(sym, {})
+    return tree
+
+
+def _odd_terms(terms) -> frozenset:
+    """The F2 sum of basis tuples: those that occur an odd number of times."""
+    return frozenset(elt for elt, n in Counter(terms).items() if n & 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _factor_partners(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
+    """((b, sym * b), ...) over the symbols b of profile with a nonzero product."""
+    return tuple(
+        (b, prod)
+        for b in _factor_basis(profile)
+        if (prod := mul_factor(sym, b, profile)) is not None
+    )
 
 
 def degree(c: Cycle) -> int:
@@ -247,37 +312,39 @@ def steenrod_factor(j: int, sym: FactorSymbol, profile: QuadricProfile):
 def steenrod(j: int, c: Cycle) -> Cycle:
     """Cohomological-type Steenrod operation S^j on R_X.
 
-    On products it distributes over all compositions j = j_1 + ... + j_m;
-    a part j_t >= r kills its factor, so the parts are capped at r - 1 and
-    the result is 0 once j exceeds the sum of the caps.
+    On products it is the Cartan sum over all compositions j = j_1 + ... +
+    j_m of the factorwise squares S^{j_t}.  A composition contributes
+    exactly when every S^{j_t} is nonzero on its factor, so the support is
+    indexed once as a prefix tree and walked factor by factor through the
+    nonzero squares of each symbol only, carrying the part of j still to
+    be spent.  S^{j_t} vanishes once j_t >= r, so each part is capped at
+    r - 1, and a branch is cut once the remainder is negative or exceeds
+    the sum of the remaining factors' caps.  The branches that finish with
+    nothing left are exactly the contributing compositions, each reached
+    once; the result is 0 at once when j exceeds the sum of all the caps.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    support = set()
-    caps = tuple(prof.r - 1 for prof in c.context)
-    for elt in c.support:
-        for split in _compositions(j, caps):
-            out = []
-            for jt, sym, prof in zip(split, elt, c.context):
-                res = steenrod_factor(jt, sym, prof)
-                if res is None:
-                    break
-                out.append(res)
-            else:
-                support.symmetric_difference_update({tuple(out)})
-    return Cycle(c.context, frozenset(support))
+    # room[t]: the caps of factors t, t + 1, ... summed
+    room = [0] * (c.arity + 1)
+    for t in range(c.arity - 1, -1, -1):
+        room[t] = room[t + 1] + c.context[t].r - 1
+    if not c.support or j > room[0]:
+        return Cycle(c.context, frozenset())
+    frontier = [(_prefix_tree(c.support), j, ())]
+    for prof, rest in zip(c.context, room[1:]):
+        frontier = _square_level(frontier, prof, rest)
+    return Cycle(c.context, _odd_terms(out for _, _, out in frontier))
 
 
-def _compositions(total: int, caps: tuple):
-    """Compositions of total with part t in [0, caps[t]]; none if total > sum(caps)."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    rest_max = sum(caps[1:])
-    for head in range(max(0, total - rest_max), min(total, caps[0]) + 1):
-        for rest in _compositions(total - head, caps[1:]):
-            yield (head,) + rest
+@functools.lru_cache(maxsize=4096)
+def _factor_squares(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
+    """((j, S^j sym), ...) over the j with S^j sym nonzero, ascending; j = 0 is first."""
+    return tuple(
+        (jt, res)
+        for jt in range(profile.r)
+        if (res := steenrod_factor(jt, sym, profile)) is not None
+    )
 
 
 # -- text notation ("h0*l2 + h1*l1") ------------------------------------------

@@ -25,7 +25,7 @@ from .profile import (
     QuadricProfile,
     excellent_pairs,
     i1_admissible_set,
-    pattern_enumerate,
+    iter_patterns,
     profile_json_fields,
 )
 
@@ -82,9 +82,24 @@ def _profiles_from_json(data):
 
 
 def cmd_pattern_enum(args) -> int:
-    patterns = pattern_enumerate(args.r, args.s, _parse_i1_rules(args.rules))
-    _emit_json(args, [list(p) for p in patterns])
+    patterns = iter_patterns(args.r, args.s, _parse_i1_rules(args.rules))
+    if args.limit is not None:
+        patterns = _at_most(args.limit, patterns)
+    if args.count:
+        _emit_json(args, sum(1 for _ in patterns))
+    else:
+        _emit_json(args, [list(p) for p in patterns])
     return 0
+
+
+def _at_most(limit: int, patterns):
+    """Pass the patterns through; raise BoundExceeded at pattern limit + 1."""
+    if limit < 0:
+        raise ValueError("--limit must be >= 0, got %d" % limit)
+    for k, pattern in enumerate(patterns):
+        if k == limit:
+            raise BoundExceeded("more than %d patterns (--limit)" % limit)
+        yield pattern
 
 
 def cmd_i1_bounds(args) -> int:
@@ -165,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern-enum", help="enumerate splitting patterns for a type")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
+    p.add_argument("--count", action="store_true", help="only output the count")
+    p.add_argument("--limit", type=int, help="exit 3 if there are more than N patterns")
     _add_common(p, rules=True)
     p.set_defaults(func=cmd_pattern_enum)
 

@@ -905,16 +905,17 @@ def _column(diagram: ShellDiagram, node: ShellNode) -> int:
 
 
 def render_ascii(diagram: ShellDiagram) -> str:
-    """Deterministic ASCII rendering, shells labeled 0..h-1 beneath the bases."""
+    """Deterministic ASCII rendering, shells labeled 0..h-1 beneath the bases.
+
+    Every node is placed into the line of its row in one pass over the
+    nodes; the lines are printed top row first.
+    """
     r = diagram.r
     width = 2 * r + _GAP
-    rows = []
-    for j in range(diagram.max_row, -1, -1):
-        line = [" "] * width
-        for node in diagram.nodes:
-            if node.row == j:
-                line[_column(diagram, node)] = "*"
-        rows.append("".join(line).rstrip())
+    lines = [[" "] * width for _ in range(diagram.max_row + 1)]
+    for node in diagram.nodes:
+        lines[node.row][_column(diagram, node)] = "*"
+    rows = ["".join(line).rstrip() for line in reversed(lines)]
     label = [" "] * width
     p = diagram.pattern
     for t in range(1, len(p)):

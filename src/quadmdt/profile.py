@@ -271,6 +271,16 @@ def pattern_enumerate(r: int, s: int, rules=None) -> tuple:
     kernel type (r - j_{t-1}, s).  Output patterns are canonical tuples
     (0, ..., r), sorted; they are "not excluded", not necessarily realized.
     """
+    return tuple(iter_patterns(r, s, rules))
+
+
+def iter_patterns(r: int, s: int, rules=None):
+    """The patterns of pattern_enumerate one at a time, in the same order.
+
+    Steps are chosen in ascending order at every level, and two patterns
+    first differ at the first step where they differ, at which the smaller
+    step gives the smaller running sum; so the patterns come out sorted.
+    """
     rules = _check_i1_args(r, s, rules)
 
     def extend(r_rem: int):
@@ -281,13 +291,11 @@ def pattern_enumerate(r: int, s: int, rules=None) -> tuple:
             for rest in extend(r_rem - i):
                 yield (i,) + rest
 
-    patterns = []
     for steps in extend(r):
         acc = [0]
         for i in steps:
             acc.append(acc[-1] + i)
-        patterns.append(tuple(acc))
-    return tuple(sorted(patterns))
+        yield tuple(acc)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quadmdt.chow import (
     Cycle,
+    _factor_partners,
+    _factor_squares,
     basis_tuples,
     binom_mod2,
     cycle_from_text,
@@ -24,7 +26,7 @@ from quadmdt.chow import (
     steenrod_factor,
 )
 from quadmdt.errors import ContextMismatch
-from quadmdt.profile import mk_profile
+from quadmdt.profile import mk_profile, pattern_enumerate
 
 
 def prof(dim, r, s):
@@ -43,18 +45,45 @@ def single(profile, sym):
 SMALL_PROFILES = [prof(2 * r + s, r, s) for r in range(1, 6) for s in range(3)]
 
 
-def factor_symbols(profile):
+def factor_basis(profile):
     indices = range(profile.r)
-    return st.sampled_from([h(i) for i in indices] + [l(i) for i in indices])
+    return [h(i) for i in indices] + [l(i) for i in indices]
+
+
+def factor_symbols(profile):
+    return st.sampled_from(factor_basis(profile))
+
+
+def contexts(min_arity, max_arity):
+    profiles = st.sampled_from(SMALL_PROFILES)
+    return st.lists(profiles, min_size=min_arity, max_size=max_arity).map(tuple)
+
+
+def terms_over(context):
+    return st.lists(st.tuples(*map(factor_symbols, context)), max_size=10)
 
 
 @st.composite
 def cycles(draw, min_arity=1, max_arity=3):
     """A random cycle over a random context of small profiles."""
-    profiles = st.sampled_from(SMALL_PROFILES)
-    context = tuple(draw(st.lists(profiles, min_size=min_arity, max_size=max_arity)))
-    terms = draw(st.lists(st.tuples(*map(factor_symbols, context)), max_size=10))
-    return Cycle.of_basis(context, *terms)
+    context = draw(contexts(min_arity, max_arity))
+    return Cycle.of_basis(context, *draw(terms_over(context)))
+
+
+@st.composite
+def cycle_pairs(draw):
+    """Two random cycles over one random context of arity 0-3."""
+    context = draw(contexts(0, 3))
+    a, b = (Cycle.of_basis(context, *draw(terms_over(context))) for _ in range(2))
+    return a, b
+
+
+def every_profile(r_max, s_max):
+    """Every profile with r <= r_max, s <= s_max, over all its patterns."""
+    for r in range(1, r_max + 1):
+        for s in range(s_max + 1):
+            for pattern in pattern_enumerate(r, s):
+                yield mk_profile(2 * r + s, r, s, list(pattern))
 
 
 # -- multiplication table ----------------------------------------------------------
@@ -97,6 +126,42 @@ def test_mul_identity_and_f2_sum():
 def test_mul_context_mismatch():
     with pytest.raises(ContextMismatch):
         mul(single(P632, h(0)), single(P630, h(0)))
+
+
+def _mul_pairwise(a, b):
+    """The bilinear law term by term: every term of a against every term of b."""
+    support = set()
+    for ea in a.support:
+        for eb in b.support:
+            out = []
+            for sa, sb, prof_t in zip(ea, eb, a.context):
+                prod = mul_factor(sa, sb, prof_t)
+                if prod is None:
+                    break
+                out.append(prod)
+            else:
+                support.symmetric_difference_update({tuple(out)})
+    return Cycle(a.context, frozenset(support))
+
+
+# P630 holds the exceptional l2 * l2 = l0; the full basis pairs every symbol.
+FULL = Cycle.of_basis((P630, P632), *basis_tuples((P630, P632)))
+
+
+@given(cycle_pairs())
+@example((FULL, FULL))
+def test_mul_matches_pairwise_oracle(pair):
+    a, b = pair
+    assert mul(a, b) == _mul_pairwise(a, b)
+
+
+def test_factor_partners_match_mul_factor_scan():
+    for p in every_profile(6, 4):
+        basis = factor_basis(p)
+        for sym in basis:
+            scan = [(b, mul_factor(sym, b, p)) for b in basis]
+            expected = [(b, prod) for b, prod in scan if prod is not None]
+            assert sorted(_factor_partners(sym, p)) == sorted(expected), (p, sym)
 
 
 # -- ring axioms on small instances --------------------------------------------------
@@ -257,6 +322,15 @@ def _steenrod_uncapped(j, c):
 @given(cycles(min_arity=0), st.integers(min_value=0, max_value=16))
 def test_steenrod_matches_uncapped_oracle(c, j):
     assert steenrod(j, c) == _steenrod_uncapped(j, c)
+
+
+def test_factor_squares_match_steenrod_factor_scan():
+    # The scan runs well past r - 1: no square beyond the cap may be missed.
+    for p in every_profile(6, 4):
+        for sym in factor_basis(p):
+            scan = [(j, steenrod_factor(j, sym, p)) for j in range(2 * p.dim + 2)]
+            expected = tuple((j, res) for j, res in scan if res is not None)
+            assert _factor_squares(sym, p) == expected, (p, sym)
 
 
 def test_steenrod_zero_beyond_part_caps():

@@ -43,6 +43,37 @@ def test_pattern_enum_rejects_bad_type(capsys):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_pattern_enum_count(capsys):
+    code, out, _ = run(capsys, "pattern-enum", "-r", "2", "-s", "2", "--count")
+    assert code == 0
+    assert out == "2\n"
+    code, full, _ = run(capsys, "pattern-enum", "-r", "8", "-s", "3")
+    code, out, _ = run(capsys, "pattern-enum", "-r", "8", "-s", "3", "--count")
+    assert code == 0
+    assert json.loads(out) == len(json.loads(full))
+
+
+def test_pattern_enum_limit(capsys):
+    # exactly at the limit: the listing is the one printed without --limit
+    _, full, _ = run(capsys, "pattern-enum", "-r", "2", "-s", "2")
+    code, out, _ = run(capsys, "pattern-enum", "-r", "2", "-s", "2", "--limit", "2")
+    assert (code, out) == (0, full)
+    code, out, err = run(capsys, "pattern-enum", "-r", "2", "-s", "2", "--limit", "1")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "BoundExceeded"
+    # a listing far too large to build ends at the limit instead
+    code, out, err = run(capsys, "pattern-enum", "-r", "60", "-s", "0", "--limit", "5")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "BoundExceeded"
+    code, out, err = run(
+        capsys, "pattern-enum", "-r", "60", "-s", "0", "--limit", "5", "--count"
+    )
+    assert (code, out) == (3, "")
+    code, _, err = run(capsys, "pattern-enum", "-r", "2", "-s", "2", "--limit", "-1")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_i1_bounds_conjectural(capsys):
     code, out, _ = run(
         capsys, "i1-bounds", "-r", "3", "-s", "6", "--rules", "base,singular,conjectural"

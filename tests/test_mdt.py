@@ -2,9 +2,11 @@
 
 import json
 import pathlib
+import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadmdt.chow import Cycle, h, l
 from quadmdt.corr import compose
@@ -16,6 +18,7 @@ from quadmdt.errors import (
     OutOfWindow,
 )
 from quadmdt.mdt import (
+    _GAP,
     RULE_IDS,
     LambdaSymbol,
     MdtPartition,
@@ -32,6 +35,7 @@ from quadmdt.mdt import (
     mdt_isotropic_lift,
     mdt_pfister_neighbour,
     mdt_strongly_excellent,
+    _column,
     render_ascii,
     render_svg,
     shell_diagram,
@@ -256,6 +260,31 @@ def test_check_reports_golden():
             assert matched, witness
             hit.update(matched)
     assert hit == set(WITNESS_FORMATS)
+
+
+@st.composite
+def random_partitions(draw):
+    """A random partition of Lambda(X) for a random profile with r <= 6."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    s = draw(st.integers(min_value=0, max_value=6))
+    pattern = draw(st.sampled_from(pattern_enumerate(r, s)))
+    p = prof(2 * r + s, r, s, pattern)
+    symbols = lambda_set(p)
+    n = len(symbols)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for sym, label in zip(symbols, labels):
+        blocks.setdefault(label, []).append(sym)
+    return p, MdtPartition.of(p, blocks.values())
+
+
+@given(random_partitions())
+def test_partition_json_round_trip_random(case):
+    p, part = case
+    text = json.dumps(part.to_json_dict(), sort_keys=True)
+    back = MdtPartition.from_json_dict(json.loads(text), p)
+    assert back == part
+    assert json.dumps(back.to_json_dict(), sort_keys=True) == text
 
 
 def test_partition_json_round_trip():
@@ -569,6 +598,29 @@ def test_shell_diagram_golden():
     text = render_ascii(shell_diagram(ShellPattern(12, [0, 2, 8, 12])))
     golden = (GOLDEN / "shell_r12.txt").read_text()
     assert text == golden
+
+
+def _render_ascii_row_scan(diagram):
+    """The node rows as rendered by one scan over every node per row."""
+    width = 2 * diagram.r + _GAP
+    rows = []
+    for j in range(diagram.max_row, -1, -1):
+        line = [" "] * width
+        for node in diagram.nodes:
+            if node.row == j:
+                line[_column(diagram, node)] = "*"
+        rows.append("".join(line).rstrip())
+    return rows
+
+
+def test_render_ascii_matches_row_scan():
+    rng = random.Random(2026)
+    for r in range(1, 41):
+        for _ in range(3):
+            inner = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
+            diagram = shell_diagram(ShellPattern(r, [0] + inner + [r]))
+            rows = render_ascii(diagram).splitlines()
+            assert rows[:-1] == _render_ascii_row_scan(diagram), (r, diagram.pattern)
 
 
 def test_render_deterministic():

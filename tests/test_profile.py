@@ -1,6 +1,7 @@
 """Tests for profile invariants, i1 filters, expansions and excellent pairs."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +80,15 @@ def test_shell_of():
 def test_profile_json_round_trip():
     p = mk_profile(10, 3, 4, [0, 1, 3])
     assert QuadricProfile.from_json_dict(p.to_json_dict()) == p
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8), st.data())
+def test_profile_json_round_trip_random(r, s, data):
+    pattern = data.draw(st.sampled_from(pattern_enumerate(r, s)))
+    text = json.dumps(mk_profile(2 * r + s, r, s, pattern).to_json_dict(), sort_keys=True)
+    p = QuadricProfile.from_json_dict(json.loads(text))
+    assert (p.dim, p.r, p.s, p.pattern) == (2 * r + s, r, s, pattern)
+    assert json.dumps(p.to_json_dict(), sort_keys=True) == text
 
 
 # -- izhboldin dimension ---------------------------------------------------------
@@ -325,6 +335,7 @@ def test_pattern_enumerate_extremes_present():
     for r in range(1, 7):
         for s in (0, 1, 2, 4):
             patterns = pattern_enumerate(r, s)
+            assert list(patterns) == sorted(set(patterns))
             assert tuple(range(r + 1)) in patterns
             top = max(i1_admissible_set(r, s))
             assert any(p[1] == top for p in patterns)
