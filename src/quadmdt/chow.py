@@ -21,12 +21,14 @@ compositions of j.  S^{j_t} vanishes on a factor once j_t >= r, so only
 compositions with every part at most r - 1 contribute.
 
 mul and steenrod visit only the terms that can be nonzero.  Each indexes
-its supports as prefix trees, one level per factor, and walks them factor
-by factor: mul follows, for each symbol of a, only its factor partners
-in b (the symbols with a nonzero product), and steenrod only the nonzero
-squares S^{j_t} of each symbol, carrying the part of j still to be spent.
-Both per-symbol lists are cached per (symbol, profile) and built from
-mul_factor and steenrod_factor, so each table above is stated once.
+a support as a prefix tree, one level per factor, and walks it factor
+by factor: mul walks each term of the smaller support down the larger
+one's tree through the factor partners of its symbols only (the symbols
+with a nonzero product), and steenrod walks the tree of its input through
+the nonzero squares S^{j_t} of each symbol only, carrying the part of j
+still to be spent.
+Both per-symbol tables are cached and built from mul_factor and
+steenrod_factor, so each table above is stated once.
 """
 
 from __future__ import annotations
@@ -218,72 +220,128 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
 
     The bilinear law sums the factorwise product over every pair of terms.
     A pair contributes exactly when every factor product is nonzero, so
-    both supports are indexed once as prefix trees (one level per factor)
-    and walked together: at each level a branch of a's tree follows, in b's
-    tree, only the branches of its factor partners -- the symbols whose
-    product with its symbol is nonzero.  Each nonzero pair of terms is
-    reached once, at the end of its two paths, and the F2 sum of the
-    products is the bilinear law's.
+    the larger support is indexed once as a prefix tree (one level per
+    factor) and each term of the smaller one walks down it, following at
+    each level only the branches of its symbol's factor partners -- the
+    symbols whose product with it is nonzero.  At each node the walk goes
+    through the node's children or the partners, whichever are fewer, and
+    looks the other up.  Each nonzero pair of terms is reached once, at the
+    end of a path of the tree, and the F2 sum of the products is the
+    bilinear law's.  Every factor product commutes, so the sides may swap.
     """
     if a.context != b.context:
         raise ContextMismatch("cannot multiply cycles over different contexts")
-    if not a.support or not b.support:
+    if len(a.support) > len(b.support):
+        a, b = b, a
+    if not a.support:
         return Cycle(a.context, frozenset())
-    frontier = [(_prefix_tree(a.support), _prefix_tree(b.support), ())]
-    for prof in a.context:
-        frontier = _partner_level(frontier, prof)
-    return Cycle(a.context, _odd_terms(out for _, _, out in frontier))
+    tree = _prefix_tree(b.support)
+    rows = [_partner_rows(prof) for prof in a.context]
+    support = set()
+    for ea in a.support:
+        frontier = [(tree, ())]
+        for sa, row in zip(ea, rows):
+            partners = row[_code(sa)]
+            level = []
+            for node, out in frontier:
+                if len(node) < len(partners):
+                    for sb, child in node.items():
+                        if (prod := partners.get(sb)) is not None:
+                            level.append((child, out + (prod,)))
+                else:
+                    for sb, prod in partners.items():
+                        if (child := node.get(sb)) is not None:
+                            level.append((child, out + (prod,)))
+            frontier = level
+        for _, out in frontier:
+            support.symmetric_difference_update({out})
+    return Cycle(a.context, frozenset(support))
 
 
-# The walks chain one generator per factor, so a term is summed as soon as
-# its last factor is reached and no level is ever held in full.  Each level
-# is a function so that it binds its own profile: a generator expression
-# in the loop would look the loop variable up only when it runs.
+# The walks key their trees and tables by symbol codes, 2 * index plus 1
+# for l: ints hash far faster than the symbol dataclasses.
 
 
-def _partner_level(frontier, prof):
-    return (
-        (a_child, b_child, out + (prod,))
-        for a_node, b_node, out in frontier
-        for sa, a_child in a_node.items()
-        for sb, prod in _factor_partners(sa, prof)
-        if (b_child := b_node.get(sb)) is not None
-    )
-
-
-def _square_level(frontier, prof, rest):
-    return (
-        (child, left - jt, out + (res,))
-        for node, left, out in frontier
-        for sym, child in node.items()
-        for jt, res in _factor_squares(sym, prof)
-        if 0 <= left - jt <= rest
-    )
+def _code(sym: FactorSymbol) -> int:
+    return sym.index << 1 | (sym.kind == L)
 
 
 def _prefix_tree(support) -> dict:
-    """Nested dicts, one level per factor: each term is a path from the root."""
+    """Nested dicts keyed by symbol codes, one level per factor: each term
+    is a path from the root."""
     tree = {}
     for elt in support:
         node = tree
         for sym in elt:
-            node = node.setdefault(sym, {})
+            node = node.setdefault(_code(sym), {})
     return tree
+
+
+class _RowTable(dict):
+    """One profile's table: symbol code -> row(symbol, profile).
+
+    A row is built the first time its symbol is looked up, so a call that
+    touches few symbols of a large profile builds few rows.
+    """
+
+    def __init__(self, row, profile: QuadricProfile):
+        super().__init__()
+        self.row = row
+        self.profile = profile
+
+    def __missing__(self, code: int):
+        value = self[code] = self.row((l if code & 1 else h)(code >> 1), self.profile)
+        return value
+
+
+def _partner_row(sym: FactorSymbol, profile: QuadricProfile) -> dict:
+    """{code of b: sym * b} over the symbols b with a nonzero product."""
+    return {
+        _code(b): prod
+        for b in _factor_basis(profile)
+        if (prod := mul_factor(sym, b, profile)) is not None
+    }
+
+
+def _square_row(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
+    """((j, S^j sym), ...) over the j with S^j sym nonzero, ascending; j = 0 is first."""
+    return tuple(
+        (jt, res)
+        for jt in range(profile.r)
+        if (res := steenrod_factor(jt, sym, profile)) is not None
+    )
+
+
+# the tables of the 32 profiles used last are kept, as h and l are bounded
+@functools.lru_cache(maxsize=32)
+def _partner_rows(profile: QuadricProfile) -> _RowTable:
+    return _RowTable(_partner_row, profile)
+
+
+@functools.lru_cache(maxsize=32)
+def _square_rows(profile: QuadricProfile) -> _RowTable:
+    return _RowTable(_square_row, profile)
+
+
+# The Steenrod walk chains one generator per factor, so a term is summed as
+# soon as its last factor is reached and no level is ever held in full.  A
+# level is a function so that it binds its own table: a generator
+# expression in the loop would look the loop variable up only when it runs.
+
+
+def _square_level(frontier, squares, rest):
+    return (
+        (child, left - jt, out + (res,))
+        for node, left, out in frontier
+        for code, child in node.items()
+        for jt, res in squares[code]
+        if 0 <= left - jt <= rest
+    )
 
 
 def _odd_terms(terms) -> frozenset:
     """The F2 sum of basis tuples: those that occur an odd number of times."""
     return frozenset(elt for elt, n in Counter(terms).items() if n & 1)
-
-
-@functools.lru_cache(maxsize=4096)
-def _factor_partners(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
-    """((b, sym * b), ...) over the symbols b of profile with a nonzero product."""
-    return tuple(
-        (b, prod)
-        for b in _factor_basis(profile)
-        if (prod := mul_factor(sym, b, profile)) is not None
-    )
 
 
 def degree(c: Cycle) -> int:
@@ -333,18 +391,8 @@ def steenrod(j: int, c: Cycle) -> Cycle:
         return Cycle(c.context, frozenset())
     frontier = [(_prefix_tree(c.support), j, ())]
     for prof, rest in zip(c.context, room[1:]):
-        frontier = _square_level(frontier, prof, rest)
+        frontier = _square_level(frontier, _square_rows(prof), rest)
     return Cycle(c.context, _odd_terms(out for _, _, out in frontier))
-
-
-@functools.lru_cache(maxsize=4096)
-def _factor_squares(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
-    """((j, S^j sym), ...) over the j with S^j sym nonzero, ascending; j = 0 is first."""
-    return tuple(
-        (jt, res)
-        for jt in range(profile.r)
-        if (res := steenrod_factor(jt, sym, profile)) is not None
-    )
 
 
 # -- text notation ("h0*l2 + h1*l1") ------------------------------------------

@@ -23,9 +23,9 @@ from .errors import BoundExceeded, QuadmdtError
 from .mdt import SEMANTICS_NOTE, MdtPartition, RuleSet
 from .profile import (
     QuadricProfile,
+    _iter_patterns,
     excellent_pairs,
     i1_admissible_set,
-    iter_patterns,
     profile_json_fields,
 )
 
@@ -82,7 +82,7 @@ def _profiles_from_json(data):
 
 
 def cmd_pattern_enum(args) -> int:
-    patterns = iter_patterns(args.r, args.s, _parse_i1_rules(args.rules))
+    patterns = _iter_patterns(args.r, args.s, _parse_i1_rules(args.rules))
     if args.limit is not None:
         patterns = _at_most(args.limit, patterns)
     if args.count:

@@ -271,15 +271,17 @@ def pattern_enumerate(r: int, s: int, rules=None) -> tuple:
     kernel type (r - j_{t-1}, s).  Output patterns are canonical tuples
     (0, ..., r), sorted; they are "not excluded", not necessarily realized.
     """
-    return tuple(iter_patterns(r, s, rules))
+    return tuple(_iter_patterns(r, s, rules))
 
 
-def iter_patterns(r: int, s: int, rules=None):
+def _iter_patterns(r: int, s: int, rules=None):
     """The patterns of pattern_enumerate one at a time, in the same order.
 
-    Steps are chosen in ascending order at every level, and two patterns
-    first differ at the first step where they differ, at which the smaller
-    step gives the smaller running sum; so the patterns come out sorted.
+    The arguments are checked at once; the patterns come from the returned
+    generator.  Steps are chosen in ascending order at every level, and two
+    patterns first differ at the first step where they differ, at which the
+    smaller step gives the smaller running sum; so the patterns come out
+    sorted.
     """
     rules = _check_i1_args(r, s, rules)
 
@@ -291,11 +293,14 @@ def iter_patterns(r: int, s: int, rules=None):
             for rest in extend(r_rem - i):
                 yield (i,) + rest
 
-    for steps in extend(r):
-        acc = [0]
-        for i in steps:
-            acc.append(acc[-1] + i)
-        yield tuple(acc)
+    def patterns():
+        for steps in extend(r):
+            acc = [0]
+            for i in steps:
+                acc.append(acc[-1] + i)
+            yield tuple(acc)
+
+    return patterns()
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from quadmdt.chow import (
     Cycle,
-    _factor_partners,
-    _factor_squares,
+    _partner_rows,
+    _square_rows,
     basis_tuples,
     binom_mod2,
     cycle_from_text,
@@ -158,10 +158,12 @@ def test_mul_matches_pairwise_oracle(pair):
 def test_factor_partners_match_mul_factor_scan():
     for p in every_profile(6, 4):
         basis = factor_basis(p)
+        code = {sym: 2 * sym.index + (sym.kind == "l") for sym in basis}
+        assert sorted(code.values()) == list(range(2 * p.r))
         for sym in basis:
             scan = [(b, mul_factor(sym, b, p)) for b in basis]
-            expected = [(b, prod) for b, prod in scan if prod is not None]
-            assert sorted(_factor_partners(sym, p)) == sorted(expected), (p, sym)
+            expected = {code[b]: prod for b, prod in scan if prod is not None}
+            assert _partner_rows(p)[code[sym]] == expected, (p, sym)
 
 
 # -- ring axioms on small instances --------------------------------------------------
@@ -330,7 +332,7 @@ def test_factor_squares_match_steenrod_factor_scan():
         for sym in factor_basis(p):
             scan = [(j, steenrod_factor(j, sym, p)) for j in range(2 * p.dim + 2)]
             expected = tuple((j, res) for j, res in scan if res is not None)
-            assert _factor_squares(sym, p) == expected, (p, sym)
+            assert _square_rows(p)[2 * sym.index + (sym.kind == "l")] == expected, (p, sym)
 
 
 def test_steenrod_zero_beyond_part_caps():

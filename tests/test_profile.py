@@ -15,6 +15,7 @@ from quadmdt.errors import (
 )
 from quadmdt.profile import (
     QuadricProfile,
+    _iter_patterns,
     alternating_2adic,
     excellent_pairs,
     i1_admissible_set,
@@ -339,6 +340,14 @@ def test_pattern_enumerate_extremes_present():
             assert tuple(range(r + 1)) in patterns
             top = max(i1_admissible_set(r, s))
             assert any(p[1] == top for p in patterns)
+
+
+def test_iter_patterns_checks_arguments_before_iterating():
+    # the bad type is reported by the call itself, not by the first next()
+    for r, s, rules in ((0, 2, None), (2, -1, None), (2, 2, {"nope"})):
+        with pytest.raises(ValueError):
+            _iter_patterns(r, s, rules)
+    assert tuple(_iter_patterns(5, 3)) == pattern_enumerate(5, 3)
 
 
 def test_pattern_enumerate_all_steps_valid_profiles():
