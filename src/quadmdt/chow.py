@@ -26,9 +26,9 @@ by factor: mul walks each term of the smaller support down the larger
 one's tree through the factor partners of its symbols only (the symbols
 with a nonzero product), and steenrod walks the tree of its input through
 the nonzero squares S^{j_t} of each symbol only, carrying the part of j
-still to be spent.
-Both per-symbol tables are cached and built from mul_factor and
-steenrod_factor, so each table above is stated once.
+still to be spent.  The products and squares come from per-profile tables
+whose rows are built from mul_factor and steenrod_factor, so each law
+above is stated once.
 """
 
 from __future__ import annotations
@@ -267,8 +267,7 @@ def _code(sym: FactorSymbol) -> int:
 
 
 def _prefix_tree(support) -> dict:
-    """Nested dicts keyed by symbol codes, one level per factor: each term
-    is a path from the root."""
+    """Nested dicts keyed by symbol code, one level per factor."""
     tree = {}
     for elt in support:
         node = tree
@@ -290,7 +289,8 @@ class _RowTable(dict):
         self.profile = profile
 
     def __missing__(self, code: int):
-        value = self[code] = self.row((l if code & 1 else h)(code >> 1), self.profile)
+        sym = (l if code & 1 else h)(code >> 1)
+        value = self[code] = self.row(sym, self.profile)
         return value
 
 
@@ -304,7 +304,7 @@ def _partner_row(sym: FactorSymbol, profile: QuadricProfile) -> dict:
 
 
 def _square_row(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
-    """((j, S^j sym), ...) over the j with S^j sym nonzero, ascending; j = 0 is first."""
+    """((j, S^j sym), ...) over the j with S^j sym nonzero, j ascending."""
     return tuple(
         (jt, res)
         for jt in range(profile.r)
