@@ -31,8 +31,8 @@ Rule identifiers and provenance:
                             with dim - 2 j_{t-1} - j_t < 1 requires nothing
 
 The library is one ordered table, RULES, with one row per rule: its id,
-provenance, summary and check.  The checker runs the enabled rows in that
-order.  The default ("proven") set enables the first eight in their
+provenance, summary, check and scope.  The checker runs the enabled rows in
+that order.  The default ("proven") set enables the first eight in their
 automatic scope.  Enabling R-EXC / R-VPN / R-VISHIK by name widens them to
 their asserted, unconditional form.  R-DUAL, R-EXC and R-VPN are connection
 rules: their scopes are stated once, as a table of symbol pairs per profile
@@ -42,16 +42,22 @@ The rows work on a compiled form of a (profile, RuleSet) pair: Lambda(X)
 encoded as the integers 0..2r-1 in lambda_set order (so integer order is
 symbol order), with the profile-only data -- shells, expected endpoints,
 Izh - 1, the interior j_t, the R-VPN assertion and the connection pairs --
-computed once.  A candidate is one block position per symbol plus its
-blocks as ascending int tuples.  Each row's check yields its witnesses and
+computed once and cached per pair.  Every row but R-SHIFT and the
+connection rows reads one block at a time: R-PARITY and R-ENDPOINT any
+block, R-UPPER and R-KARPENKO the upper block (first symbol 0_lo), R-VISHIK
+a block based at some j_{t-1}.  Each row's check yields its witnesses and
 formats symbols only when it yields one: check_partition collects every
-witness, while the enumerator drops a candidate at its first and builds an
-MdtPartition only for the survivors.
+witness, row by row and, for a per-block row, block by block.  The
+enumerator searches block by block instead of testing whole candidates: a
+block is complete when it is chosen, so each union of atoms is judged once
+by the per-block rows, and a complete candidate only runs R-SHIFT; only the
+survivors become MdtPartitions.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,16 +90,23 @@ UP = "up"
 class Rule:
     """One necessary condition: a row of the rule table.
 
-    ``check(compiled, block_of, blocks)`` yields the witness of every way a
-    candidate breaks the rule: ``compiled`` is the profile and rules over
-    integer symbols, and the candidate is given by each symbol's block
-    position and its blocks as ascending int tuples (see _compile).
+    ``check`` yields the witness of every way a candidate breaks the rule,
+    reading ``compiled``, the profile and rules over integer symbols (see
+    _compile).  What else it reads depends on ``scope``:
+
+    - "block": ``check(compiled, block)`` reads one block, an ascending int
+      tuple; a candidate breaks the rule where any of its blocks does;
+    - "partition": ``check(compiled, block_of, blocks)`` reads the whole
+      candidate, given by each symbol's block position and its blocks;
+    - "connection": as "partition", for a rule whose symbol pairs the
+      enumerator merges into atoms before it places any block.
     """
 
     id: str
     provenance: str  # "proven" | "conjectural" | "interpretation-sensitive"
     summary: str
     check: Callable
+    scope: str  # "block" | "partition" | "connection"
 
 
 SEMANTICS_NOTE = (
@@ -131,6 +144,17 @@ def lo(i: int) -> LambdaSymbol:
 @functools.lru_cache(maxsize=4096)
 def up(i: int) -> LambdaSymbol:
     return LambdaSymbol(UP, i)
+
+
+_SYMBOL_KEY = operator.attrgetter("kind", "index")
+
+
+@functools.lru_cache(maxsize=64)
+def _window(r: int, d_x: int) -> frozenset:
+    """The (kind, index) keys of the 2r symbols of Lambda(X)."""
+    return frozenset(
+        [(LO, i) for i in range(r)] + [(UP, i) for i in range(d_x - r + 1, d_x + 1)]
+    )
 
 
 def lambda_set(profile: QuadricProfile) -> tuple:
@@ -183,13 +207,23 @@ class MdtPartition:
     d_x: int
 
     def __post_init__(self):
+        # symbols compare as their (kind, index) keys; sorting and comparing
+        # the keys skips the generated dataclass comparisons
         blocks = tuple(
-            tuple(sorted(block)) for block in self.blocks
+            tuple(sorted(block, key=_SYMBOL_KEY)) for block in self.blocks
         )
         if not all(blocks):
             raise ArityMismatch("empty block")
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+        blocks = tuple(sorted(blocks, key=lambda b: _SYMBOL_KEY(b[0])))
         object.__setattr__(self, "blocks", blocks)
+        keys = [key for block in blocks for key in map(_SYMBOL_KEY, block)]
+        # 2r distinct keys inside both windows are exactly Lambda(X)
+        if len(keys) != 2 * self.r or set(keys) != _window(self.r, self.d_x):
+            self._reject(blocks)
+
+    def _reject(self, blocks):
+        """Raise the error for the first symbol, in canonical order, that
+        repeats or leaves its window, else for a short cover."""
         seen = set()
         for block in blocks:
             for sym in block:
@@ -200,9 +234,7 @@ class MdtPartition:
                     raise ArityMismatch("%s outside the lo window" % sym)
                 if sym.kind == UP and not self.d_x - self.r < sym.index <= self.d_x:
                     raise ArityMismatch("%s outside the up window" % sym)
-        # distinct symbols inside both windows: 2r of them are exactly Lambda(X)
-        if len(seen) != 2 * self.r:
-            raise ArityMismatch("blocks do not cover Lambda(X) exactly")
+        raise ArityMismatch("blocks do not cover Lambda(X) exactly")
 
     @classmethod
     def of(cls, profile: QuadricProfile, blocks) -> "MdtPartition":
@@ -357,7 +389,7 @@ class _Compiled:
         "interior",  # j_t for 0 < t < h
         "vpn_assertion",  # what an asserted R-VPN reports on every partition
         "connections",  # connection rule id -> the [a, b] int pairs it forces together
-        "vishik",  # (t, ((position, k), ...)) for each shell R-VISHIK constrains
+        "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
         "rows",  # the enabled RULES rows, in table order
     )
 
@@ -379,11 +411,11 @@ def _vpn_assertion(profile: QuadricProfile) -> tuple:
     return ()
 
 
-def _vishik_positions(profile: QuadricProfile) -> tuple:
-    """Per shell 1 <= t < h, the lower positions (with their k) that the block
-    based at j_{t-1} must hold; a shell with dim - 2 j_{t-1} - j_t < 1 has no
-    expansion and requires none."""
-    out = []
+def _vishik_positions(profile: QuadricProfile) -> dict:
+    """Per shell 1 <= t < h, keyed by j_{t-1}: t and the lower positions (with
+    their k) that the block based at j_{t-1} must hold; a shell with
+    dim - 2 j_{t-1} - j_t < 1 has no expansion and requires none."""
+    out = {}
     p = profile.pattern
     for t in range(1, profile.height):
         m_val = profile.dim - 2 * p[t - 1] - p[t]
@@ -402,10 +434,14 @@ def _vishik_positions(profile: QuadricProfile) -> tuple:
             pos = (m_val - tails[k - 1]) // 2 + p[t - 1]
             if 0 <= pos < profile.r:
                 positions.append((pos, k))
-        out.append((t, tuple(positions)))
-    return tuple(out)
+        out[p[t - 1]] = (t, tuple(positions))
+    return out
 
 
+# QuadricProfile and RuleSet are frozen, so one compiled form serves every
+# check of a (profile, rules) pair; check_partition is called once per
+# partition by callers that check many partitions of one profile
+@functools.lru_cache(maxsize=32)
 def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     c = _Compiled()
     c.r = r = profile.r
@@ -418,11 +454,13 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     )
     c.izh_b = profile.izhboldin_dim - 1
     c.interior = frozenset(p[1:-1])
-    c.vpn_assertion = _vpn_assertion(profile) if "R-VPN" in rules.assumed else ()
-    c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else ()
+    c.vpn_assertion = (
+        _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
+    )
+    c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
     c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
-    # pairs as 2-lists: one-shot checks compile per call, and fresh 2-tuples
-    # there raised the peak memory of check_oneshot by 0.6-0.8 MB (of ~30)
+    # pairs as 2-lists: fresh 2-tuples raised the peak memory of check_oneshot,
+    # which compiles every profile it checks, by 0.6-0.8 MB (of ~30)
     c.connections = {
         rule_id: [[c.code(a), c.code(b)] for a, b in pairs]
         for rule_id, pairs in _connection_rules(profile, rules).items()
@@ -432,11 +470,12 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
 
 # -- the rule rows ---------------------------------------------------------------
 #
-# Each check reads the compiled form and one candidate: ``block_of[k]`` is the
-# position of symbol k's block in ``blocks``, the canonically ordered blocks
-# as ascending int tuples.  A lower symbol sorts before every upper one, so a
-# block's a is its first symbol when that is lower, and its b its last symbol
-# when that is upper; 0_lo's block is blocks[0].
+# Each check reads the compiled form and either one block, an ascending int
+# tuple, or a whole candidate: ``block_of[k]`` is the position of symbol k's
+# block in ``blocks``, the canonically ordered blocks.  A lower symbol sorts
+# before every upper one, so a block's a is its first symbol when that is
+# lower, and its b its last symbol when that is upper; 0_lo's block is the
+# upper block, the one whose first symbol is 0.
 
 
 def _fmt(c, block) -> str:
@@ -463,22 +502,19 @@ def _check_vpn(c, block_of, blocks):
     yield from _split_pairs(c, "R-VPN", "%s and %s must be co-blocked", block_of)
 
 
-def _check_parity(c, block_of, blocks):
-    for block in blocks:
-        if len(block) % 2:
-            yield "odd block {%s}" % _fmt(c, block)
+def _check_parity(c, block):
+    if len(block) % 2:
+        yield "odd block {%s}" % _fmt(c, block)
 
 
-def _check_endpoint(c, block_of, blocks):
-    r, expected_b = c.r, c.expected_b
-    for block in blocks:
-        a, top = block[0], block[-1]
-        if a >= r or top < r:
-            yield "one-sided block {%s} has no endpoint pair" % _fmt(c, block)
-        elif top - c.up_offset != expected_b[a]:
-            yield "block {%s}: b = %d, expected %d" % (
-                _fmt(c, block), top - c.up_offset, expected_b[a]
-            )
+def _check_endpoint(c, block):
+    a, top = block[0], block[-1]
+    if a >= c.r or top < c.r:
+        yield "one-sided block {%s} has no endpoint pair" % _fmt(c, block)
+    elif top - c.up_offset != c.expected_b[a]:
+        yield "block {%s}: b = %d, expected %d" % (
+            _fmt(c, block), top - c.up_offset, c.expected_b[a]
+        )
 
 
 def _check_shift(c, block_of, blocks):
@@ -523,14 +559,15 @@ def _check_shift(c, block_of, blocks):
 _NOT_INTERIOR_JT = "smallest positive lower index %d is not some j_t, t < h"
 
 
-def _check_upper(c, block_of, blocks):
-    upper = blocks[0]
+def _check_upper(c, block):
+    if block[0]:  # not the upper block
+        return
     r = c.r
-    b = upper[-1] - c.up_offset if upper[-1] >= r else None
+    b = block[-1] - c.up_offset if block[-1] >= r else None
     if b != c.izh_b:
         yield "upper block has b = %s, expected Izh - 1 = %d" % (b, c.izh_b)
-    los = [k for k in upper if k < r]
-    if len(upper) != 2:
+    los = [k for k in block if k < r]
+    if len(block) != 2:
         if len(los) < 2:
             yield "upper block of size > 2 needs >= 2 lower symbols"
         elif los[1] not in c.interior:
@@ -547,13 +584,12 @@ def _check_upper(c, block_of, blocks):
                 yield "lower indices %s in [j_1, j_2) must be %s" % (inside, expected)
 
 
-def _check_karpenko(c, block_of, blocks):
-    upper = blocks[0]
-    if len(upper) <= 2:
+def _check_karpenko(c, block):
+    if block[0] or len(block) <= 2:  # not the upper block, or a pair
         return
     i1 = c.steps[0]
     v = (i1 - 1).bit_length()  # smallest v with i1 <= 2^v
-    positives = [k for k in upper[1:] if k < c.r]
+    positives = [k for k in block[1:] if k < c.r]
     for i in positives:
         if i % (1 << v):
             yield "lower index %d in the upper block not divisible by 2^%d" % (i, v)
@@ -573,17 +609,14 @@ def _check_karpenko(c, block_of, blocks):
         yield "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d" % (t + 1, v2(i_next), v2(i1) + 1)
 
 
-def _check_vishik(c, block_of, blocks):
-    for t, positions in c.vishik:
-        a = c.pattern[t - 1]
-        base = block_of[a]
-        if blocks[base][0] != a:  # no block is based at j_{t-1}
-            continue
-        for pos, k in positions:
-            if block_of[pos] != base:
-                yield "block at a = j_%d must contain %s (k = %d)" % (
-                    t - 1, c.symbol(pos), k
-                )
+def _check_vishik(c, block):
+    shell = c.vishik.get(block[0])
+    if shell is None:  # not based at a j_{t-1} that R-VISHIK constrains
+        return
+    t, positions = shell
+    for pos, k in positions:
+        if pos not in block:
+            yield "block at a = j_%d must contain %s (k = %d)" % (t - 1, c.symbol(pos), k)
 
 
 # -- the rule table and the checker ----------------------------------------------
@@ -592,33 +625,47 @@ def _check_vishik(c, block_of, blocks):
 RULES = {
     rule.id: rule
     for rule in (
-        Rule("R-PARITY", "proven", "blocks have even cardinality", _check_parity),
-        Rule("R-DUAL", "proven", "splitting-pattern connections co-blocked", _check_dual),
+        Rule("R-PARITY", "proven", "blocks have even cardinality", _check_parity, "block"),
         Rule(
-            "R-ENDPOINT", "proven", "b(L) determined by a(L) and the shell", _check_endpoint
+            "R-DUAL", "proven", "splitting-pattern connections co-blocked", _check_dual,
+            "connection",
         ),
-        Rule("R-SHIFT", "proven", "shell blocks form a full shift orbit", _check_shift),
-        Rule("R-UPPER", "proven", "structure of the block containing 0_lo", _check_upper),
         Rule(
-            "R-KARPENKO", "proven", "2-adic bounds inside the upper block", _check_karpenko
+            "R-ENDPOINT", "proven", "b(L) determined by a(L) and the shell", _check_endpoint,
+            "block",
+        ),
+        Rule(
+            "R-SHIFT", "proven", "shell blocks form a full shift orbit", _check_shift,
+            "partition",
+        ),
+        Rule(
+            "R-UPPER", "proven", "structure of the block containing 0_lo", _check_upper,
+            "block",
+        ),
+        Rule(
+            "R-KARPENKO", "proven", "2-adic bounds inside the upper block", _check_karpenko,
+            "block",
         ),
         Rule(
             "R-EXC",
             "conjectural",
             "excellent pairs co-blocked (proven, and auto-applied, for s <= 1)",
             _check_exc,
+            "connection",
         ),
         Rule(
             "R-VPN",
             "proven",
             "virtual-Pfister-neighbour connections (auto-applied when forced)",
             _check_vpn,
+            "connection",
         ),
         Rule(
             "R-VISHIK",
             "interpretation-sensitive",
             "expansion-determined lower positions in shell-based blocks",
             _check_vishik,
+            "block",
         ),
     )
 }
@@ -631,7 +678,8 @@ PROVEN_RULE_IDS = frozenset(RULE_IDS) - {"R-VISHIK"}
 def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None):
     """Evaluate every enabled necessary condition; return the violations.
 
-    The violations come in RULE_IDS order, each rule's in its check's order.
+    The violations come in RULE_IDS order; a per-block rule's come block by
+    block in canonical order, each in its check's order.
     """
     if rules is None:
         rules = RuleSet.proven()
@@ -646,60 +694,23 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     for position, block in enumerate(blocks):
         for k in block:
             block_of[k] = position
-    return tuple(
-        Violation(rule.id, witness)
-        for rule in c.rows
-        for witness in rule.check(c, block_of, blocks)
-    )
+    violations = []
+    for rule in c.rows:
+        if rule.scope == "block":
+            for block in blocks:
+                violations += [Violation(rule.id, w) for w in rule.check(c, block)]
+        else:
+            violations += [Violation(rule.id, w) for w in rule.check(c, block_of, blocks)]
+    return tuple(violations)
 
 
 # -- enumerator ----------------------------------------------------------------
 
 
-def _partitions(atoms, n):
-    """Every partition of the atoms, as (block_of, blocks) over symbols 0..n-1.
-
-    One restricted-growth string g per partition (Knuth, TAOCP 4A 7.2.1.5,
-    Algorithm H): atom i goes to block g[i], where g[0] = 0 and g[i] is at
-    most 1 + max(g[:i]).  The atoms come sorted by their smallest symbol, so
-    the blocks come numbered in canonical order.
-    """
-    m = len(atoms)
-    atom_of = [0] * n
-    for i, atom in enumerate(atoms):
-        for k in atom:
-            atom_of[k] = i
-    merged = {}  # bitmask of atoms -> their symbols, ascending
-    g = [0] * m
-    bound = [1] * m  # bound[i] = 1 + max(g[:i])
-    while True:
-        masks = [0] * max(bound[-1], g[-1] + 1)
-        for i, block in enumerate(g):
-            masks[block] |= 1 << i
-        blocks = []
-        for mask in masks:
-            block = merged.get(mask)
-            if block is None:
-                block = merged[mask] = tuple(
-                    sorted(k for i, atom in enumerate(atoms) if mask >> i & 1 for k in atom)
-                )
-            blocks.append(block)
-        yield [g[i] for i in atom_of], tuple(blocks)
-        i = m - 1
-        while i > 0 and g[i] == bound[i]:
-            i -= 1
-        if i == 0:
-            return
-        g[i] += 1
-        for j in range(i + 1, m):
-            g[j] = 0
-            bound[j] = max(bound[i], g[i] + 1)
-
-
-def _passes(c, block_of, blocks) -> bool:
-    """No enabled row yields a witness; stops at the first one."""
-    for rule in c.rows:
-        for _ in rule.check(c, block_of, blocks):
+def _passes(c, checks, *candidate) -> bool:
+    """No check yields a witness on the candidate; stops at the first one."""
+    for check in checks:
+        for _ in check(c, *candidate):
             return False
     return True
 
@@ -708,11 +719,19 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     """All partitions of Lambda(X) passing every enabled rule.
 
     The profile and rules are compiled once.  The pairs of the connection
-    rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find,
-    every partition of the resulting atoms runs through the rule rows
-    until the first witness, and only the survivors become MdtPartitions,
-    so the output agrees with check_partition by construction.  The result
-    is canonically sorted and independent of evaluation order.
+    rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find
+    into atoms, so no candidate splits one; an asserted R-VPN that fails its
+    numerology excludes every partition.  The search then places whole
+    blocks: the lowest unplaced atom opens a block, which takes it with any
+    set of unplaced atoms whose union passes every per-block row.  Those
+    rows (R-PARITY, R-ENDPOINT, R-UPPER, R-KARPENKO, R-VISHIK) read one
+    block at a time, so each union of atoms gets one verdict per call.  A
+    complete candidate runs the partition rows (R-SHIFT, the one rule
+    across blocks); R-SHIFT also prunes the blocks based in a shell once
+    the shell's base block is placed.  Only the survivors become
+    MdtPartitions, so the output agrees with check_partition by
+    construction.  The result is canonically sorted and independent of
+    evaluation order.
     """
     if rules is None:
         rules = RuleSet.proven()
@@ -738,21 +757,75 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     atoms = {}
     for k in range(n):
         atoms.setdefault(find(k), []).append(k)
-    atom_list = sorted(atoms.values())
-    # Bell(10) candidate partitions is the practical ceiling; rule sets
-    # without R-DUAL leave 2r single-symbol atoms and hit this early.
+    atom_list = sorted(map(tuple, atoms.values()))
+    # 2^10 unions of atoms and up to Bell(10) complete candidates are the
+    # practical ceiling; rule sets without R-DUAL leave 2r single-symbol
+    # atoms and hit this early.
     if len(atom_list) > 10:
         raise BoundExceeded(
             "%d unconstrained atoms exceed the search bound" % len(atom_list)
         )
-    survivors = sorted(
-        blocks
-        for block_of, blocks in _partitions(atom_list, n)
-        if _passes(c, block_of, blocks)
-    )
+    if c.vpn_assertion:  # reported on every partition
+        return ()
+    block_checks = [rule.check for rule in c.rows if rule.scope == "block"]
+    leaf_checks = [rule.check for rule in c.rows if rule.scope == "partition"]
+    # every block that passes the per-block rows, as (atom mask, its symbols
+    # ascending), listed under its lowest atom
+    opened_by = [[] for _ in atom_list]
+    mask_of = {}
+    members = [()] * (1 << len(atom_list))
+    for mask in range(1, 1 << len(atom_list)):
+        low = (mask & -mask).bit_length() - 1
+        members[mask] = members[mask & (mask - 1)] + atom_list[low]
+        block = tuple(sorted(members[mask]))
+        if _passes(c, block_checks, block):
+            opened_by[low].append((mask, block))
+            mask_of[block] = mask
+    # R-SHIFT requires the block based at j_{t-1} + d (0 < d < i_t) to be the
+    # block based at j_{t-1} shifted by d, and that block is placed first:
+    # shift_base[i] is that j_{t-1} when the block atom i opens is based at
+    # such a j_{t-1} + d.  The leaf still runs the row; this only skips
+    # candidates it rejects.
+    shift_base = [None] * len(atom_list)
+    if "R-SHIFT" in rules.enabled:
+        for i, atom in enumerate(atom_list):
+            a = atom[0]
+            if a < c.r and a != c.pattern[c.shell[a] - 1]:
+                shift_base[i] = c.pattern[c.shell[a] - 1]
+    block_of = [0] * n
+    chosen = []
+    survivors = []
+
+    def place(free):
+        if not free:
+            blocks = tuple(chosen)
+            if _passes(c, leaf_checks, block_of, blocks):
+                survivors.append(blocks)
+            return
+        low = (free & -free).bit_length() - 1
+        options = opened_by[low]
+        j = shift_base[low]
+        if j is not None:
+            base = chosen[block_of[j]]
+            if base[0] != j:  # a block based in the shell, none at j_{t-1}
+                return
+            d = atom_list[low][0] - j
+            shifted = tuple([k + d for k in base])
+            options = [(mask_of[shifted], shifted)] if shifted in mask_of else ()
+        position = len(chosen)
+        for mask, block in options:
+            if mask & free == mask:
+                for k in block:
+                    block_of[k] = position
+                chosen.append(block)
+                place(free ^ mask)
+                chosen.pop()
+
+    place((1 << len(atom_list)) - 1)
+    symbols = {block: tuple([c.symbol(k) for k in block]) for block in mask_of}
     return tuple(
-        MdtPartition.of(profile, [[c.symbol(k) for k in block] for block in blocks])
-        for blocks in survivors
+        MdtPartition(tuple([symbols[block] for block in blocks]), profile.r, profile.d_x)
+        for blocks in sorted(survivors)
     )
 
 

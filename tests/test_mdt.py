@@ -215,6 +215,63 @@ def test_partition_validation():
         blocks(P22, [lo(0), up(3)], [lo(1), up(4)], [])  # empty block
 
 
+def _reference_blocks(blocks, r, d_x):
+    """MdtPartition's validation through sorted symbols and a set of them:
+    the canonical blocks, or the ArityMismatch it raises."""
+    blocks = tuple(tuple(sorted(block)) for block in blocks)
+    if not all(blocks):
+        raise ArityMismatch("empty block")
+    blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+    seen = set()
+    for block in blocks:
+        for sym in block:
+            if sym in seen:
+                raise ArityMismatch("symbol %s appears twice" % sym)
+            seen.add(sym)
+            if sym.kind == "lo" and not 0 <= sym.index < r:
+                raise ArityMismatch("%s outside the lo window" % sym)
+            if sym.kind == "up" and not d_x - r < sym.index <= d_x:
+                raise ArityMismatch("%s outside the up window" % sym)
+    if len(seen) != 2 * r:
+        raise ArityMismatch("blocks do not cover Lambda(X) exactly")
+    return blocks
+
+
+@st.composite
+def symbol_blocks(draw):
+    """Blocks of symbols over a random (r, d_X): a shuffled partition of
+    Lambda(X), maybe with symbols dropped, repeated or from outside the
+    windows, and maybe with empty blocks."""
+    r = draw(st.integers(0, 5))
+    d_x = 2 * r + draw(st.integers(0, 4)) - 2
+    window = [lo(i) for i in range(r)] + [up(i) for i in range(d_x - r + 1, d_x + 1)]
+    symbols = draw(st.permutations(window))
+    if draw(st.booleans()):
+        symbols = symbols[: draw(st.integers(0, len(symbols)))]  # missing symbols
+    nearby = [lo(-1), lo(r), up(d_x - r), up(d_x + 1)] + window
+    symbols += draw(st.lists(st.sampled_from(nearby), max_size=3))  # repeats, outsiders
+    labels = draw(st.lists(st.integers(0, 5), min_size=len(symbols), max_size=len(symbols)))
+    groups = [[] for _ in range(6)]
+    for sym, label in zip(symbols, labels):
+        groups[label].append(sym)
+    if not draw(st.booleans()):
+        groups = [g for g in groups if g]  # no empty blocks
+    return tuple(tuple(g) for g in groups), r, d_x
+
+
+@given(symbol_blocks())
+def test_partition_validation_matches_reference(case):
+    groups, r, d_x = case
+    try:
+        expected = _reference_blocks(groups, r, d_x)
+    except ArityMismatch as exc:
+        with pytest.raises(ArityMismatch) as got:
+            MdtPartition(groups, r, d_x)
+        assert str(got.value) == str(exc)
+    else:
+        assert MdtPartition(groups, r, d_x).blocks == expected
+
+
 # one pattern per witness format of the rule table
 WITNESS_FORMATS = (
     r"\d+_lo and \d+\^up must be co-blocked",
@@ -307,6 +364,32 @@ def _raw_set_partitions(items):
         yield [[first]] + smaller
 
 
+def _partitions(atoms):
+    """Every partition of the atoms, as tuples of blocks of their symbols.
+
+    One restricted-growth string g per partition (Knuth, TAOCP 4A 7.2.1.5,
+    Algorithm H): atom i goes to block g[i], where g[0] = 0 and g[i] is at
+    most 1 + max(g[:i]).
+    """
+    m = len(atoms)
+    g = [0] * m
+    bound = [1] * m  # bound[i] = 1 + max(g[:i])
+    while True:
+        blocks = [[] for _ in range(max(bound[-1], g[-1] + 1))]
+        for atom, block in zip(atoms, g):
+            blocks[block] += atom
+        yield tuple(tuple(block) for block in blocks)
+        i = m - 1
+        while i > 0 and g[i] == bound[i]:
+            i -= 1
+        if i == 0:
+            return
+        g[i] += 1
+        for j in range(i + 1, m):
+            g[j] = 0
+            bound[j] = max(bound[i], g[i] + 1)
+
+
 @pytest.mark.parametrize(
     "dim,r,s,pattern,rules",
     [
@@ -380,6 +463,46 @@ def test_enumerator_matches_atom_oracle(extra):
                 expected.append(part)
         expected.sort(key=lambda part: part.blocks)
         assert list(enumerate_mdt(profile, rules)) == expected, str(profile)
+
+
+GENERATE_AND_TEST_PROFILES = [
+    mk_profile(2 * r + s, r, s, pattern)
+    for r in range(1, 6)
+    for s in range(9)
+    for pattern in pattern_enumerate(r, s)
+]
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        RuleSet.proven(),
+        RuleSet.proven().enable("R-EXC"),
+        RuleSet.proven().enable("R-VPN"),
+        RuleSet.proven().enable("R-VISHIK"),
+        # under the proven rules R-UPPER excludes nothing the other rows keep
+        # on any r <= 8 profile; next to R-DUAL alone both upper-block rows do
+        RuleSet(enabled=frozenset({"R-DUAL", "R-UPPER", "R-KARPENKO"})),
+    ],
+    ids=["proven", "R-EXC", "R-VPN", "R-VISHIK", "upper-block"],
+)
+def test_enumerator_matches_generate_and_test(rules):
+    # the block search against every atom partition (Algorithm H) filtered
+    # through the public checker; the asserted R-VPN empties many answers,
+    # and R-VISHIK adds a per-block row
+    empty = 0
+    for profile in GENERATE_AND_TEST_PROFILES:
+        expected = []
+        for grouping in _partitions(_atoms(profile, rules)):
+            part = MdtPartition.of(profile, grouping)
+            if not check_partition(profile, part, rules):
+                expected.append(part)
+        expected.sort(key=lambda part: part.blocks)
+        got = list(enumerate_mdt(profile, rules))
+        assert got == expected, str(profile)
+        empty += not got
+    if "R-VPN" in rules.assumed:
+        assert empty
 
 
 def test_enumerate_height_one_unique():
