@@ -927,109 +927,96 @@ class ShellPattern:
 
 
 @dataclass(frozen=True)
-class ShellNode:
-    """One node of the pyramid diagram: h^i x l_{i+j} (left) or mirrored."""
-
-    i: int
-    row: int
-    side: str  # "left" or "right"
-    shell: int  # 1-based internal shell index; rendered label is shell - 1
-
-
-@dataclass(frozen=True)
 class ShellDiagram:
     r: int
     pattern: tuple
-    nodes: tuple
 
     @property
     def max_row(self) -> int:
-        return max((node.row for node in self.nodes), default=0)
+        return max(self.base_widths()) - 1
 
     def base_widths(self) -> tuple:
         return tuple(b - a for a, b in zip(self.pattern, self.pattern[1:]))
 
 
-def shell_diagram(shape) -> ShellDiagram:
-    """Arrange the essential pairs h^i x l_{i+j} into shells.
+_MAX_DIAGRAM_R = 1000  # the SVG of one shell of width 1000 is about 50 MB
 
-    ``shape`` is a QuadricProfile or a ShellPattern.  A node (i, j) with
-    j >= 1 exists iff j_{t-1} <= i < j_t - j for some shell t; row 0
-    holds all 2r nodes.
+
+def shell_diagram(shape) -> ShellDiagram:
+    """The shell pyramid of the essential pairs h^i x l_{i+j}.
+
+    ``shape`` is a QuadricProfile or a ShellPattern.  A node (i, j)
+    exists iff j_{t-1} <= i < j_t - j for some shell t, so the diagram is
+    just (r, pattern) and the renderers read the nodes off the pattern.
+    Raises BoundExceeded when r > _MAX_DIAGRAM_R.
     """
-    nodes = []
-    p = tuple(shape.pattern)
-    for t in range(1, len(p)):
-        width = p[t] - p[t - 1]
-        for j in range(width):
-            for i in range(p[t - 1], p[t] - j):
-                for side in ("left", "right"):
-                    nodes.append(ShellNode(i=i, row=j, side=side, shell=t))
-    return ShellDiagram(r=shape.r, pattern=p, nodes=tuple(nodes))
+    if shape.r > _MAX_DIAGRAM_R:
+        raise BoundExceeded("diagram r = %d exceeds %d" % (shape.r, _MAX_DIAGRAM_R))
+    return ShellDiagram(r=shape.r, pattern=tuple(shape.pattern))
 
 
 _GAP = 3
 
 
-def _column(diagram: ShellDiagram, node: ShellNode) -> int:
-    if node.side == "left":
-        return node.i
-    return 2 * diagram.r + _GAP - 1 - node.i
+def _row_columns(diagram: ShellDiagram, j: int) -> list:
+    """Ascending columns of row j's nodes: i on the left, 2r + _GAP - 1 - i
+    on the right."""
+    p = diagram.pattern
+    left = [i for a, b in zip(p, p[1:]) for i in range(a, b - j)]
+    mirror = 2 * diagram.r + _GAP - 1
+    return left + [mirror - i for i in reversed(left)]
+
+
+def _label_centers(diagram: ShellDiagram, t: int, scale: int) -> tuple:
+    """Shell t's label centres at ``scale``: the midpoint of its base on the
+    left and of the mirrored base on the right, rounded down."""
+    p = diagram.pattern
+    left = p[t - 1] + p[t] - 1  # twice the left midpoint
+    right = 2 * (2 * diagram.r + _GAP - 1) - left
+    return left * scale // 2, right * scale // 2
 
 
 def render_ascii(diagram: ShellDiagram) -> str:
-    """Deterministic ASCII rendering, shells labeled 0..h-1 beneath the bases.
-
-    Every node is placed into the line of its row in one pass over the
-    nodes; the lines are printed top row first.
-    """
-    r = diagram.r
-    width = 2 * r + _GAP
-    lines = [[" "] * width for _ in range(diagram.max_row + 1)]
-    for node in diagram.nodes:
-        lines[node.row][_column(diagram, node)] = "*"
-    rows = ["".join(line).rstrip() for line in reversed(lines)]
+    """Deterministic ASCII rendering, top row first, shells labeled 0..h-1
+    beneath the bases; O(r^2)."""
+    width = 2 * diagram.r + _GAP
+    rows = []
+    for j in range(diagram.max_row, -1, -1):
+        line = [" "] * width
+        for col in _row_columns(diagram, j):
+            line[col] = "*"
+        rows.append("".join(line).rstrip())
     label = [" "] * width
-    p = diagram.pattern
-    for t in range(1, len(p)):
+    for t in range(1, len(diagram.pattern)):
         text = str(t - 1)
-        left_center = (p[t - 1] + p[t] - 1) // 2
-        right_center = (
-            (2 * r + _GAP - p[t]) + (2 * r + _GAP - 1 - p[t - 1])
-        ) // 2
-        for center in (left_center, right_center):
-            for offset, ch in enumerate(text):
-                pos = center + offset
-                if 0 <= pos < width:
-                    label[pos] = ch
+        for center in _label_centers(diagram, t, 1):
+            label[center : center + len(text)] = text  # never past the last column
     rows.append("".join(label).rstrip())
     return "\n".join(rows) + "\n"
 
 
 def render_svg(diagram: ShellDiagram) -> str:
-    """Deterministic SVG rendering of the pyramid diagram."""
+    """Deterministic SVG rendering: row 0 first, each row in column order,
+    then the shell labels; O(r^2)."""
     scale = 20
+    max_row = diagram.max_row
     width = (2 * diagram.r + _GAP + 1) * scale
-    height = (diagram.max_row + 3) * scale
+    height = (max_row + 3) * scale
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (width, height, width, height)
     ]
-    for node in sorted(diagram.nodes, key=lambda n: (n.row, _column(diagram, n))):
-        cx = (_column(diagram, node) + 1) * scale
-        cy = (diagram.max_row - node.row + 1) * scale
-        parts.append('<circle cx="%d" cy="%d" r="6" fill="black"/>' % (cx, cy))
-    p = diagram.pattern
-    label_y = (diagram.max_row + 2) * scale
-    for t in range(1, len(p)):
-        left_cx = (p[t - 1] + p[t] - 1) * scale // 2 + scale
-        right_cx = (
-            (2 * diagram.r + _GAP - p[t]) + (2 * diagram.r + _GAP - 1 - p[t - 1])
-        ) * scale // 2 + scale
-        for cx in (left_cx, right_cx):
+    for j in range(max_row + 1):
+        cy = (max_row - j + 1) * scale
+        for col in _row_columns(diagram, j):
+            cx = (col + 1) * scale
+            parts.append('<circle cx="%d" cy="%d" r="6" fill="black"/>' % (cx, cy))
+    label_y = (max_row + 2) * scale
+    for t in range(1, len(diagram.pattern)):
+        for cx in _label_centers(diagram, t, scale):
             parts.append(
                 '<text x="%d" y="%d" font-size="12" text-anchor="middle">%d</text>'
-                % (cx, label_y, t - 1)
+                % (cx + scale, label_y, t - 1)
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

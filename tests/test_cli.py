@@ -222,6 +222,11 @@ def test_diagram_ascii(capsys):
         code, out, err = run(capsys, "diagram", bad)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "PatternInvalid"
+    # r past the bound exits 3 before anything is built
+    for r in (1001, 1000000000):
+        code, out, err = run(capsys, "diagram", json.dumps({"r": r, "pattern": [0, r]}))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "BoundExceeded"
 
 
 def test_diagram_svg_deterministic(capsys):

@@ -35,7 +35,6 @@ from quadmdt.mdt import (
     mdt_isotropic_lift,
     mdt_pfister_neighbour,
     mdt_strongly_excellent,
-    _column,
     render_ascii,
     render_svg,
     shell_diagram,
@@ -702,38 +701,106 @@ def test_mdt_isotropic_lift_singleton_count():
 # -- shell diagrams -------------------------------------------------------------------
 
 
+def _oracle_nodes(diagram):
+    """Every node (i, row, side, shell) of the pyramid, one shell at a time:
+    (i, j) with j_{t-1} <= i < j_t - j, drawn on the left and on the right."""
+    p = diagram.pattern
+    nodes = []
+    for t in range(1, len(p)):
+        for j in range(p[t] - p[t - 1]):
+            for i in range(p[t - 1], p[t] - j):
+                for side in ("left", "right"):
+                    nodes.append((i, j, side, t))
+    return nodes
+
+
+def _oracle_column(diagram, i, side):
+    if side == "left":
+        return i
+    return 2 * diagram.r + _GAP - 1 - i
+
+
+def _oracle_ascii(diagram):
+    """The ASCII text as rendered by one scan over every node per row."""
+    nodes = _oracle_nodes(diagram)
+    max_row = max(row for _, row, _, _ in nodes)
+    r = diagram.r
+    width = 2 * r + _GAP
+    rows = []
+    for j in range(max_row, -1, -1):
+        line = [" "] * width
+        for i, row, side, _ in nodes:
+            if row == j:
+                line[_oracle_column(diagram, i, side)] = "*"
+        rows.append("".join(line).rstrip())
+    label = [" "] * width
+    p = diagram.pattern
+    for t in range(1, len(p)):
+        left_center = (p[t - 1] + p[t] - 1) // 2
+        right_center = ((2 * r + _GAP - p[t]) + (2 * r + _GAP - 1 - p[t - 1])) // 2
+        for center in (left_center, right_center):
+            for offset, ch in enumerate(str(t - 1)):
+                if 0 <= center + offset < width:
+                    label[center + offset] = ch
+    rows.append("".join(label).rstrip())
+    return "\n".join(rows) + "\n"
+
+
+def _oracle_svg(diagram):
+    """The SVG as rendered from the sorted node list."""
+    nodes = _oracle_nodes(diagram)
+    max_row = max(row for _, row, _, _ in nodes)
+    scale = 20
+    width = (2 * diagram.r + _GAP + 1) * scale
+    height = (max_row + 3) * scale
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+        'viewBox="0 0 %d %d">' % (width, height, width, height)
+    ]
+    for i, row, side, _ in sorted(
+        nodes, key=lambda n: (n[1], _oracle_column(diagram, n[0], n[2]))
+    ):
+        cx = (_oracle_column(diagram, i, side) + 1) * scale
+        cy = (max_row - row + 1) * scale
+        parts.append('<circle cx="%d" cy="%d" r="6" fill="black"/>' % (cx, cy))
+    p = diagram.pattern
+    label_y = (max_row + 2) * scale
+    for t in range(1, len(p)):
+        left_cx = (p[t - 1] + p[t] - 1) * scale // 2 + scale
+        right_cx = (
+            (2 * diagram.r + _GAP - p[t]) + (2 * diagram.r + _GAP - 1 - p[t - 1])
+        ) * scale // 2 + scale
+        for cx in (left_cx, right_cx):
+            parts.append(
+                '<text x="%d" y="%d" font-size="12" text-anchor="middle">%d</text>'
+                % (cx, label_y, t - 1)
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def test_shell_diagram_structure():
     d = shell_diagram(ShellPattern(12, [0, 2, 8, 12]))
     assert d.base_widths() == (2, 6, 4)
-    assert sum(1 for n in d.nodes if n.row == 0) == 24
-    shells = {n.shell for n in d.nodes}
-    assert shells == {1, 2, 3}
+    assert sum(1 for n in _oracle_nodes(d) if n[1] == 0) == 24
+    assert {n[3] for n in _oracle_nodes(d)} == {1, 2, 3}
+    rows = render_ascii(d).splitlines()
+    assert rows[-2].count("*") == 24  # row 0, drawn just above the labels
     assert d.max_row == 5  # tallest pyramid has base width 6
+    assert len(rows) == d.max_row + 2
 
 
 def test_shell_diagram_height_one():
     d = shell_diagram(P22)
     assert d.base_widths() == (2,)
-    assert sum(1 for n in d.nodes if n.row == 0) == 4
+    assert sum(1 for n in _oracle_nodes(d) if n[1] == 0) == 4
+    assert render_ascii(d).splitlines()[-2].count("*") == 4
 
 
 def test_shell_diagram_golden():
-    text = render_ascii(shell_diagram(ShellPattern(12, [0, 2, 8, 12])))
-    golden = (GOLDEN / "shell_r12.txt").read_text()
-    assert text == golden
-
-
-def _render_ascii_row_scan(diagram):
-    """The node rows as rendered by one scan over every node per row."""
-    width = 2 * diagram.r + _GAP
-    rows = []
-    for j in range(diagram.max_row, -1, -1):
-        line = [" "] * width
-        for node in diagram.nodes:
-            if node.row == j:
-                line[_column(diagram, node)] = "*"
-        rows.append("".join(line).rstrip())
-    return rows
+    diagram = shell_diagram(ShellPattern(12, [0, 2, 8, 12]))
+    assert render_ascii(diagram) == (GOLDEN / "shell_r12.txt").read_text()
+    assert render_svg(diagram) == (GOLDEN / "shell_r12.svg").read_text()
 
 
 def test_render_ascii_matches_row_scan():
@@ -742,8 +809,8 @@ def test_render_ascii_matches_row_scan():
         for _ in range(3):
             inner = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
             diagram = shell_diagram(ShellPattern(r, [0] + inner + [r]))
-            rows = render_ascii(diagram).splitlines()
-            assert rows[:-1] == _render_ascii_row_scan(diagram), (r, diagram.pattern)
+            assert render_ascii(diagram) == _oracle_ascii(diagram), (r, diagram.pattern)
+            assert render_svg(diagram) == _oracle_svg(diagram), (r, diagram.pattern)
 
 
 def test_render_deterministic():
