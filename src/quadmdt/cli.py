@@ -9,6 +9,10 @@ Exit codes: 0 success, 2 validation error, 3 enumeration bound exceeded.
 
 Structured inputs (profiles, partitions, correspondences) may be given
 inline as JSON, as @FILE, or as "-" for stdin.
+
+Each command imports the layers it uses (mdt, chow, corr) in its body:
+every CLI request is its own process, which compiles and runs each module
+it imports, so a profile-only request should not pay for the others.
 """
 
 from __future__ import annotations
@@ -17,12 +21,10 @@ import argparse
 import json
 import sys
 
-from . import chow, corr, mdt
-from .corr import Correspondence
 from .errors import BoundExceeded, QuadmdtError
-from .mdt import SEMANTICS_NOTE, MdtPartition, RuleSet
 from .profile import (
     QuadricProfile,
+    _count_patterns,
     _iter_patterns,
     excellent_pairs,
     i1_admissible_set,
@@ -49,7 +51,9 @@ def _parse_i1_rules(text):
     return frozenset(token.strip() for token in text.split(",") if token.strip())
 
 
-def _parse_mdt_rules(text) -> RuleSet:
+def _parse_mdt_rules(text):
+    from .mdt import RuleSet
+
     rules = RuleSet.proven()
     if text is None:
         return rules
@@ -82,23 +86,34 @@ def _profiles_from_json(data):
 
 
 def cmd_pattern_enum(args) -> int:
-    patterns = _iter_patterns(args.r, args.s, _parse_i1_rules(args.rules))
+    rules = _parse_i1_rules(args.rules)
+    if args.count:
+        count = _count_patterns(args.r, args.s, rules)
+        _check_limit(args.limit, count)
+        _emit_json(args, count)
+        return 0
+    patterns = _iter_patterns(args.r, args.s, rules)
     if args.limit is not None:
         patterns = _at_most(args.limit, patterns)
-    if args.count:
-        _emit_json(args, sum(1 for _ in patterns))
-    else:
-        _emit_json(args, [list(p) for p in patterns])
+    _emit_json(args, [list(p) for p in patterns])
     return 0
+
+
+def _check_limit(limit, count: int):
+    """Raise BoundExceeded if count patterns are more than --limit allows."""
+    if limit is None:
+        return
+    if limit < 0:
+        raise ValueError("--limit must be >= 0, got %d" % limit)
+    if count > limit:
+        raise BoundExceeded("more than %d patterns (--limit)" % limit)
 
 
 def _at_most(limit: int, patterns):
     """Pass the patterns through; raise BoundExceeded at pattern limit + 1."""
-    if limit < 0:
-        raise ValueError("--limit must be >= 0, got %d" % limit)
-    for k, pattern in enumerate(patterns):
-        if k == limit:
-            raise BoundExceeded("more than %d patterns (--limit)" % limit)
+    _check_limit(limit, 0)
+    for k, pattern in enumerate(patterns, 1):
+        _check_limit(limit, k)
         yield pattern
 
 
@@ -115,10 +130,14 @@ def cmd_excellent_pairs(args) -> int:
 
 
 def cmd_mdt_solve(args) -> int:
+    from . import mdt
+
     profile = QuadricProfile.from_json_dict(_load_json(args.profile))
     rules = _parse_mdt_rules(args.rules)
+    if args.max_r < 0:
+        raise ValueError("--max-r must be >= 0, got %d" % args.max_r)
     partitions = mdt.enumerate_mdt(profile, rules, max_r=args.max_r)
-    payload = {"semantics": SEMANTICS_NOTE}
+    payload = {"semantics": mdt.SEMANTICS_NOTE}
     if args.count:
         payload["count"] = len(partitions)
     else:
@@ -128,8 +147,10 @@ def cmd_mdt_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import mdt
+
     profile = QuadricProfile.from_json_dict(_load_json(args.profile))
-    partition = MdtPartition.from_json_dict(_load_json(args.partition), profile)
+    partition = mdt.MdtPartition.from_json_dict(_load_json(args.partition), profile)
     rules = _parse_mdt_rules(args.rules)
     violations = mdt.check_partition(profile, partition, rules)
     _emit_json(args, [v.to_json_dict() for v in violations])
@@ -137,6 +158,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from . import mdt
+
     # Diagram shape only needs (r, pattern); the i_1-bound validation is
     # deliberately skipped so classical illustration patterns render.
     fields = profile_json_fields(_load_json(args.profile), required=("r", "pattern"))
@@ -150,6 +173,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_steenrod(args) -> int:
+    from . import chow
+
     context = _profiles_from_json(_load_json(args.profile))
     cycle = chow.cycle_from_text(_read_source(args.cycle), context)
     _emit(args, chow.cycle_to_text(chow.steenrod(args.j, cycle)) + "\n")
@@ -157,8 +182,10 @@ def cmd_steenrod(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    f = Correspondence.from_json_dict(_load_json(args.f))
-    g = Correspondence.from_json_dict(_load_json(args.g))
+    from . import corr
+
+    f = corr.Correspondence.from_json_dict(_load_json(args.f))
+    g = corr.Correspondence.from_json_dict(_load_json(args.g))
     _emit_json(args, corr.compose(f, g).to_json_dict())
     return 0
 

@@ -59,10 +59,8 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .chow import Cycle, h, l
-from .corr import Correspondence
 from .errors import (
     ArityMismatch,
     BoundExceeded,
@@ -81,6 +79,9 @@ from .profile import (
     strongly_excellent_profile,
     v2,
 )
+
+if TYPE_CHECKING:
+    from .corr import Correspondence
 
 LO = "lo"
 UP = "up"
@@ -166,6 +167,11 @@ def lambda_set(profile: QuadricProfile) -> tuple:
 
 def alpha_cycle(sym: LambdaSymbol, profile: QuadricProfile) -> Correspondence:
     """Diagonal idempotent attached to a lambda symbol."""
+    # the only use of chow and corr here: importing them in the body spares
+    # every caller of the rules and the enumerator from loading them
+    from .chow import Cycle, h, l
+    from .corr import Correspondence
+
     d_x = profile.d_x
     if sym.kind == LO:
         if not 0 <= sym.index < profile.r:

@@ -303,6 +303,20 @@ def _iter_patterns(r: int, s: int, rules=None):
     return patterns()
 
 
+def _count_patterns(r: int, s: int, rules=None) -> int:
+    """len(pattern_enumerate(r, s, rules)), without listing the patterns.
+
+    Whether a step is admissible depends only on the r still to place (and
+    s and the rules), so count(0) = 1 and count(rem) is the sum of
+    count(rem - i) over i in i1_admissible_set(rem, s, rules): O(r^2) tests.
+    """
+    rules = _check_i1_args(r, s, rules)
+    counts = [1]
+    for rem in range(1, r + 1):
+        counts.append(sum(counts[rem - i] for i in i1_admissible_set(rem, s, rules)))
+    return counts[r]
+
+
 @dataclass(frozen=True)
 class AlternatingExpansion:
     """The unique expansion value = 2^{n_1} - 2^{n_2} + ... +- 2^{n_j}.

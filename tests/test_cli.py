@@ -5,6 +5,7 @@ import json
 import pytest
 
 from quadmdt.cli import main
+from quadmdt.profile import _count_patterns
 
 PROFILE_22 = '{"dim": 6, "r": 2, "s": 2, "pattern": [0, 2]}'
 PROFILE_PFISTER = '{"dim": 8, "r": 4, "s": 0, "pattern": [0, 4]}'
@@ -72,6 +73,17 @@ def test_pattern_enum_limit(capsys):
     code, _, err = run(capsys, "pattern-enum", "-r", "2", "-s", "2", "--limit", "-1")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ValueError"
+    code, out, err = run(
+        capsys, "pattern-enum", "-r", "2", "-s", "2", "--limit", "-1", "--count"
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_pattern_enum_count_does_not_list(capsys):
+    # about 10^46 patterns: only the count over the remaining r can answer
+    code, out, _ = run(capsys, "pattern-enum", "-r", "200", "-s", "0", "--count")
+    assert (code, out) == (0, "%d\n" % _count_patterns(200, 0))
 
 
 def test_i1_bounds_conjectural(capsys):
@@ -159,6 +171,10 @@ def test_mdt_solve_bound_exceeded(capsys):
     assert json.loads(err)["error"]["type"] == "BoundExceeded"
     code, out, _ = run(capsys, "mdt-solve", big, "--count", "--max-r", "9")
     assert code == 0
+    # a negative bound is malformed input, not a bound the profile exceeds
+    code, out, err = run(capsys, "mdt-solve", PROFILE_22, "--max-r", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_check_subcommand(capsys):

@@ -15,6 +15,7 @@ from quadmdt.errors import (
 )
 from quadmdt.profile import (
     QuadricProfile,
+    _count_patterns,
     _iter_patterns,
     alternating_2adic,
     excellent_pairs,
@@ -348,6 +349,18 @@ def test_iter_patterns_checks_arguments_before_iterating():
         with pytest.raises(ValueError):
             _iter_patterns(r, s, rules)
     assert tuple(_iter_patterns(5, 3)) == pattern_enumerate(5, 3)
+
+
+def test_count_patterns_matches_listing():
+    names = ("base", "singular", "conjectural")
+    subsets = [set(c) for k in range(4) for c in itertools.combinations(names, k)]
+    for rules in subsets:
+        for r in range(1, 15):
+            for s in range(9):
+                assert _count_patterns(r, s, rules) == len(pattern_enumerate(r, s, rules))
+    for r, s, rules in ((0, 2, None), (2, -1, None), (2, 2, {"nope"})):
+        with pytest.raises(ValueError):
+            _count_patterns(r, s, rules)
 
 
 def test_pattern_enumerate_all_steps_valid_profiles():
