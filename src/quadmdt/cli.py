@@ -18,6 +18,7 @@ it imports, so a profile-only request should not pay for the others.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -94,7 +95,9 @@ def cmd_pattern_enum(args) -> int:
         return 0
     patterns = _iter_patterns(args.r, args.s, rules)
     if args.limit is not None:
-        patterns = _at_most(args.limit, patterns)
+        # one pattern past the limit is enough to exceed it
+        patterns = list(itertools.islice(patterns, max(args.limit, -1) + 1))
+        _check_limit(args.limit, len(patterns))
     _emit_json(args, [list(p) for p in patterns])
     return 0
 
@@ -107,14 +110,6 @@ def _check_limit(limit, count: int):
         raise ValueError("--limit must be >= 0, got %d" % limit)
     if count > limit:
         raise BoundExceeded("more than %d patterns (--limit)" % limit)
-
-
-def _at_most(limit: int, patterns):
-    """Pass the patterns through; raise BoundExceeded at pattern limit + 1."""
-    _check_limit(limit, 0)
-    for k, pattern in enumerate(patterns, 1):
-        _check_limit(limit, k)
-        yield pattern
 
 
 def cmd_i1_bounds(args) -> int:

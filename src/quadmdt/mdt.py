@@ -33,10 +33,11 @@ Rule identifiers and provenance:
 The library is one ordered table, RULES, with one row per rule: its id,
 provenance, summary, check and scope.  The checker runs the enabled rows in
 that order.  The default ("proven") set enables the first eight in their
-automatic scope.  Enabling R-EXC / R-VPN / R-VISHIK by name widens them to
-their asserted, unconditional form.  R-DUAL, R-EXC and R-VPN are connection
-rules: their scopes are stated once, as a table of symbol pairs per profile
-that the enumerator merges up front and the rows' checks report when split.
+automatic scope.  Enabling R-EXC / R-VPN by name widens them to their
+asserted, unconditional form; R-VISHIK has no automatic scope to widen, so
+enabling it only turns it on.  R-DUAL, R-EXC and R-VPN are connection rules:
+their scopes are stated once, as a table of symbol pairs per profile that
+the enumerator merges up front and the rows' checks report when split.
 
 The rows work on a compiled form of a (profile, RuleSet) pair: Lambda(X)
 encoded as the integers 0..2r-1 in lambda_set order (so integer order is
@@ -57,6 +58,7 @@ survivors become MdtPartitions.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -297,7 +299,7 @@ def _shift_block(block, j):
 class RuleSet:
     """Enabled rule ids and their scope.
 
-    ``assumed`` widens R-EXC / R-VPN / R-VISHIK beyond their automatic
+    ``assumed`` widens R-EXC / R-VPN beyond their automatic
     (profile-forced) scope: R-EXC then checks excellent pairs for every s,
     R-VPN asserts the form itself is a virtual Pfister neighbour.
     """
@@ -319,7 +321,7 @@ class RuleSet:
         extra = frozenset(rule_ids)
         return RuleSet(
             enabled=self.enabled | extra,
-            assumed=self.assumed | (extra & {"R-EXC", "R-VPN", "R-VISHIK"}),
+            assumed=self.assumed | (extra & {"R-EXC", "R-VPN"}),
         )
 
 
@@ -420,7 +422,11 @@ def _vpn_assertion(profile: QuadricProfile) -> tuple:
 def _vishik_positions(profile: QuadricProfile) -> dict:
     """Per shell 1 <= t < h, keyed by j_{t-1}: t and the lower positions (with
     their k) that the block based at j_{t-1} must hold; a shell with
-    dim - 2 j_{t-1} - j_t < 1 has no expansion and requires none."""
+    dim - 2 j_{t-1} - j_t < 1 has no expansion and requires none.
+
+    The k-th position (1 <= k <= j) is j_{t-1} + m_1 + ... + m_{k-1} in the
+    expansion of dim - 2 j_{t-1} - j_t: the left end of its k-th excellent
+    window, shifted to the shell."""
     out = {}
     p = profile.pattern
     for t in range(1, profile.height):
@@ -428,19 +434,9 @@ def _vishik_positions(profile: QuadricProfile) -> dict:
         if m_val < 1:
             continue
         exp = alternating_2adic(m_val)
-        tail = 0
-        tails = []
-        # suffix alternating sums T_k = 2^{n_k} - 2^{n_{k+1}} + ...
-        for n_k in reversed(exp.n):
-            tail = (1 << n_k) - tail
-            tails.append(tail)
-        tails.reverse()
-        positions = []
-        for k in range(1, exp.j + 1):
-            pos = (m_val - tails[k - 1]) // 2 + p[t - 1]
-            if 0 <= pos < profile.r:
-                positions.append((pos, k))
-        out[p[t - 1]] = (t, tuple(positions))
+        starts = itertools.accumulate(exp.m, initial=p[t - 1])
+        positions = zip(starts, range(1, exp.j + 1))
+        out[p[t - 1]] = (t, tuple((pos, k) for pos, k in positions if pos < profile.r))
     return out
 
 

@@ -274,46 +274,55 @@ def pattern_enumerate(r: int, s: int, rules=None) -> tuple:
     return tuple(_iter_patterns(r, s, rules))
 
 
+def _step_table(r: int, s: int, rules=None) -> list:
+    """Entry rem <= r: the sorted steps i1_admissible_set(rem, s, rules).
+
+    Whether a step is admissible depends only on the r still to place (and
+    s and the rules), so each set is computed once per listing or count.
+    """
+    rules = _check_i1_args(r, s, rules)
+    return [()] + [tuple(sorted(i1_admissible_set(rem, s, rules))) for rem in range(1, r + 1)]
+
+
 def _iter_patterns(r: int, s: int, rules=None):
     """The patterns of pattern_enumerate one at a time, in the same order.
 
     The arguments are checked at once; the patterns come from the returned
-    generator.  Steps are chosen in ascending order at every level, and two
+    generator.  It walks the tree of step choices with an explicit stack
+    (one step iterator per placed j_t), so a pattern of any length can be
+    reached.  Steps are chosen in ascending order at every level, and two
     patterns first differ at the first step where they differ, at which the
     smaller step gives the smaller running sum; so the patterns come out
     sorted.
     """
-    rules = _check_i1_args(r, s, rules)
+    table = _step_table(r, s, rules)
 
-    def extend(r_rem: int):
-        if r_rem == 0:
-            yield ()
-            return
-        for i in sorted(i1_admissible_set(r_rem, s, rules)):
-            for rest in extend(r_rem - i):
-                yield (i,) + rest
+    def walk():
+        pattern, stack = [0], [iter(table[r])]
+        while stack:
+            i = next(stack[-1], None)
+            if i is None:
+                stack.pop()
+                pattern.pop()
+            elif pattern[-1] + i == r:
+                yield tuple(pattern) + (r,)
+            else:
+                pattern.append(pattern[-1] + i)
+                stack.append(iter(table[r - pattern[-1]]))
 
-    def patterns():
-        for steps in extend(r):
-            acc = [0]
-            for i in steps:
-                acc.append(acc[-1] + i)
-            yield tuple(acc)
-
-    return patterns()
+    return walk()
 
 
 def _count_patterns(r: int, s: int, rules=None) -> int:
     """len(pattern_enumerate(r, s, rules)), without listing the patterns.
 
-    Whether a step is admissible depends only on the r still to place (and
-    s and the rules), so count(0) = 1 and count(rem) is the sum of
-    count(rem - i) over i in i1_admissible_set(rem, s, rules): O(r^2) tests.
+    count(0) = 1 and count(rem) is the sum of count(rem - i) over the
+    admissible steps i of _step_table: O(r^2) tests.
     """
-    rules = _check_i1_args(r, s, rules)
+    table = _step_table(r, s, rules)
     counts = [1]
     for rem in range(1, r + 1):
-        counts.append(sum(counts[rem - i] for i in i1_admissible_set(rem, s, rules)))
+        counts.append(sum(counts[rem - i] for i in table[rem]))
     return counts[r]
 
 
@@ -338,27 +347,24 @@ class AlternatingExpansion:
 
 
 def alternating_2adic(value: int) -> AlternatingExpansion:
-    """Compute the alternating 2-adic expansion of a positive integer."""
+    """Compute the alternating 2-adic expansion of a positive integer.
+
+    One loop walks the remainders T_1 = value, T_{k+1} = 2^{n_k} - T_k,
+    where n_k is the smallest exponent with 2^{n_k} >= T_k, and reads
+    m_k = 2^{n_k - 1} - T_{k+1} off them.
+    """
     if value < 1:
         raise ValueError("value must be >= 1")
     n = []
+    m = []
     rem = value
     while rem:
         k = (rem - 1).bit_length()  # smallest k with 2^k >= rem
         n.append(k)
         rem = (1 << k) - rem
-    n_tuple = tuple(n)
-    j = len(n_tuple)
-    j_prime = j if value % 2 == 0 else j - 1
-    m = []
-    for i in range(j_prime):
-        acc = 1 << (n_tuple[i] - 1)
-        sign = -1
-        for u in range(i + 1, j):
-            acc += sign * (1 << n_tuple[u])
-            sign = -sign
-        m.append(acc)
-    return AlternatingExpansion(value=value, n=n_tuple, m=tuple(m), j=j, j_prime=j_prime)
+        if k:  # n_k = 0 only ends an odd value, whose m_j is not stored
+            m.append((1 << (k - 1)) - rem)
+    return AlternatingExpansion(value=value, n=tuple(n), m=tuple(m), j=len(n), j_prime=len(m))
 
 
 @dataclass(frozen=True)
@@ -428,15 +434,11 @@ def strongly_excellent_profile(n_list, s: int):
             "with trivial quasilinear part the last two exponents need a gap > 1"
         )
 
-    def kernel_dim(i: int) -> int:
-        acc = 0
-        sign = 1
-        for u in range(i, h):
-            acc += sign * (1 << n_list[u])
-            sign = -sign
-        return acc + sign * s
-
-    dims = [kernel_dim(i) for i in range(h)] + [s]
+    # dims[h] = s and dims[i] = 2^{n_i} - dims[i + 1]
+    dims = [s]
+    for n in reversed(n_list):
+        dims.append((1 << n) - dims[-1])
+    dims.reverse()
     m = [dims[i] - (1 << (n_list[i] - 1)) for i in range(h)]
     if any(x < 1 for x in m) or any(a <= b for a, b in zip(dims, dims[1:])):
         raise ConstraintViolated("exponent data does not define a valid tower")

@@ -70,6 +70,10 @@ def test_pattern_enum_limit(capsys):
         capsys, "pattern-enum", "-r", "60", "-s", "0", "--limit", "5", "--count"
     )
     assert (code, out) == (3, "")
+    # patterns longer than the recursion limit still end at the bound
+    code, out, err = run(capsys, "pattern-enum", "-r", "1200", "-s", "0", "--limit", "1")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "BoundExceeded"
     code, _, err = run(capsys, "pattern-enum", "-r", "2", "-s", "2", "--limit", "-1")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ValueError"

@@ -19,6 +19,7 @@ from quadmdt.errors import (
 )
 from quadmdt.mdt import (
     _GAP,
+    _vishik_positions,
     RULE_IDS,
     LambdaSymbol,
     MdtPartition,
@@ -41,7 +42,13 @@ from quadmdt.mdt import (
     up,
     vpn_connections,
 )
-from quadmdt.profile import QuadricProfile, excellent_pairs, mk_profile, pattern_enumerate
+from quadmdt.profile import (
+    QuadricProfile,
+    alternating_2adic,
+    excellent_pairs,
+    mk_profile,
+    pattern_enumerate,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -569,6 +576,8 @@ def test_rule_set_unknown_id():
 def test_vishik_rule_behaviour():
     p = prof(8, 4, 0, [0, 2, 4])
     vishik = RuleSet.proven().enable("R-VISHIK")
+    # R-VISHIK has no automatic scope, so enabling it widens nothing
+    assert vishik.assumed == frozenset()
     # the true MDT (two orbit blocks) passes
     for part in enumerate_mdt(p, vishik):
         assert check_partition(p, part, vishik) == ()
@@ -582,6 +591,32 @@ def test_vishik_rule_behaviour():
     q = prof(10, 5, 0)
     report = check_partition(q, MdtPartition.of(q, forced_connections(q)), vishik)
     assert not any("j_3" in v.witness for v in report)
+
+
+def test_vishik_positions_match_remainder_formula():
+    # oracle: the k-th position is (m_val - T_k) / 2 + j_{t-1}, with the
+    # suffix alternating sums T_k = 2^{n_k} - 2^{n_{k+1}} + ... summed literally
+    checked = 0
+    for r in range(1, 11):
+        for s in range(9):
+            for pattern in pattern_enumerate(r, s):
+                p = prof(2 * r + s, r, s, pattern)
+                expected = {}
+                for t in range(1, p.height):
+                    m_val = p.dim - 2 * pattern[t - 1] - pattern[t]
+                    if m_val < 1:
+                        continue
+                    n = alternating_2adic(m_val).n
+                    positions = []
+                    for k in range(1, len(n) + 1):
+                        tail = sum((-1) ** (u - k + 1) * (1 << n[u]) for u in range(k - 1, len(n)))
+                        pos = (m_val - tail) // 2 + pattern[t - 1]
+                        if 0 <= pos < r:
+                            positions.append((pos, k))
+                    expected[pattern[t - 1]] = (t, tuple(positions))
+                assert _vishik_positions(p) == expected
+                checked += 1
+    assert checked > 1000
 
 
 # -- closed-form generators ------------------------------------------------------------

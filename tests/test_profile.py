@@ -185,6 +185,12 @@ def test_alternating_oracle_exhaustive():
         assert exp.n == oracle[0]
         # alternating sum round-trips
         assert sum((-1) ** i * (1 << n) for i, n in enumerate(exp.n)) == value
+        # m_k = 2^{n_k - 1} - 2^{n_{k+1}} + 2^{n_{k+2}} - ..., summed literally
+        for k in range(1, exp.j_prime + 1):
+            literal = (1 << (exp.n[k - 1] - 1)) + sum(
+                (-1) ** (u - k + 1) * (1 << exp.n[u]) for u in range(k, exp.j)
+            )
+            assert exp.m[k - 1] == literal
 
 
 def test_alternating_m_sums():
@@ -309,6 +315,25 @@ def test_strongly_excellent_kernel_dims_decrease():
         _, dims = strongly_excellent_profile(n_list, s)
         assert all(a > b for a, b in zip(dims, dims[1:]))
         assert dims[-1] == s
+    # every accepted exponent list with n <= 11, h <= 4: dims[i] is the
+    # literal signed sum 2^{n_i} - 2^{n_{i+1}} + ... + (-1)^{h-i} s
+    accepted = 0
+    for h in range(1, 5):
+        for combo in itertools.combinations(range(11, 0, -1), h):
+            for s in range(9):
+                try:
+                    _, dims = strongly_excellent_profile(combo, s)
+                except ConstraintViolated:
+                    continue
+                accepted += 1
+                literal = [
+                    sum((-1) ** (u - i) * (1 << combo[u]) for u in range(i, h))
+                    + (-1) ** (h - i) * s
+                    for i in range(h)
+                ]
+                assert dims == tuple(literal) + (s,)
+                assert all(a > b for a, b in zip(dims, dims[1:]))
+    assert accepted > 0
 
 
 def test_strongly_excellent_rejects_bad_input():
@@ -349,6 +374,9 @@ def test_iter_patterns_checks_arguments_before_iterating():
         with pytest.raises(ValueError):
             _iter_patterns(r, s, rules)
     assert tuple(_iter_patterns(5, 3)) == pattern_enumerate(5, 3)
+    # the walk keeps its own stack: a pattern far longer than the recursion
+    # limit is reached
+    assert next(_iter_patterns(3000, 0)) == tuple(range(3001))
 
 
 def test_count_patterns_matches_listing():
