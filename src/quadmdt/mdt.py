@@ -46,13 +46,17 @@ Izh - 1, the interior j_t, the R-VPN assertion and the connection pairs --
 computed once and cached per pair.  Every row but R-SHIFT and the
 connection rows reads one block at a time: R-PARITY and R-ENDPOINT any
 block, R-UPPER and R-KARPENKO the upper block (first symbol 0_lo), R-VISHIK
-a block based at some j_{t-1}.  Each row's check yields its witnesses and
-formats symbols only when it yields one: check_partition collects every
-witness, row by row and, for a per-block row, block by block.  The
-enumerator searches block by block instead of testing whole candidates: a
-block is complete when it is chosen, so each union of atoms is judged once
-by the per-block rows, and a complete candidate only runs R-SHIFT; only the
-survivors become MdtPartitions.
+a block based at some j_{t-1}.  Each row's check yields its witnesses as
+templates with their arguments, and only check_partition formats them: it
+collects every witness, row by row and, for a per-block row, block by
+block.  The enumerator searches block by block instead of testing whole
+candidates: a block is complete when it is chosen, so each union of atoms
+is judged once by the per-block rows, with no witness text.  R-SHIFT is
+read whole by the checker (_check_shift) and incrementally by the search
+(_shift_orbits), which places a shell's base block together with its
+shifts; no pass runs over complete candidates.  The search tries blocks in
+order, so the survivors come out canonically ordered, and only they become
+MdtPartitions.
 """
 
 from __future__ import annotations
@@ -94,13 +98,17 @@ class Rule:
     """One necessary condition: a row of the rule table.
 
     ``check`` yields the witness of every way a candidate breaks the rule,
-    reading ``compiled``, the profile and rules over integer symbols (see
-    _compile).  What else it reads depends on ``scope``:
+    as a (template, arguments) pair that check_partition formats, reading
+    ``compiled``, the profile and rules over integer symbols (see _compile).
+    What else it reads depends on ``scope``:
 
     - "block": ``check(compiled, block)`` reads one block, an ascending int
       tuple; a candidate breaks the rule where any of its blocks does;
     - "partition": ``check(compiled, block_of, blocks)`` reads the whole
-      candidate, given by each symbol's block position and its blocks;
+      candidate, given by each symbol's block position and its blocks.  The
+      one such rule, R-SHIFT, is read whole by the checker and block by
+      block by the enumerator, which places a base block with its shifts
+      (_shift_orbits);
     - "connection": as "partition", for a rule whose symbol pairs the
       enumerator merges into atoms before it places any block.
     """
@@ -409,13 +417,14 @@ class _Compiled:
 
 
 def _vpn_assertion(profile: QuadricProfile) -> tuple:
-    """Asserted, the form must be a neighbour with m in its pattern."""
+    """Asserted, the form must be a neighbour with m in its pattern: the
+    witnesses, as (template, arguments), that it fails to be."""
     try:
         m = pfister_neighbour_invariants(profile.dim, profile.s).m
     except NotNeighbourEligible as exc:
-        return (str(exc),)
+        return (("%s", (str(exc),)),)
     if m not in profile.pattern:
-        return ("m = %d not in the splitting pattern %s" % (m, list(profile.pattern)),)
+        return (("m = %d not in the splitting pattern %s", (m, list(profile.pattern))),)
     return ()
 
 
@@ -477,18 +486,33 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
 # block in ``blocks``, the canonically ordered blocks.  A lower symbol sorts
 # before every upper one, so a block's a is its first symbol when that is
 # lower, and its b its last symbol when that is upper; 0_lo's block is the
-# upper block, the one whose first symbol is 0.
+# upper block, the one whose first symbol is 0.  A check yields each witness
+# as its text's template and arguments: the search drops a union at its first
+# witness and formats nothing, and check_partition fills them in.
 
 
 def _fmt(c, block) -> str:
     return ", ".join([str(c.symbol(k)) for k in block])
 
 
-def _split_pairs(c, rule_id, witness, block_of):
+class _BlockText:
+    """A witness argument: a block, written as its symbols only when the
+    witness's text is formatted."""
+
+    __slots__ = ("c", "block")
+
+    def __init__(self, c, block):
+        self.c, self.block = c, block
+
+    def __str__(self):
+        return _fmt(self.c, self.block)
+
+
+def _split_pairs(c, rule_id, template, block_of):
     """Witnesses of a connection rule: one per pair the candidate splits."""
     for a, b in c.connections.get(rule_id, ()):
         if block_of[a] != block_of[b]:
-            yield witness % (c.symbol(a), c.symbol(b))
+            yield template, (c.symbol(a), c.symbol(b))
 
 
 def _check_dual(c, block_of, blocks):
@@ -506,17 +530,16 @@ def _check_vpn(c, block_of, blocks):
 
 def _check_parity(c, block):
     if len(block) % 2:
-        yield "odd block {%s}" % _fmt(c, block)
+        yield "odd block {%s}", (_BlockText(c, block),)
 
 
 def _check_endpoint(c, block):
     a, top = block[0], block[-1]
     if a >= c.r or top < c.r:
-        yield "one-sided block {%s} has no endpoint pair" % _fmt(c, block)
+        yield "one-sided block {%s} has no endpoint pair", (_BlockText(c, block),)
     elif top - c.up_offset != c.expected_b[a]:
-        yield "block {%s}: b = %d, expected %d" % (
-            _fmt(c, block), top - c.up_offset, c.expected_b[a]
-        )
+        b = top - c.up_offset
+        yield "block {%s}: b = %d, expected %d", (_BlockText(c, block), b, c.expected_b[a])
 
 
 def _check_shift(c, block_of, blocks):
@@ -534,8 +557,8 @@ def _check_shift(c, block_of, blocks):
         base = members.get(lo_bound)
         if base is None:
             yield (
-                "shell %d has blocks based at %s but none at j_%d = %d"
-                % (t, sorted(members), t - 1, lo_bound)
+                "shell %d has blocks based at %s but none at j_%d = %d",
+                (t, sorted(members), t - 1, lo_bound),
             )
             continue
         lowers = [k for k in base if k < r]
@@ -544,16 +567,16 @@ def _check_shift(c, block_of, blocks):
             shifted = tuple(x + k for x in base)
             if lowers[-1] + k >= r or members.get(lo_bound + k) != shifted:
                 yield (
-                    "shell %d: block at a = %d must be the base block "
-                    "shifted by %d" % (t, lo_bound + k, k)
+                    "shell %d: block at a = %d must be the base block shifted by %d",
+                    (t, lo_bound + k, k),
                 )
         # part (2): lo members of the base block respect the shell widths
         for i in lowers:
             t2 = c.shell[i]
             if i + step > p[t2]:
                 yield (
-                    "base block of shell %d contains %s with %d + %d > j_%d = %d"
-                    % (t, c.symbol(i), i, step, t2, p[t2])
+                    "base block of shell %d contains %s with %d + %d > j_%d = %d",
+                    (t, c.symbol(i), i, step, t2, p[t2]),
                 )
 
 
@@ -567,23 +590,23 @@ def _check_upper(c, block):
     r = c.r
     b = block[-1] - c.up_offset if block[-1] >= r else None
     if b != c.izh_b:
-        yield "upper block has b = %s, expected Izh - 1 = %d" % (b, c.izh_b)
+        yield "upper block has b = %s, expected Izh - 1 = %d", (b, c.izh_b)
     los = [k for k in block if k < r]
     if len(block) != 2:
         if len(los) < 2:
-            yield "upper block of size > 2 needs >= 2 lower symbols"
+            yield "upper block of size > 2 needs >= 2 lower symbols", ()
         elif los[1] not in c.interior:
-            yield _NOT_INTERIOR_JT % los[1]
+            yield _NOT_INTERIOR_JT, (los[1],)
     if len(c.pattern) >= 3:
         j1, j2 = c.pattern[1], c.pattern[2]
         inside = [i for i in los if j1 <= i < j2]
         if inside:
             i1, i2 = c.steps[0], c.steps[1]
             if i2 % i1:
-                yield "i_1 = %d does not divide i_2 = %d" % (i1, i2)
+                yield "i_1 = %d does not divide i_2 = %d", (i1, i2)
             expected = list(range(i1, j2 - i1 + 1, i1))
             if inside != expected:
-                yield "lower indices %s in [j_1, j_2) must be %s" % (inside, expected)
+                yield "lower indices %s in [j_1, j_2) must be %s", (inside, expected)
 
 
 def _check_karpenko(c, block):
@@ -594,21 +617,21 @@ def _check_karpenko(c, block):
     positives = [k for k in block[1:] if k < c.r]
     for i in positives:
         if i % (1 << v):
-            yield "lower index %d in the upper block not divisible by 2^%d" % (i, v)
+            yield "lower index %d in the upper block not divisible by 2^%d", (i, v)
     if not positives:
         return
     mn = positives[0]
     if mn not in c.interior:
-        yield _NOT_INTERIOR_JT % mn
+        yield _NOT_INTERIOR_JT, (mn,)
         return
     t = c.pattern.index(mn)
     i_next = c.steps[t]
     if v2(i_next) < v2(i1):
-        yield "v2(i_%d) = %d < v2(i_1) = %d" % (t + 1, v2(i_next), v2(i1))
+        yield "v2(i_%d) = %d < v2(i_1) = %d", (t + 1, v2(i_next), v2(i1))
     # second theorem; v2(0) counts as +infinity
     gap = mn - i1
     if (gap == 0 or v2(gap) >= v2(i1) + 2) and v2(i_next) > v2(i1) + 1:
-        yield "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d" % (t + 1, v2(i_next), v2(i1) + 1)
+        yield "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d", (t + 1, v2(i_next), v2(i1) + 1)
 
 
 def _check_vishik(c, block):
@@ -618,7 +641,7 @@ def _check_vishik(c, block):
     t, positions = shell
     for pos, k in positions:
         if pos not in block:
-            yield "block at a = j_%d must contain %s (k = %d)" % (t - 1, c.symbol(pos), k)
+            yield "block at a = j_%d must contain %s (k = %d)", (t - 1, c.symbol(pos), k)
 
 
 # -- the rule table and the checker ----------------------------------------------
@@ -699,41 +722,92 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     violations = []
     for rule in c.rows:
         if rule.scope == "block":
-            for block in blocks:
-                violations += [Violation(rule.id, w) for w in rule.check(c, block)]
+            found = [w for block in blocks for w in rule.check(c, block)]
         else:
-            violations += [Violation(rule.id, w) for w in rule.check(c, block_of, blocks)]
+            found = rule.check(c, block_of, blocks)
+        violations += [Violation(rule.id, template % args) for template, args in found]
     return tuple(violations)
 
 
 # -- enumerator ----------------------------------------------------------------
 
 
-def _passes(c, checks, *candidate) -> bool:
-    """No check yields a witness on the candidate; stops at the first one."""
+def _passes(c, checks, block) -> bool:
+    """No per-block check yields a witness on the block; stops at the first."""
     for check in checks:
-        for _ in check(c, *candidate):
+        for _ in check(c, block):
             return False
     return True
 
 
+# R-SHIFT as the search reads it.  _check_shift reads a whole candidate; the
+# search places blocks lowest atom first and reads the same rule per shell t,
+# with j = j_{t-1} and width i_t = j_t - j.  A shell with no block based in
+# it is unconstrained; one with such blocks needs a base block B, the block
+# based at j, and then R-SHIFT holds for the shell exactly when
+#   - part (2) holds for B's lower symbols: i + i_t <= j_{t'} for i in shell
+#     t'; as j_{t'} <= r, no lower symbol is shifted out of the window, and
+#   - for 0 < k < i_t the block based at j + k is B shifted by k: a union of
+#     atoms that passes the per-block rows and is disjoint from B and from the
+#     other shifts.  So j + k lies outside B and is the lowest symbol of its
+#     atom, and every atom of the shifts is still unplaced when B is placed.
+# The only symbols between j and j_t are the j + k, so the shifts are the
+# next i_t - 1 blocks opened, and B's option places the whole orbit at once.
+# A block based at j + k (0 < k < i_t) is then never opened on its own: were
+# its atom still unplaced, the block of j would not be based at j, and the
+# shell would have blocks but no base.  Shells of width 1 constrain nothing.
+# So the search's state is the set of unplaced atoms alone.
+
+
+def _shift_orbits(c, passing):
+    """Each base block's option: (its orbit's blocks, their atom mask).
+
+    ``passing`` maps every union of atoms that passes the per-block rows, as
+    its ascending symbols, to its atom mask.  A block based at an upper
+    symbol is in no shell and is its own orbit; see the comment above for
+    the rest.
+    """
+    r, p, shell = c.r, c.pattern, c.shell
+    for block, mask in passing.items():
+        a = block[0]
+        if a >= r:
+            yield (block,), mask
+            continue
+        j = p[shell[a] - 1]
+        if a != j:  # placed with the base block at j
+            continue
+        width = p[shell[a]] - j
+        if any(i + width > p[shell[i]] for i in block if i < r):
+            continue
+        orbit, orbit_mask = (block,), mask
+        for k in range(1, width):
+            shifted = tuple([x + k for x in block])
+            shifted_mask = passing.get(shifted)
+            if shifted_mask is None or shifted_mask & orbit_mask:
+                break
+            orbit += (shifted,)
+            orbit_mask |= shifted_mask
+        else:
+            yield orbit, orbit_mask
+
+
 def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
-    """All partitions of Lambda(X) passing every enabled rule.
+    """All partitions of Lambda(X) passing every enabled rule, canonically
+    ordered.
 
     The profile and rules are compiled once.  The pairs of the connection
     rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find
     into atoms, so no candidate splits one; an asserted R-VPN that fails its
-    numerology excludes every partition.  The search then places whole
-    blocks: the lowest unplaced atom opens a block, which takes it with any
-    set of unplaced atoms whose union passes every per-block row.  Those
-    rows (R-PARITY, R-ENDPOINT, R-UPPER, R-KARPENKO, R-VISHIK) read one
-    block at a time, so each union of atoms gets one verdict per call.  A
-    complete candidate runs the partition rows (R-SHIFT, the one rule
-    across blocks); R-SHIFT also prunes the blocks based in a shell once
-    the shell's base block is placed.  Only the survivors become
-    MdtPartitions, so the output agrees with check_partition by
-    construction.  The result is canonically sorted and independent of
-    evaluation order.
+    numerology excludes every partition.  Each union of atoms is judged once
+    by the per-block rows (R-PARITY, R-ENDPOINT, R-UPPER, R-KARPENKO,
+    R-VISHIK), which format no witness text for it.  The search then places
+    whole blocks: the lowest unplaced atom opens a block, a passing union of
+    it and other unplaced atoms.  R-SHIFT is decided as blocks are placed
+    (_shift_orbits): a base block comes with its shifts, and no other block
+    based in a shell of width above 1 is opened.  So every complete candidate
+    passes every rule, and only these survivors become MdtPartitions.  The
+    options of each atom are tried in block order, so the survivors come out
+    in canonical order, the order of their sorted blocks, with no sort.
     """
     if rules is None:
         rules = RuleSet.proven()
@@ -770,65 +844,39 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     if c.vpn_assertion:  # reported on every partition
         return ()
     block_checks = [rule.check for rule in c.rows if rule.scope == "block"]
-    leaf_checks = [rule.check for rule in c.rows if rule.scope == "partition"]
-    # every block that passes the per-block rows, as (atom mask, its symbols
-    # ascending), listed under its lowest atom
-    opened_by = [[] for _ in atom_list]
-    mask_of = {}
+    # every union of atoms that passes the per-block rows: its symbols
+    # ascending -> its atom mask, in block order
     members = [()] * (1 << len(atom_list))
+    passing = []
     for mask in range(1, 1 << len(atom_list)):
         low = (mask & -mask).bit_length() - 1
         members[mask] = members[mask & (mask - 1)] + atom_list[low]
         block = tuple(sorted(members[mask]))
         if _passes(c, block_checks, block):
-            opened_by[low].append((mask, block))
-            mask_of[block] = mask
-    # R-SHIFT requires the block based at j_{t-1} + d (0 < d < i_t) to be the
-    # block based at j_{t-1} shifted by d, and that block is placed first:
-    # shift_base[i] is that j_{t-1} when the block atom i opens is based at
-    # such a j_{t-1} + d.  The leaf still runs the row; this only skips
-    # candidates it rejects.
-    shift_base = [None] * len(atom_list)
+            passing.append((block, mask))
+    passing = dict(sorted(passing))
     if "R-SHIFT" in rules.enabled:
-        for i, atom in enumerate(atom_list):
-            a = atom[0]
-            if a < c.r and a != c.pattern[c.shell[a] - 1]:
-                shift_base[i] = c.pattern[c.shell[a] - 1]
-    block_of = [0] * n
-    chosen = []
+        options = _shift_orbits(c, passing)
+    else:
+        options = (((block,), mask) for block, mask in passing.items())
+    # each option listed under the lowest atom of its mask, in block order,
+    # with its blocks as symbol tuples, the survivors' blocks
+    opened_by = [[] for _ in atom_list]
+    for orbit, mask in options:
+        blocks = tuple([tuple([c.symbol(k) for k in block]) for block in orbit])
+        opened_by[(mask & -mask).bit_length() - 1].append((mask, blocks))
     survivors = []
 
-    def place(free):
+    def place(free, chosen):
         if not free:
-            blocks = tuple(chosen)
-            if _passes(c, leaf_checks, block_of, blocks):
-                survivors.append(blocks)
+            survivors.append(MdtPartition(chosen, profile.r, profile.d_x))
             return
-        low = (free & -free).bit_length() - 1
-        options = opened_by[low]
-        j = shift_base[low]
-        if j is not None:
-            base = chosen[block_of[j]]
-            if base[0] != j:  # a block based in the shell, none at j_{t-1}
-                return
-            d = atom_list[low][0] - j
-            shifted = tuple([k + d for k in base])
-            options = [(mask_of[shifted], shifted)] if shifted in mask_of else ()
-        position = len(chosen)
-        for mask, block in options:
+        for mask, blocks in opened_by[(free & -free).bit_length() - 1]:
             if mask & free == mask:
-                for k in block:
-                    block_of[k] = position
-                chosen.append(block)
-                place(free ^ mask)
-                chosen.pop()
+                place(free ^ mask, chosen + blocks)
 
-    place((1 << len(atom_list)) - 1)
-    symbols = {block: tuple([c.symbol(k) for k in block]) for block in mask_of}
-    return tuple(
-        MdtPartition(tuple([symbols[block] for block in blocks]), profile.r, profile.d_x)
-        for blocks in sorted(survivors)
-    )
+    place((1 << len(atom_list)) - 1, ())
+    return tuple(survivors)
 
 
 # -- closed-form generators ----------------------------------------------------

@@ -70,7 +70,7 @@ def test_pattern_enum_limit(capsys):
         capsys, "pattern-enum", "-r", "60", "-s", "0", "--limit", "5", "--count"
     )
     assert (code, out) == (3, "")
-    # patterns longer than the recursion limit still end at the bound
+    # a type above the bound on r ends at exit 3 as well
     code, out, err = run(capsys, "pattern-enum", "-r", "1200", "-s", "0", "--limit", "1")
     assert (code, out) == (3, "")
     assert json.loads(err)["error"]["type"] == "BoundExceeded"
@@ -82,6 +82,21 @@ def test_pattern_enum_limit(capsys):
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_pattern_enum_bounds_r(capsys):
+    # r above the bound ends at once with exit 3, before any step table
+    for extra in (["--count"], ["--limit", "1"], []):
+        code, out, err = run(capsys, "pattern-enum", "-r", "100000", "-s", "0", *extra)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "BoundExceeded"
+    # malformed input is still reported as such
+    code, _, err = run(capsys, "pattern-enum", "-r", "100000", "-s", "-1", "--count")
+    assert (code, json.loads(err)["error"]["type"]) == (2, "ValueError")
+    code, _, err = run(capsys, "pattern-enum", "-r", "100000", "-s", "0", "--limit", "-1")
+    assert (code, json.loads(err)["error"]["type"]) == (2, "ValueError")
+    code, out, _ = run(capsys, "pattern-enum", "-r", "1000", "-s", "0", "--count")
+    assert (code, out) == (0, "%d\n" % _count_patterns(1000, 0))
 
 
 def test_pattern_enum_count_does_not_list(capsys):

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from quadmdt import mdt
 from quadmdt.chow import Cycle, h, l
 from quadmdt.corr import compose
 from quadmdt.errors import (
@@ -396,6 +397,86 @@ def _partitions(atoms):
             bound[j] = max(bound[i], g[i] + 1)
 
 
+def _leaf_pass_enumerate(profile, rules):
+    """The block search before R-SHIFT was decided as blocks are placed.
+
+    Every union of atoms that passes the per-block rows may open a block;
+    a block based at j_{t-1} + d (0 < d < i_t) may only be the block based
+    at j_{t-1} shifted by d; every complete candidate then runs the whole
+    R-SHIFT row, and the survivors are sorted at the end.
+    """
+    c = mdt._compile(profile, rules)
+    parent = list(range(2 * profile.r))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for pairs in c.connections.values():
+        for a, b in pairs:
+            parent[find(a)] = find(b)
+    atoms = {}
+    for k in range(2 * profile.r):
+        atoms.setdefault(find(k), []).append(k)
+    atom_list = sorted(map(tuple, atoms.values()))
+    if c.vpn_assertion:
+        return ()
+
+    def passes(scope, *candidate):
+        return not any(
+            any(True for _ in rule.check(c, *candidate))
+            for rule in c.rows
+            if rule.scope == scope
+        )
+
+    opened_by = [[] for _ in atom_list]
+    mask_of = {}
+    for mask in range(1, 1 << len(atom_list)):
+        block = tuple(sorted(k for i, atom in enumerate(atom_list) if mask >> i & 1 for k in atom))
+        if passes("block", block):
+            low = (mask & -mask).bit_length() - 1
+            opened_by[low].append((mask, block))
+            mask_of[block] = mask
+    shift_base = [None] * len(atom_list)
+    if "R-SHIFT" in rules.enabled:
+        for i, atom in enumerate(atom_list):
+            a = atom[0]
+            if a < c.r and a != c.pattern[c.shell[a] - 1]:
+                shift_base[i] = c.pattern[c.shell[a] - 1]
+    block_of = [0] * (2 * profile.r)
+    chosen = []
+    survivors = []
+
+    def place(free):
+        if not free:
+            if passes("partition", block_of, tuple(chosen)):
+                survivors.append(tuple(chosen))
+            return
+        low = (free & -free).bit_length() - 1
+        options = opened_by[low]
+        j = shift_base[low]
+        if j is not None:
+            base = chosen[block_of[j]]
+            if base[0] != j:
+                return
+            shifted = tuple(k + atom_list[low][0] - j for k in base)
+            options = [(mask_of[shifted], shifted)] if shifted in mask_of else ()
+        for mask, block in options:
+            if mask & free == mask:
+                for k in block:
+                    block_of[k] = len(chosen)
+                chosen.append(block)
+                place(free ^ mask)
+                chosen.pop()
+
+    place((1 << len(atom_list)) - 1)
+    return tuple(
+        MdtPartition.of(profile, [[c.symbol(k) for k in block] for block in blocks])
+        for blocks in sorted(survivors)
+    )
+
+
 @pytest.mark.parametrize(
     "dim,r,s,pattern,rules",
     [
@@ -509,6 +590,83 @@ def test_enumerator_matches_generate_and_test(rules):
         empty += not got
     if "R-VPN" in rules.assumed:
         assert empty
+
+
+ORACLE_RULE_SETS = [
+    RuleSet.proven(),
+    RuleSet.proven().enable("R-EXC"),
+    RuleSet.proven().enable("R-VPN"),
+    RuleSet.proven().enable("R-VISHIK"),
+    RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK"),
+]
+
+SWEEP_R7 = [
+    mk_profile(2 * r + s, r, s, pattern)
+    for r in range(1, 8)
+    for s in range(9)
+    for pattern in pattern_enumerate(r, s)
+]
+
+
+@pytest.mark.parametrize(
+    "rules", ORACLE_RULE_SETS, ids=["proven", "R-EXC", "R-VPN", "R-VISHIK", "all-three"]
+)
+def test_enumerator_matches_leaf_pass(rules):
+    # R-SHIFT decided as blocks are placed against the whole row run on
+    # every complete candidate, on every r <= 7 sweep profile; equality of
+    # the tuples also pins the order, which the search reaches unsorted
+    assert len(SWEEP_R7) == 349
+    for profile in SWEEP_R7:
+        assert enumerate_mdt(profile, rules) == _leaf_pass_enumerate(profile, rules), str(profile)
+
+
+def test_shift_search_matches_leaf_pass_alone():
+    # R-SHIFT alone, over single-symbol atoms: no other row hides a shell
+    # whose base block breaks part (2), or whose lower symbol j_{t-1} sits in
+    # an earlier block while j_{t-1} + k opens one
+    rules = RuleSet(enabled=frozenset({"R-SHIFT"}))
+    for profile in SWEEP_R7:
+        if profile.r <= 3:
+            expected = _leaf_pass_enumerate(profile, rules)
+            assert enumerate_mdt(profile, rules) == expected, str(profile)
+
+
+def test_enumerate_shift_base_needs_unplaced_shifts():
+    # shell [2, 4) has width 2: the base block at 2 needs the atom of 3_lo
+    # unplaced, and 3_lo in the upper block must reject it
+    p = prof(10, 4, 2, [0, 1, 2, 4])
+    assert enumerate_mdt(p) == (
+        blocks(p, [lo(0), lo(1), lo(2), lo(3), up(5), up(6), up(7), up(8)]),
+        blocks(p, [lo(0), lo(1), up(7), up(8)], [lo(2), up(5)], [lo(3), up(6)]),
+    )
+    absorbed = blocks(p, [lo(0), lo(1), lo(3), up(6), up(7), up(8)], [lo(2), up(5)])
+    assert [v.rule for v in check_partition(p, absorbed)] == ["R-SHIFT"]
+
+
+def test_enumerate_maximal_splitting_lists_all_bell():
+    # shells of width 1: R-SHIFT is vacuous and each of the 8 dual pairs is
+    # an atom that every union of atoms accepts, so all Bell(8) partitions
+    # survive, in canonical order with no sort
+    p = mk_profile(19, 8, 3, list(range(9)))
+    out = enumerate_mdt(p)
+    assert len(out) == 4140
+    assert list(out) == sorted(out, key=lambda part: part.blocks)
+
+
+def test_enumerate_formats_no_witness(monkeypatch):
+    # the search reads only whether a row yields: no witness text is built
+    # for a union or candidate it drops
+    expected = {profile: enumerate_mdt(profile) for profile in GENERATE_AND_TEST_PROFILES}
+    mdt._compile.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("witness text formatted during the search")
+
+    monkeypatch.setattr(mdt, "_fmt", refuse)
+    monkeypatch.setattr(mdt._BlockText, "__str__", refuse)
+    monkeypatch.setattr(mdt.LambdaSymbol, "__str__", refuse)
+    for profile, answer in expected.items():
+        assert enumerate_mdt(profile) == answer
 
 
 def test_enumerate_height_one_unique():
