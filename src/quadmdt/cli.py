@@ -18,7 +18,6 @@ it imports, so a profile-only request should not pay for the others.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -90,6 +89,9 @@ def _profiles_from_json(data):
 # the step table behind every listing and count makes O(r^2) admissible-set
 # tests before the first pattern: about 0.15 s at r = 1000, 25 min at 10^5
 _MAX_PATTERN_R = 1000
+# a listing is built whole as one JSON list; 10^6 patterns admits r = 26,
+# s = 0 (793,973) and refuses r = 27 (1,268,254)
+_MAX_PATTERN_LISTING = 10**6
 
 
 def cmd_pattern_enum(args) -> int:
@@ -98,24 +100,20 @@ def cmd_pattern_enum(args) -> int:
         raise ValueError("--limit must be >= 0, got %d" % args.limit)
     if args.r > _MAX_PATTERN_R:
         raise BoundExceeded("pattern-enum r = %d exceeds %d" % (args.r, _MAX_PATTERN_R))
+    # the count is O(r^2) tests, so every request reads it before listing
+    count = _count_patterns(args.r, args.s, rules)
+    if args.limit is not None and count > args.limit:
+        raise BoundExceeded("more than %d patterns (--limit)" % args.limit)
     if args.count:
-        count = _count_patterns(args.r, args.s, rules)
-        _check_limit(args.limit, count)
         _emit_json(args, count)
         return 0
-    patterns = _iter_patterns(args.r, args.s, rules)
-    if args.limit is not None:
-        # one pattern past the limit is enough to exceed it
-        patterns = list(itertools.islice(patterns, args.limit + 1))
-        _check_limit(args.limit, len(patterns))
-    _emit_json(args, [list(p) for p in patterns])
+    if count > _MAX_PATTERN_LISTING:
+        raise BoundExceeded(
+            "%d patterns exceed the listing bound %d (use --count)"
+            % (count, _MAX_PATTERN_LISTING)
+        )
+    _emit_json(args, [list(p) for p in _iter_patterns(args.r, args.s, rules)])
     return 0
-
-
-def _check_limit(limit, count: int):
-    """Raise BoundExceeded if count patterns are more than --limit allows."""
-    if limit is not None and count > limit:
-        raise BoundExceeded("more than %d patterns (--limit)" % limit)
 
 
 def cmd_i1_bounds(args) -> int:
@@ -137,11 +135,11 @@ def cmd_mdt_solve(args) -> int:
     rules = _parse_mdt_rules(args.rules)
     if args.max_r < 0:
         raise ValueError("--max-r must be >= 0, got %d" % args.max_r)
-    partitions = mdt.enumerate_mdt(profile, rules, max_r=args.max_r)
     payload = {"semantics": mdt.SEMANTICS_NOTE}
     if args.count:
-        payload["count"] = len(partitions)
+        payload["count"] = mdt._count_mdt(profile, rules, max_r=args.max_r)
     else:
+        partitions = mdt.enumerate_mdt(profile, rules, max_r=args.max_r)
         payload["partitions"] = [p.to_json_dict() for p in partitions]
     _emit_json(args, payload)
     return 0

@@ -55,8 +55,9 @@ is judged once by the per-block rows, with no witness text.  R-SHIFT is
 read whole by the checker (_check_shift) and incrementally by the search
 (_shift_orbits), which places a shell's base block together with its
 shifts; no pass runs over complete candidates.  The search tries blocks in
-order, so the survivors come out canonically ordered, and only they become
-MdtPartitions.
+order, so the survivors come out canonically ordered: they are built as
+MdtPartitions canonical by construction, with no re-validation, and the
+count (_count_mdt, behind mdt-solve --count) builds none.
 """
 
 from __future__ import annotations
@@ -251,6 +252,16 @@ class MdtPartition:
                 if sym.kind == UP and not self.d_x - self.r < sym.index <= self.d_x:
                     raise ArityMismatch("%s outside the up window" % sym)
         raise ArityMismatch("blocks do not cover Lambda(X) exactly")
+
+    @classmethod
+    def _canonical(cls, blocks: tuple, r: int, d_x: int) -> "MdtPartition":
+        """A partition built unvalidated from blocks that already cover
+        Lambda(X) exactly as sorted symbol tuples in block order.  Only
+        enumerate_mdt calls it, whose search builds its survivors that way;
+        every other path validates in __post_init__."""
+        part = object.__new__(cls)
+        part.__dict__.update(blocks=blocks, r=r, d_x=d_x)
+        return part
 
     @classmethod
     def of(cls, profile: QuadricProfile, blocks) -> "MdtPartition":
@@ -791,23 +802,20 @@ def _shift_orbits(c, passing):
             yield orbit, orbit_mask
 
 
-def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
-    """All partitions of Lambda(X) passing every enabled rule, canonically
-    ordered.
+def _search_table(profile: QuadricProfile, rules, max_r: int):
+    """The block search's options: per atom, in block order, (mask, blocks)
+    for each option it opens, or None when no partition can pass.
 
     The profile and rules are compiled once.  The pairs of the connection
     rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find
     into atoms, so no candidate splits one; an asserted R-VPN that fails its
     numerology excludes every partition.  Each union of atoms is judged once
     by the per-block rows (R-PARITY, R-ENDPOINT, R-UPPER, R-KARPENKO,
-    R-VISHIK), which format no witness text for it.  The search then places
-    whole blocks: the lowest unplaced atom opens a block, a passing union of
-    it and other unplaced atoms.  R-SHIFT is decided as blocks are placed
-    (_shift_orbits): a base block comes with its shifts, and no other block
-    based in a shell of width above 1 is opened.  So every complete candidate
-    passes every rule, and only these survivors become MdtPartitions.  The
-    options of each atom are tried in block order, so the survivors come out
-    in canonical order, the order of their sorted blocks, with no sort.
+    R-VISHIK), which format no witness text for it.  R-SHIFT turns the
+    passing unions into options (_shift_orbits): a base block with its
+    shifts.  An option is listed under the lowest atom of its mask, with its
+    blocks as symbol tuples.  Raises BoundExceeded when r > max_r or the
+    atoms are more than 10.
     """
     if rules is None:
         rules = RuleSet.proven()
@@ -842,7 +850,7 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
             "%d unconstrained atoms exceed the search bound" % len(atom_list)
         )
     if c.vpn_assertion:  # reported on every partition
-        return ()
+        return None
     block_checks = [rule.check for rule in c.rows if rule.scope == "block"]
     # every union of atoms that passes the per-block rows: its symbols
     # ascending -> its atom mask, in block order
@@ -859,24 +867,70 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
         options = _shift_orbits(c, passing)
     else:
         options = (((block,), mask) for block, mask in passing.items())
-    # each option listed under the lowest atom of its mask, in block order,
-    # with its blocks as symbol tuples, the survivors' blocks
+    # the survivors' blocks are the options' symbol tuples
     opened_by = [[] for _ in atom_list]
     for orbit, mask in options:
         blocks = tuple([tuple([c.symbol(k) for k in block]) for block in orbit])
         opened_by[(mask & -mask).bit_length() - 1].append((mask, blocks))
+    return opened_by
+
+
+def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
+    """All partitions of Lambda(X) passing every enabled rule, canonically
+    ordered.
+
+    The search places whole blocks from _search_table's options: the lowest
+    unplaced atom opens a block, a passing union of it and other unplaced
+    atoms, and R-SHIFT is decided as blocks are placed (a base block comes
+    with its shifts, and no other block based in a shell of width above 1
+    is opened).  So every complete candidate passes every rule.  The options
+    of each atom are tried in block order, so the survivors come out in
+    canonical order, the order of their sorted blocks, with no sort: they
+    are built canonical by construction, with no re-validation.  _count_mdt
+    counts them and builds none.
+    """
+    opened_by = _search_table(profile, rules, max_r)
+    if opened_by is None:
+        return ()
+    canonical, r, d_x = MdtPartition._canonical, profile.r, profile.d_x
     survivors = []
 
     def place(free, chosen):
         if not free:
-            survivors.append(MdtPartition(chosen, profile.r, profile.d_x))
+            survivors.append(canonical(chosen, r, d_x))
             return
         for mask, blocks in opened_by[(free & -free).bit_length() - 1]:
             if mask & free == mask:
                 place(free ^ mask, chosen + blocks)
 
-    place((1 << len(atom_list)) - 1, ())
+    place((1 << len(opened_by)) - 1, ())
     return tuple(survivors)
+
+
+def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
+    """len(enumerate_mdt(profile, rules, max_r)), building no partition.
+
+    The options open at a search state depend only on the unplaced atoms (a
+    base block is placed with its whole orbit), so the number of
+    completions is memoised on the free-atom mask.
+    """
+    opened_by = _search_table(profile, rules, max_r)
+    if opened_by is None:
+        return 0
+    memo = {0: 1}
+
+    def count(free):
+        n = memo.get(free)
+        if n is None:
+            n = sum(
+                count(free ^ mask)
+                for mask, _ in opened_by[(free & -free).bit_length() - 1]
+                if mask & free == mask
+            )
+            memo[free] = n
+        return n
+
+    return count((1 << len(opened_by)) - 1)
 
 
 # -- closed-form generators ----------------------------------------------------

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from quadmdt.cli import main
+from quadmdt import mdt
+from quadmdt.cli import _MAX_PATTERN_LISTING, main
 from quadmdt.profile import _count_patterns
 
 PROFILE_22 = '{"dim": 6, "r": 2, "s": 2, "pattern": [0, 2]}'
@@ -99,6 +100,18 @@ def test_pattern_enum_bounds_r(capsys):
     assert (code, out) == (0, "%d\n" % _count_patterns(1000, 0))
 
 
+def test_pattern_enum_listing_bound(capsys):
+    # a listing above _MAX_PATTERN_LISTING patterns ends at exit 3 before it
+    # is built; the count still answers
+    assert _count_patterns(26, 0) <= _MAX_PATTERN_LISTING < _count_patterns(27, 0)
+    for r in ("27", "60"):
+        code, out, err = run(capsys, "pattern-enum", "-r", r, "-s", "0")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["type"] == "BoundExceeded"
+        code, out, _ = run(capsys, "pattern-enum", "-r", r, "-s", "0", "--count")
+        assert (code, out) == (0, "%d\n" % _count_patterns(int(r), 0))
+
+
 def test_pattern_enum_count_does_not_list(capsys):
     # about 10^46 patterns: only the count over the remaining r can answer
     code, out, _ = run(capsys, "pattern-enum", "-r", "200", "-s", "0", "--count")
@@ -148,6 +161,34 @@ def test_mdt_solve_count(capsys):
     code, out, _ = run(capsys, "mdt-solve", PROFILE_PFISTER, "--count")
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+def test_mdt_solve_count_builds_no_partition(capsys, monkeypatch):
+    # the count reads the search's options, not a listing: neither the
+    # validating constructor nor the enumerator's trusted one may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("MdtPartition built by mdt-solve --count")
+
+    monkeypatch.setattr(mdt.MdtPartition, "__post_init__", refuse)
+    monkeypatch.setattr(mdt.MdtPartition, "_canonical", refuse)
+    all_bell = '{"dim": 19, "r": 8, "s": 3, "pattern": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'
+    code, out, _ = run(capsys, "mdt-solve", all_bell, "--count")
+    assert (code, json.loads(out)["count"]) == (0, 4140)
+    none_left = '{"dim": 16, "r": 8, "s": 0, "pattern": [0, 2, 6, 7, 8]}'
+    code, out, _ = run(capsys, "mdt-solve", none_left, "--count")
+    assert (code, json.loads(out)["count"]) == (0, 0)
+
+
+def test_mdt_solve_count_bounds(capsys):
+    # --count ends at exit 3 past --max-r and past 10 atoms, as the listing does
+    big = json.dumps({"dim": 18, "r": 9, "s": 0, "pattern": list(range(10))})
+    code, out, err = run(capsys, "mdt-solve", big, "--count")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "BoundExceeded"
+    atoms11 = json.dumps({"dim": 25, "r": 11, "s": 3, "pattern": list(range(12))})
+    code, out, err = run(capsys, "mdt-solve", atoms11, "--count", "--max-r", "11")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "BoundExceeded"
 
 
 def test_mdt_solve_byte_identical_reruns(capsys):

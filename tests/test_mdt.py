@@ -526,16 +526,20 @@ def _atoms(profile, rules):
     return list({id(atom): atom for atom in atom_of.values()}.values())
 
 
+# the worst case of the r <= 8 sweep, one where every candidate survives
+# (Bell(8) = 4140), and one with no surviving partition
+R8_FIXED = [
+    mk_profile(16, 8, 0, [0, 8]),
+    mk_profile(19, 8, 3, list(range(9))),
+    mk_profile(16, 8, 0, [0, 2, 6, 7, 8]),
+]
+
 ATOM_ORACLE_PROFILES = [
     mk_profile(2 * r + s, r, s, pattern)
     for r in range(1, 5)
     for s in range(9)
     for pattern in pattern_enumerate(r, s)
-] + [
-    mk_profile(16, 8, 0, [0, 8]),
-    mk_profile(19, 8, 3, list(range(9))),
-    mk_profile(16, 8, 0, [0, 2, 6, 7, 8]),
-]
+] + R8_FIXED
 
 
 @pytest.mark.parametrize("extra", [(), ("R-EXC",)])
@@ -599,6 +603,7 @@ ORACLE_RULE_SETS = [
     RuleSet.proven().enable("R-VISHIK"),
     RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK"),
 ]
+ORACLE_RULE_IDS = ["proven", "R-EXC", "R-VPN", "R-VISHIK", "all-three"]
 
 SWEEP_R7 = [
     mk_profile(2 * r + s, r, s, pattern)
@@ -608,9 +613,7 @@ SWEEP_R7 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "rules", ORACLE_RULE_SETS, ids=["proven", "R-EXC", "R-VPN", "R-VISHIK", "all-three"]
-)
+@pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
 def test_enumerator_matches_leaf_pass(rules):
     # R-SHIFT decided as blocks are placed against the whole row run on
     # every complete candidate, on every r <= 7 sweep profile; equality of
@@ -618,6 +621,26 @@ def test_enumerator_matches_leaf_pass(rules):
     assert len(SWEEP_R7) == 349
     for profile in SWEEP_R7:
         assert enumerate_mdt(profile, rules) == _leaf_pass_enumerate(profile, rules), str(profile)
+
+
+@pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
+def test_survivors_match_validating_constructor(rules):
+    # survivors skip the validation of MdtPartition's constructor: each must
+    # be the partition that the validating path builds from its blocks
+    for profile in SWEEP_R7 + R8_FIXED:
+        for part in enumerate_mdt(profile, rules):
+            validated = MdtPartition.of(profile, part.blocks)
+            assert part == validated, str(profile)
+            assert hash(part) == hash(validated)
+            assert part.to_json_dict() == validated.to_json_dict()
+
+
+@pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
+def test_count_matches_listing(rules):
+    for profile in SWEEP_R7 + R8_FIXED:
+        assert mdt._count_mdt(profile, rules) == len(enumerate_mdt(profile, rules)), str(
+            profile
+        )
 
 
 def test_shift_search_matches_leaf_pass_alone():
@@ -722,6 +745,17 @@ def test_enumerate_bound_exceeded():
     with pytest.raises(BoundExceeded):
         enumerate_mdt(p)
     assert enumerate_mdt(p, max_r=9)  # raising the bound works
+
+
+def test_count_bound_exceeded():
+    # the count keeps the listing's bounds: r above max_r, and more than 10
+    # atoms (maximal splitting at r = 11, s = 3 leaves the 11 dual pairs)
+    p = prof(21, 9, 3)
+    with pytest.raises(BoundExceeded):
+        mdt._count_mdt(p)
+    assert mdt._count_mdt(p, max_r=9) == 21147  # Bell(9)
+    with pytest.raises(BoundExceeded):
+        mdt._count_mdt(prof(25, 11, 3), max_r=11)
 
 
 def test_rule_set_unknown_id():
