@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .errors import ContextMismatch
@@ -53,18 +53,17 @@ def binom_mod2(n: int, k: int) -> int:
     return 1 if (n & k) == k else 0
 
 
-@dataclass(frozen=True, order=True)
-class FactorSymbol:
-    """One basis symbol of a single factor: kind 'h' or 'l' plus index."""
+class FactorSymbol(namedtuple("FactorSymbol", "kind index")):
+    """One basis symbol of a single factor: the tuple (kind 'h' or 'l', index)."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (H, L):
-            raise ValueError("kind must be 'h' or 'l', got %r" % (self.kind,))
-        if self.index < 0:
+    def __new__(cls, kind: str, index: int):
+        if kind not in (H, L):
+            raise ValueError("kind must be 'h' or 'l', got %r" % (kind,))
+        if index < 0:
             raise ValueError("index must be >= 0")
+        return super().__new__(cls, kind, index)
 
     def dim_in(self, profile: QuadricProfile) -> int:
         """Dimension of the class: l_i has dimension i, h^i codimension i."""
@@ -241,7 +240,7 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
     for ea in a.support:
         frontier = [(tree, ())]
         for sa, row in zip(ea, rows):
-            partners = row[_code(sa)]
+            partners = row[sa]
             level = []
             for node, out in frontier:
                 if len(node) < len(partners):
@@ -258,26 +257,18 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
     return Cycle(a.context, frozenset(support))
 
 
-# The walks key their trees and tables by symbol codes, 2 * index plus 1
-# for l: ints hash far faster than the symbol dataclasses.
-
-
-def _code(sym: FactorSymbol) -> int:
-    return sym.index << 1 | (sym.kind == L)
-
-
 def _prefix_tree(support) -> dict:
-    """Nested dicts keyed by symbol code, one level per factor."""
+    """Nested dicts keyed by symbol, one level per factor."""
     tree = {}
     for elt in support:
         node = tree
         for sym in elt:
-            node = node.setdefault(_code(sym), {})
+            node = node.setdefault(sym, {})
     return tree
 
 
 class _RowTable(dict):
-    """One profile's table: symbol code -> row(symbol, profile).
+    """One profile's table: symbol -> row(symbol, profile).
 
     A row is built the first time its symbol is looked up, so a call that
     touches few symbols of a large profile builds few rows.
@@ -288,16 +279,15 @@ class _RowTable(dict):
         self.row = row
         self.profile = profile
 
-    def __missing__(self, code: int):
-        sym = (l if code & 1 else h)(code >> 1)
-        value = self[code] = self.row(sym, self.profile)
+    def __missing__(self, sym: FactorSymbol):
+        value = self[sym] = self.row(sym, self.profile)
         return value
 
 
 def _partner_row(sym: FactorSymbol, profile: QuadricProfile) -> dict:
-    """{code of b: sym * b} over the symbols b with a nonzero product."""
+    """{b: sym * b} over the symbols b with a nonzero product."""
     return {
-        _code(b): prod
+        b: prod
         for b in _factor_basis(profile)
         if (prod := mul_factor(sym, b, profile)) is not None
     }
@@ -333,8 +323,8 @@ def _square_level(frontier, squares, rest):
     return (
         (child, left - jt, out + (res,))
         for node, left, out in frontier
-        for code, child in node.items()
-        for jt, res in squares[code]
+        for sym, child in node.items()
+        for jt, res in squares[sym]
         if 0 <= left - jt <= rest
     )
 

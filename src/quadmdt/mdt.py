@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -127,16 +128,15 @@ SEMANTICS_NOTE = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class LambdaSymbol:
-    """Formal symbol i_lo or i^up; shifts act by adding to the index."""
+class LambdaSymbol(namedtuple("LambdaSymbol", "kind index")):
+    """Formal symbol i_lo or i^up, the tuple (kind, index); shifts add to the index."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (LO, UP):
+    def __new__(cls, kind: str, index: int):
+        if kind not in (LO, UP):
             raise ValueError("kind must be 'lo' or 'up'")
+        return super().__new__(cls, kind, index)
 
     def shift(self, j: int) -> "LambdaSymbol":
         return LambdaSymbol(self.kind, self.index + j)
@@ -158,15 +158,10 @@ def up(i: int) -> LambdaSymbol:
     return LambdaSymbol(UP, i)
 
 
-_SYMBOL_KEY = operator.attrgetter("kind", "index")
-
-
 @functools.lru_cache(maxsize=64)
 def _window(r: int, d_x: int) -> frozenset:
-    """The (kind, index) keys of the 2r symbols of Lambda(X)."""
-    return frozenset(
-        [(LO, i) for i in range(r)] + [(UP, i) for i in range(d_x - r + 1, d_x + 1)]
-    )
+    """The 2r symbols of Lambda(X)."""
+    return frozenset(map(lo, range(r))) | frozenset(map(up, range(d_x - r + 1, d_x + 1)))
 
 
 def lambda_set(profile: QuadricProfile) -> tuple:
@@ -224,18 +219,15 @@ class MdtPartition:
     d_x: int
 
     def __post_init__(self):
-        # symbols compare as their (kind, index) keys; sorting and comparing
-        # the keys skips the generated dataclass comparisons
-        blocks = tuple(
-            tuple(sorted(block, key=_SYMBOL_KEY)) for block in self.blocks
-        )
+        blocks = tuple(tuple(sorted(block)) for block in self.blocks)
         if not all(blocks):
             raise ArityMismatch("empty block")
-        blocks = tuple(sorted(blocks, key=lambda b: _SYMBOL_KEY(b[0])))
+        # by first symbol only: blocks sharing one keep their order for _reject
+        blocks = tuple(sorted(blocks, key=operator.itemgetter(0)))
         object.__setattr__(self, "blocks", blocks)
-        keys = [key for block in blocks for key in map(_SYMBOL_KEY, block)]
-        # 2r distinct keys inside both windows are exactly Lambda(X)
-        if len(keys) != 2 * self.r or set(keys) != _window(self.r, self.d_x):
+        symbols = [sym for block in blocks for sym in block]
+        # 2r distinct symbols inside both windows are exactly Lambda(X)
+        if len(symbols) != 2 * self.r or set(symbols) != _window(self.r, self.d_x):
             self._reject(blocks)
 
     def _reject(self, blocks):
@@ -245,12 +237,12 @@ class MdtPartition:
         for block in blocks:
             for sym in block:
                 if sym in seen:
-                    raise ArityMismatch("symbol %s appears twice" % sym)
+                    raise ArityMismatch("symbol %s appears twice" % (sym,))
                 seen.add(sym)
                 if sym.kind == LO and not 0 <= sym.index < self.r:
-                    raise ArityMismatch("%s outside the lo window" % sym)
+                    raise ArityMismatch("%s outside the lo window" % (sym,))
                 if sym.kind == UP and not self.d_x - self.r < sym.index <= self.d_x:
-                    raise ArityMismatch("%s outside the up window" % sym)
+                    raise ArityMismatch("%s outside the up window" % (sym,))
         raise ArityMismatch("blocks do not cover Lambda(X) exactly")
 
     @classmethod

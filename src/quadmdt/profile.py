@@ -18,7 +18,6 @@ lift operation in the mdt module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -189,10 +188,6 @@ class QuadricProfile:
     def from_json_dict(cls, data: dict) -> "QuadricProfile":
         return cls(**profile_json_fields(data))
 
-    @classmethod
-    def from_json(cls, text: str) -> "QuadricProfile":
-        return cls.from_json_dict(json.loads(text))
-
     def __str__(self):
         return "(%d, (%d,%d), %s)" % (self.dim, self.r, self.s, list(self.pattern))
 
@@ -208,13 +203,12 @@ def izhboldin_dim(profile: QuadricProfile) -> int:
 
 
 def i1_max_by_theorem(dim: int) -> int:
-    """Largest first higher isotropy index allowed in the given dimension.
-
-    Scans i >= 1 against the bound i <= 2^{v2(dim - i)}.
-    """
+    """Largest i < dim with i <= 2^{v2(dim - i)}: the m of dim = 2^n + m,
+    1 <= m <= 2^n.  i = m passes, as dim - m = 2^n; an i > m fails, as
+    2^{v2(dim - i)} = 2^{v2(i - m)} <= i - m."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    return max(i for i in range(1, dim) if i <= _i1_bound(dim, i))
+    return pfister_split(dim)[1]
 
 
 def _i1_slack_ok(r: int, s: int, i: int, u: int) -> bool:

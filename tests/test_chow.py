@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from quadmdt.chow import (
     Cycle,
+    FactorSymbol,
     _partner_rows,
     _square_rows,
     basis_tuples,
@@ -86,6 +87,34 @@ def every_profile(r_max, s_max):
                 yield mk_profile(2 * r + s, r, s, list(pattern))
 
 
+# -- symbols ------------------------------------------------------------------------
+
+
+def test_factor_symbol_validates():
+    for kind, index in (("x", 0), ("H", 0), ("h", -1), ("l", -2)):
+        with pytest.raises(ValueError):
+            FactorSymbol(kind, index)
+    assert repr(h(0)) == "FactorSymbol(kind='h', index=0)"
+    assert str(l(12)) == "l12"
+
+
+def test_factor_symbols_order_as_kind_index():
+    # hash, equality and order are the (kind, index) tuple's
+    symbols = sorted(
+        {sym for p in every_profile(4, 4) for sym in factor_basis(p)},
+        key=lambda sym: (sym.kind, sym.index),
+    )
+    assert len(symbols) == 8
+    assert sorted(reversed(symbols)) == symbols
+    for a in symbols:
+        key_a = (a.kind, a.index)
+        assert a == key_a and hash(a) == hash(key_a)
+        assert a == FactorSymbol(a.kind, a.index)
+        for b in symbols:
+            key_b = (b.kind, b.index)
+            assert (a == b, a < b, a <= b) == (key_a == key_b, key_a < key_b, key_a <= key_b)
+
+
 # -- multiplication table ----------------------------------------------------------
 
 
@@ -158,12 +187,10 @@ def test_mul_matches_pairwise_oracle(pair):
 def test_factor_partners_match_mul_factor_scan():
     for p in every_profile(6, 4):
         basis = factor_basis(p)
-        code = {sym: 2 * sym.index + (sym.kind == "l") for sym in basis}
-        assert sorted(code.values()) == list(range(2 * p.r))
         for sym in basis:
             scan = [(b, mul_factor(sym, b, p)) for b in basis]
-            expected = {code[b]: prod for b, prod in scan if prod is not None}
-            assert _partner_rows(p)[code[sym]] == expected, (p, sym)
+            expected = {b: prod for b, prod in scan if prod is not None}
+            assert _partner_rows(p)[sym] == expected, (p, sym)
 
 
 # -- ring axioms on small instances --------------------------------------------------
@@ -332,7 +359,7 @@ def test_factor_squares_match_steenrod_factor_scan():
         for sym in factor_basis(p):
             scan = [(j, steenrod_factor(j, sym, p)) for j in range(2 * p.dim + 2)]
             expected = tuple((j, res) for j, res in scan if res is not None)
-            assert _square_rows(p)[2 * sym.index + (sym.kind == "l")] == expected, (p, sym)
+            assert _square_rows(p)[sym] == expected, (p, sym)
 
 
 def test_steenrod_zero_beyond_part_caps():

@@ -5,12 +5,14 @@ import json
 import pytest
 
 from quadmdt import mdt
-from quadmdt.cli import _MAX_PATTERN_LISTING, main
-from quadmdt.profile import _count_patterns
+from quadmdt.cli import _MAX_PATTERN_LISTING, _MAX_SCAN_R, main
+from quadmdt.profile import _count_patterns, i1_admissible_set
 
 PROFILE_22 = '{"dim": 6, "r": 2, "s": 2, "pattern": [0, 2]}'
 PROFILE_PFISTER = '{"dim": 8, "r": 4, "s": 0, "pattern": [0, 4]}'
 PROFILE_DIM10 = '{"dim": 10, "r": 3, "s": 4, "pattern": [0, 1, 3]}'
+# valid, with r = 2^30 far past _MAX_SCAN_R; every a < r is in an excellent pair
+PROFILE_2_30 = '{"dim": 2147483648, "r": 1073741824, "s": 0, "pattern": [0, 1073741824]}'
 
 
 def run(capsys, *argv):
@@ -116,6 +118,42 @@ def test_pattern_enum_count_does_not_list(capsys):
     # about 10^46 patterns: only the count over the remaining r can answer
     code, out, _ = run(capsys, "pattern-enum", "-r", "200", "-s", "0", "--count")
     assert (code, out) == (0, "%d\n" % _count_patterns(200, 0))
+
+
+def test_scan_bounds(capsys):
+    # requests that scan range(r) end at once with exit 3 past _MAX_SCAN_R
+    for argv in (
+        ["i1-bounds", "-r", "1000000000000", "-s", "0"],
+        ["i1-bounds", "-r", str(_MAX_SCAN_R + 1), "-s", "0"],
+        ["excellent-pairs", PROFILE_2_30],
+        ["steenrod", "-j", "1", "h0", "--profile", PROFILE_2_30],
+        ["steenrod", "-j", "0", "h0*h0", "--profile", "[%s, %s]" % (PROFILE_22, PROFILE_2_30)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err)["error"]["type"] == "BoundExceeded"
+    # malformed input is still reported as such
+    for argv, error in (
+        (["i1-bounds", "-r", "1000000000000", "-s", "-1"], "ValueError"),
+        (["i1-bounds", "-r", "1000000000000", "-s", "0", "--rules", "maybe"], "ValueError"),
+        (["excellent-pairs", PROFILE_2_30.replace("[0, ", "[0, 3, ")], "StepViolatesI1Bound"),
+        (["steenrod", "-j", "-1", "h0", "--profile", PROFILE_2_30], "ValueError"),
+        (["steenrod", "-j", "1", "h0*h0", "--profile", PROFILE_2_30], "ValueError"),
+        (["steenrod", "-j", "1", "h1073741824", "--profile", PROFILE_2_30], "ContextMismatch"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"]["type"] == error, argv
+    # at the bound each request answers
+    code, out, _ = run(capsys, "i1-bounds", "-r", str(_MAX_SCAN_R), "-s", "0")
+    assert (code, json.loads(out)) == (0, sorted(i1_admissible_set(_MAX_SCAN_R, 0)))
+    r, s = _MAX_SCAN_R, 293216
+    at_bound = json.dumps({"dim": 2 * r + s, "r": r, "s": s, "pattern": [0, r]})
+    assert run(capsys, "excellent-pairs", at_bound)[:2] == (0, "[]\n")
+    top = "l%d" % (r - 1)
+    pair = "[%s, %s]" % (at_bound, at_bound)
+    code, out, _ = run(capsys, "steenrod", "-j", "1", "h1*" + top, "--profile", pair)
+    assert (code, out) == (0, "h2*%s\n" % top)
 
 
 def test_i1_bounds_conjectural(capsys):
@@ -275,6 +313,20 @@ def test_check_subcommand(capsys):
         assert json.loads(err)["error"]["type"] == "ArityMismatch"
 
 
+def test_check_repeated_first_symbol_reports_in_given_order(capsys):
+    # blocks are ordered by their first symbol only: two blocks that share it
+    # keep the given order, which decides the symbol reported first
+    outside = [{"kind": "lo", "i": 0}, {"kind": "up", "i": 9}]
+    inside = [{"kind": "lo", "i": 0}, {"kind": "up", "i": 3}]
+    for blocks, message in (
+        ([outside, inside], "9^up outside the up window"),
+        ([inside, outside], "symbol 0_lo appears twice"),
+    ):
+        code, out, err = run(capsys, "check", PROFILE_22, json.dumps({"blocks": blocks}))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"message": message, "type": "ArityMismatch"}
+
+
 def test_diagram_ascii(capsys):
     shape = '{"r": 12, "pattern": [0, 2, 8, 12]}'
     code, out, _ = run(capsys, "diagram", shape)
@@ -375,6 +427,17 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == [[0, 1, 2], [0, 2]]
+
+
+def test_json_output_is_one_indented_document(tmp_path, capsys):
+    # JSON is written a batch of encoder chunks at a time: the bytes are still
+    # those of the whole indented, key-sorted document, on stdout and --output
+    code, out, _ = run(capsys, "mdt-solve", PROFILE_DIM10)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "partitions.json"
+    assert run(capsys, "mdt-solve", PROFILE_DIM10, "--output", str(target))[:2] == (0, "")
+    assert target.read_text() == out
 
 
 def test_input_from_file(tmp_path, capsys):

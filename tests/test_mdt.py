@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quadmdt import mdt
 from quadmdt.chow import Cycle, h, l
@@ -73,6 +73,36 @@ def test_lambda_set_examples():
     for r, s in [(3, 0), (4, 2)]:
         p = prof(2 * r + s, r, s)
         assert len(lambda_set(p)) == 2 * r
+
+
+def test_lambda_symbol_validates():
+    for kind in ("mid", "LO", "h"):
+        with pytest.raises(ValueError):
+            LambdaSymbol(kind, 0)
+    assert repr(lo(0)) == "LambdaSymbol(kind='lo', index=0)"
+    assert (str(lo(3)), str(up(3))) == ("3_lo", "3^up")
+    assert up(3).shift(2) == up(5)
+
+
+def test_lambda_symbols_order_as_kind_index():
+    # hash, equality and order are the (kind, index) tuple's, so every lower
+    # symbol sorts before every upper one
+    symbols = {
+        sym
+        for r in range(1, 5)
+        for s in range(5)
+        for pattern in pattern_enumerate(r, s)
+        for sym in lambda_set(mk_profile(2 * r + s, r, s, pattern))
+    }
+    ordered = sorted(symbols, key=lambda sym: (sym.kind, sym.index))
+    assert sorted(symbols) == ordered
+    assert ordered[:4] == [lo(0), lo(1), lo(2), lo(3)]
+    for a in ordered:
+        key_a = (a.kind, a.index)
+        assert a == key_a and hash(a) == hash(key_a)
+        for b in ordered:
+            key_b = (b.kind, b.index)
+            assert (a == b, a < b, a <= b) == (key_a == key_b, key_a < key_b, key_a <= key_b)
 
 
 def test_alpha_cycle_definitions():
@@ -233,12 +263,12 @@ def _reference_blocks(blocks, r, d_x):
     for block in blocks:
         for sym in block:
             if sym in seen:
-                raise ArityMismatch("symbol %s appears twice" % sym)
+                raise ArityMismatch("symbol %s appears twice" % (sym,))
             seen.add(sym)
             if sym.kind == "lo" and not 0 <= sym.index < r:
-                raise ArityMismatch("%s outside the lo window" % sym)
+                raise ArityMismatch("%s outside the lo window" % (sym,))
             if sym.kind == "up" and not d_x - r < sym.index <= d_x:
-                raise ArityMismatch("%s outside the up window" % sym)
+                raise ArityMismatch("%s outside the up window" % (sym,))
     if len(seen) != 2 * r:
         raise ArityMismatch("blocks do not cover Lambda(X) exactly")
     return blocks
@@ -267,6 +297,9 @@ def symbol_blocks(draw):
 
 
 @given(symbol_blocks())
+# two blocks with one first symbol: their given order decides the error
+@example((((lo(0), up(9)), (lo(0), up(3))), 2, 4))
+@example((((lo(0), up(3)), (lo(0), up(9))), 2, 4))
 def test_partition_validation_matches_reference(case):
     groups, r, d_x = case
     try:

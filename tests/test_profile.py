@@ -113,9 +113,12 @@ def test_i1_max_examples():
 
 
 def test_i1_max_brute_force():
-    for dim in range(2, 200):
+    # the scan of the bound i <= 2^{v2(dim - i)} over every 1 <= i < dim
+    for dim in range(2, 1100):
         best = max(i for i in range(1, dim) if i <= 2 ** v2(dim - i))
         assert i1_max_by_theorem(dim) == best
+    with pytest.raises(ValueError):
+        i1_max_by_theorem(1)
 
 
 def test_i1_admissible_examples():
