@@ -37,10 +37,9 @@ import functools
 import itertools
 import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 
-from .errors import ContextMismatch
-from .profile import QuadricProfile, json_int
+from .errors import BoundExceeded, ContextMismatch
+from .profile import QuadricProfile, _Record, _set, json_int
 
 H = "h"
 L = "l"
@@ -85,28 +84,28 @@ def l(i: int) -> FactorSymbol:
     return FactorSymbol(L, i)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Record):
     """F2 combination of standard basis tuples over a fixed product context."""
 
-    context: tuple
-    support: frozenset
+    __slots__ = ("context", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", tuple(self.context))
-        object.__setattr__(self, "support", frozenset(self.support))
-        arity = len(self.context)
-        for elt in self.support:
+    def __init__(self, context: tuple, support: frozenset):
+        context = tuple(context)
+        support = frozenset(support)
+        arity = len(context)
+        for elt in support:
             if len(elt) != arity:
                 raise ContextMismatch(
                     "basis tuple arity %d does not match context arity %d"
                     % (len(elt), arity)
                 )
-            for sym, prof in zip(elt, self.context):
+            for sym, prof in zip(elt, context):
                 if not 0 <= sym.index < prof.r:
                     raise ContextMismatch(
                         "symbol %s outside index range [0, %d)" % (sym, prof.r)
                     )
+        _set(self, "context", context)
+        _set(self, "support", support)
 
     @classmethod
     def zero(cls, context) -> "Cycle":
@@ -317,16 +316,25 @@ def _square_rows(profile: QuadricProfile) -> _RowTable:
 # soon as its last factor is reached and no level is ever held in full.  A
 # level is a function so that it binds its own table: a generator
 # expression in the loop would look the loop variable up only when it runs.
+#
+# A request of a few hundred bytes can have a Cartan sum of 10^7 terms, so
+# each level, the last one (the summands) too, is cut at _MAX_FRONTIER
+# entries with BoundExceeded.  The largest level of any test or benchmark
+# input has 332 entries; the six-factor S^30 of h63^6 at r = 128 has 324,632.
+_MAX_FRONTIER = 10**5
 
 
 def _square_level(frontier, squares, rest):
-    return (
+    level = (
         (child, left - jt, out + (res,))
         for node, left, out in frontier
         for sym, child in node.items()
         for jt, res in squares[sym]
         if 0 <= left - jt <= rest
     )
+    yield from itertools.islice(level, _MAX_FRONTIER)
+    if next(level, None) is not None:
+        raise BoundExceeded("a Steenrod level has more than %d terms" % _MAX_FRONTIER)
 
 
 def _odd_terms(terms) -> frozenset:
@@ -370,6 +378,8 @@ def steenrod(j: int, c: Cycle) -> Cycle:
     the sum of the remaining factors' caps.  The branches that finish with
     nothing left are exactly the contributing compositions, each reached
     once; the result is 0 at once when j exceeds the sum of all the caps.
+    Raises BoundExceeded when a level of the walk passes _MAX_FRONTIER
+    entries.
     """
     if j < 0:
         raise ValueError("j must be >= 0")

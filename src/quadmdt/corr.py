@@ -25,26 +25,23 @@ tests).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import chow
 from .chow import Cycle, FactorSymbol, h, l
 from .errors import ContextMismatch, DegreeUnderflow, InvalidLevel
-from .profile import QuadricProfile, json_int
+from .profile import QuadricProfile, _Record, _set, json_int
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(_Record):
     """Cycle over a split context (left factors | right factors)."""
 
-    cycle: Cycle
-    split: int
+    __slots__ = ("cycle", "split")
 
-    def __post_init__(self):
-        if not 0 <= self.split <= self.cycle.arity:
-            raise ContextMismatch(
-                "split %d outside [0, %d]" % (self.split, self.cycle.arity)
-            )
+    def __init__(self, cycle: Cycle, split: int):
+        if not 0 <= split <= cycle.arity:
+            raise ContextMismatch("split %d outside [0, %d]" % (split, cycle.arity))
+        _set(self, "cycle", cycle)
+        _set(self, "split", split)
 
     @property
     def left_context(self) -> tuple:

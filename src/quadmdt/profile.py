@@ -18,7 +18,7 @@ lift operation in the mdt module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 from .errors import (
     ConstraintViolated,
@@ -106,40 +106,88 @@ def profile_json_fields(data, required=_PROFILE_KEYS) -> dict:
         raise PatternInvalid("malformed profile JSON: %s" % exc) from exc
 
 
+# sets a field of a record: the base's own __setattr__ refuses every write
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable value classes of every layer.
+
+    A subclass lists its fields in ``__slots__`` (two or more) and sets each
+    once in its own ``__init__`` through ``_set``.  The base gives the
+    record behaviour: equality only between instances of the same class,
+    field by field; a hash of the field tuple, computed on first use and
+    kept in a slot; the repr ``Name(field=value, ...)``; AttributeError on
+    assignment or deletion; and pickling and copying through the
+    constructor, which validates again.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        # the field values in __slots__ order, one tuple gathered in C
+        cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._values(self)))
+            return self._hash
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % item for item in zip(self.__slots__, self._values(self))),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
 def _i1_bound(dim: int, i: int) -> int:
     """Karpenko's 2-adic bound 2^{v2(dim - i)} on a first higher isotropy index i."""
     return 1 << v2(dim - i)
 
 
-@dataclass(frozen=True)
-class QuadricProfile:
+class QuadricProfile(_Record):
     """Anisotropic nondefective nonquasilinear form of type (r, s)."""
 
-    dim: int
-    r: int
-    s: int
-    pattern: tuple
+    __slots__ = ("dim", "r", "s", "pattern")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pattern", tuple(self.pattern))
-        if self.r < 1 or self.s < 0 or self.dim != 2 * self.r + self.s:
+    def __init__(self, dim: int, r: int, s: int, pattern: tuple):
+        p = tuple(pattern)
+        if r < 1 or s < 0 or dim != 2 * r + s:
             raise DimMismatch(
-                "need dim = 2r + s with r >= 1, got dim=%d r=%d s=%d"
-                % (self.dim, self.r, self.s)
+                "need dim = 2r + s with r >= 1, got dim=%d r=%d s=%d" % (dim, r, s)
             )
-        p = self.pattern
-        check_pattern(self.r, p)
+        check_pattern(r, p)
         # Each step must obey the 2-adic bound applied to its kernel form
         # (of dimension dim - 2 j_{t-1}): i_t <= 2^{v2(kernel dim - i_t)}.
         for t in range(1, len(p)):
             step = p[t] - p[t - 1]
-            kernel_dim = self.dim - 2 * p[t - 1]
+            kernel_dim = dim - 2 * p[t - 1]
             bound = _i1_bound(kernel_dim, step)
             if step > bound:
                 raise StepViolatesI1Bound(
                     "step i_%d = %d exceeds bound %d for kernel dimension %d"
                     % (t, step, bound, kernel_dim)
                 )
+        _set(self, "dim", dim)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "pattern", p)
 
     @property
     def d_x(self) -> int:
@@ -193,8 +241,8 @@ class QuadricProfile:
 
 
 def mk_profile(dim: int, r: int, s: int, pattern) -> QuadricProfile:
-    """Validated profile constructor (alias for the dataclass)."""
-    return QuadricProfile(dim=dim, r=r, s=s, pattern=tuple(pattern))
+    """Validated profile constructor, the same as QuadricProfile(dim, r, s, pattern)."""
+    return QuadricProfile(dim, r, s, pattern)
 
 
 def izhboldin_dim(profile: QuadricProfile) -> int:
@@ -320,8 +368,7 @@ def _count_patterns(r: int, s: int, rules=None) -> int:
     return counts[r]
 
 
-@dataclass(frozen=True)
-class AlternatingExpansion:
+class AlternatingExpansion(_Record):
     """The unique expansion value = 2^{n_1} - 2^{n_2} + ... +- 2^{n_j}.
 
     The exponents strictly decrease and the final gap exceeds 1
@@ -333,11 +380,14 @@ class AlternatingExpansion:
     j - 1 for odd ones.
     """
 
-    value: int
-    n: tuple
-    m: tuple
-    j: int
-    j_prime: int
+    __slots__ = ("value", "n", "m", "j", "j_prime")
+
+    def __init__(self, value: int, n: tuple, m: tuple, j: int, j_prime: int):
+        _set(self, "value", value)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "j", j)
+        _set(self, "j_prime", j_prime)
 
 
 def alternating_2adic(value: int) -> AlternatingExpansion:
@@ -361,13 +411,15 @@ def alternating_2adic(value: int) -> AlternatingExpansion:
     return AlternatingExpansion(value=value, n=tuple(n), m=tuple(m), j=len(n), j_prime=len(m))
 
 
-@dataclass(frozen=True)
-class ExcellentPair:
+class ExcellentPair(_Record):
     """Index pair (a, b) excellent for the profile, witnessed by k."""
 
-    a: int
-    b: int
-    k: int
+    __slots__ = ("a", "b", "k")
+
+    def __init__(self, a: int, b: int, k: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "k", k)
 
 
 def excellent_pairs(profile: QuadricProfile) -> tuple:
@@ -447,12 +499,14 @@ def strongly_excellent_profile(n_list, s: int):
     return prof, tuple(dims)
 
 
-@dataclass(frozen=True)
-class PfisterNeighbourInvariants:
-    n: int
-    m: int
-    complementary_dim: int
-    close_neighbour: bool
+class PfisterNeighbourInvariants(_Record):
+    __slots__ = ("n", "m", "complementary_dim", "close_neighbour")
+
+    def __init__(self, n: int, m: int, complementary_dim: int, close_neighbour: bool):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "complementary_dim", complementary_dim)
+        _set(self, "close_neighbour", close_neighbour)
 
 
 def pfister_neighbour_invariants(dim: int, s: int) -> PfisterNeighbourInvariants:

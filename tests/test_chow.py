@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from quadmdt import chow
 from quadmdt.chow import (
     Cycle,
     FactorSymbol,
@@ -26,7 +27,7 @@ from quadmdt.chow import (
     steenrod,
     steenrod_factor,
 )
-from quadmdt.errors import ContextMismatch
+from quadmdt.errors import BoundExceeded, ContextMismatch
 from quadmdt.profile import mk_profile, pattern_enumerate
 
 
@@ -377,6 +378,19 @@ def test_steenrod_zero_beyond_part_caps():
     p622 = prof(6, 2, 2)
     ctx = (p622, p622, p622)
     assert steenrod(10**6, cycle_from_text("h0*h0*h0", ctx)) == Cycle.zero(ctx)
+
+
+def test_steenrod_frontier_bound(monkeypatch):
+    # S^30 of h63^4 at r = 128: levels of 31, 496, 5,456 and 5,456 entries,
+    # all 5,456 summands distinct
+    p = prof(256, 128, 0)
+    ctx = (p,) * 4
+    c = cycle_from_text("h63*h63*h63*h63", ctx)
+    monkeypatch.setattr(chow, "_MAX_FRONTIER", 5456)
+    assert len(steenrod(30, c).support) == 5456
+    monkeypatch.setattr(chow, "_MAX_FRONTIER", 5455)
+    with pytest.raises(BoundExceeded):
+        steenrod(30, c)
 
 
 # -- binomials mod 2 -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, exit codes, determinism, error objects."""
 
 import json
+import time
 
 import pytest
 
@@ -156,6 +157,18 @@ def test_scan_bounds(capsys):
     assert (code, out) == (0, "h2*%s\n" % top)
 
 
+def test_steenrod_output_bound(capsys):
+    # S^30 of h63^8 at r = 128 would have about 6 * 10^7 terms; the walk
+    # stops at its first level past _MAX_FRONTIER entries
+    p = '{"dim": 256, "r": 128, "s": 0, "pattern": [0, 128]}'
+    start = time.perf_counter()
+    code, out, err = run(capsys, "steenrod", "-j", "30", "*".join(["h63"] * 8),
+                         "--profile", "[%s]" % ", ".join([p] * 8))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "BoundExceeded"
+
+
 def test_i1_bounds_conjectural(capsys):
     code, out, _ = run(
         capsys, "i1-bounds", "-r", "3", "-s", "6", "--rules", "base,singular,conjectural"
@@ -207,7 +220,7 @@ def test_mdt_solve_count_builds_no_partition(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("MdtPartition built by mdt-solve --count")
 
-    monkeypatch.setattr(mdt.MdtPartition, "__post_init__", refuse)
+    monkeypatch.setattr(mdt.MdtPartition, "__init__", refuse)
     monkeypatch.setattr(mdt.MdtPartition, "_canonical", refuse)
     all_bell = '{"dim": 19, "r": 8, "s": 3, "pattern": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'
     code, out, _ = run(capsys, "mdt-solve", all_bell, "--count")

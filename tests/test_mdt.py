@@ -252,6 +252,20 @@ def test_partition_validation():
         blocks(P22, [lo(0), up(3)], [lo(1), up(4)], [])  # empty block
 
 
+def test_partition_rejects_non_symbol_entries():
+    # a plain (kind, index) tuple equals its symbol, yet is not one
+    for entry in (("lo", 1), 1, None, "1_lo"):
+        for build in (
+            lambda: blocks(P22, [lo(0), up(3)], [entry, up(4)]),
+            lambda: MdtPartition(((lo(0), up(3)), (up(4), entry)), 2, 4),
+        ):
+            with pytest.raises(ArityMismatch, match="is not a LambdaSymbol"):
+                build()
+    assert blocks(P22, [lo(0), up(3)], [lo(1), up(4)]) == MdtPartition(
+        ((up(4), lo(1)), (lo(0), up(3))), 2, 4
+    )
+
+
 def _reference_blocks(blocks, r, d_x):
     """MdtPartition's validation through sorted symbols and a set of them:
     the canonical blocks, or the ArityMismatch it raises."""

@@ -1,8 +1,10 @@
 """The package API and which modules each CLI request loads."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -61,10 +63,10 @@ def test_dir_and_unknown_names():
     assert quadmdt.chow is importlib.import_module("quadmdt.chow")
 
 
-def _loaded(code, *argv):
+def _loaded(code, *argv, flags=()):
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     return json.loads(out)
@@ -83,7 +85,7 @@ import contextlib, io, json, sys
 from quadmdt import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quadmdt."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 PROFILE_22 = '{"dim": 6, "r": 2, "s": 2, "pattern": [0, 2]}'
@@ -113,10 +115,82 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, modules", CASES, ids=[argv[0] + "-count" * ("--count" in argv) for argv, _ in CASES]
-)
+CASE_IDS = [argv[0] + "-count" * ("--count" in argv) for argv, _ in CASES]
+
+
+@pytest.mark.parametrize("argv, modules", CASES, ids=CASE_IDS)
 def test_cli_loads_only_the_layers_its_command_uses(argv, modules):
     code, loaded = _loaded(RUN_CLI, *argv)
     assert code == 0
-    assert set(loaded) == modules
+    assert {m for m in loaded if m.startswith("quadmdt.")} == modules
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CASES], ids=CASE_IDS)
+def test_cli_loads_no_dataclasses_or_inspect(argv):
+    # -S: no site hook imports either first; dataclasses, which loads inspect,
+    # cost each request about 15 ms
+    code, loaded = _loaded(RUN_CLI, *argv, flags=("-S",))
+    assert code == 0
+    assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+def _records():
+    from quadmdt.chow import Cycle, h, l
+    from quadmdt.corr import Correspondence
+    from quadmdt.mdt import (
+        Rule, RuleSet, ShellDiagram, ShellPattern, Violation, mdt_height_one,
+    )
+    from quadmdt.profile import (
+        ExcellentPair, QuadricProfile, alternating_2adic, pfister_neighbour_invariants,
+    )
+
+    p = QuadricProfile(6, 2, 2, (0, 2))
+    rp = "QuadricProfile(dim=6, r=2, s=2, pattern=(0, 2))"
+    lo0, lo1 = "LambdaSymbol(kind='lo', index=0)", "LambdaSymbol(kind='lo', index=1)"
+    up3, up4 = "LambdaSymbol(kind='up', index=3)", "LambdaSymbol(kind='up', index=4)"
+    h0, l0 = "FactorSymbol(kind='h', index=0)", "FactorSymbol(kind='l', index=0)"
+    cycle = Cycle.of_basis((p, p), (h(0), l(0)))
+    rc = "Cycle(context=(%s, %s), support=frozenset({(%s, %s)}))" % (rp, rp, h0, l0)
+    # (record, its repr, the plain tuple of its fields)
+    return [
+        (p, rp, (6, 2, 2, (0, 2))),
+        (alternating_2adic(6), "AlternatingExpansion(value=6, n=(3, 1), m=(2, 1), j=2, "
+         "j_prime=2)", (6, (3, 1), (2, 1), 2, 2)),
+        (ExcellentPair(0, 3, 1), "ExcellentPair(a=0, b=3, k=1)", (0, 3, 1)),
+        (pfister_neighbour_invariants(6, 2), "PfisterNeighbourInvariants(n=2, m=2, "
+         "complementary_dim=2, close_neighbour=True)", (2, 2, 2, True)),
+        (Rule("R-X", "proven", "summary", len, "block"), "Rule(id='R-X', provenance="
+         "'proven', summary='summary', check=<built-in function len>, scope='block')",
+         ("R-X", "proven", "summary", len, "block")),
+        (mdt_height_one(p), "MdtPartition(blocks=((%s, %s), (%s, %s)), r=2, d_x=4)"
+         % (lo0, up3, lo1, up4), (mdt_height_one(p).blocks, 2, 4)),
+        (RuleSet(frozenset({"R-DUAL"})), "RuleSet(enabled=frozenset({'R-DUAL'}), "
+         "assumed=frozenset())", (frozenset({"R-DUAL"}), frozenset())),
+        (Violation("R-PARITY", "odd"), "Violation(rule='R-PARITY', witness='odd')",
+         ("R-PARITY", "odd")),
+        (ShellPattern(4, (0, 2, 4)), "ShellPattern(r=4, pattern=(0, 2, 4))", (4, (0, 2, 4))),
+        (ShellDiagram(4, (0, 2, 4)), "ShellDiagram(r=4, pattern=(0, 2, 4))", (4, (0, 2, 4))),
+        (cycle, rc, (cycle.context, cycle.support)),
+        (Correspondence(cycle, 1), "Correspondence(cycle=%s, split=1)" % rc, (cycle, 1)),
+    ]
+
+
+def test_records_behave_as_frozen_values():
+    records = _records()
+    assert len({type(record) for record, _, _ in records}) == 12
+    for record, text, fields in records:
+        assert repr(record) == text
+        assert record != fields and fields != record
+        for rebuilt in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert rebuilt == record and rebuilt is not record
+            assert hash(rebuilt) == hash(record) == hash(record)
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    # equality stays within one class, even over equal fields
+    shell_pattern, shell_diagram = records[8][0], records[9][0]
+    assert shell_pattern != shell_diagram
