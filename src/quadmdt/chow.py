@@ -108,6 +108,17 @@ class Cycle(_Record):
         _set(self, "support", support)
 
     @classmethod
+    def _trusted(cls, context: tuple, support: frozenset) -> "Cycle":
+        """A cycle built unvalidated from a context tuple and a frozenset of
+        basis tuples that are valid over it.  Only the operations whose
+        result terms are valid by construction call it; every other path
+        validates in __init__."""
+        cycle = object.__new__(cls)
+        _SET_CONTEXT(cycle, context)
+        _SET_SUPPORT(cycle, support)
+        return cycle
+
+    @classmethod
     def zero(cls, context) -> "Cycle":
         return cls(tuple(context), frozenset())
 
@@ -126,7 +137,7 @@ class Cycle(_Record):
     def __add__(self, other: "Cycle") -> "Cycle":
         if self.context != other.context:
             raise ContextMismatch("cannot add cycles over different contexts")
-        return Cycle(self.context, self.support ^ other.support)
+        return Cycle._trusted(self.context, self.support ^ other.support)
 
     def __mul__(self, other: "Cycle") -> "Cycle":
         return mul(self, other)
@@ -177,6 +188,10 @@ class Cycle(_Record):
 
     def __str__(self):
         return cycle_to_text(self)
+
+
+# The slots' own setters, for _trusted
+_SET_CONTEXT, _SET_SUPPORT = (vars(Cycle)[name].__set__ for name in Cycle.__slots__)
 
 
 def identity_cycle(context) -> Cycle:
@@ -232,7 +247,7 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
     if len(a.support) > len(b.support):
         a, b = b, a
     if not a.support:
-        return Cycle(a.context, frozenset())
+        return Cycle._trusted(a.context, frozenset())
     tree = _prefix_tree(b.support)
     rows = [_partner_rows(prof) for prof in a.context]
     support = set()
@@ -253,7 +268,7 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
             frontier = level
         for _, out in frontier:
             support.symmetric_difference_update({out})
-    return Cycle(a.context, frozenset(support))
+    return Cycle._trusted(a.context, frozenset(support))
 
 
 def _prefix_tree(support) -> dict:
@@ -388,11 +403,11 @@ def steenrod(j: int, c: Cycle) -> Cycle:
     for t in range(c.arity - 1, -1, -1):
         room[t] = room[t + 1] + c.context[t].r - 1
     if not c.support or j > room[0]:
-        return Cycle(c.context, frozenset())
+        return Cycle._trusted(c.context, frozenset())
     frontier = [(_prefix_tree(c.support), j, ())]
     for prof, rest in zip(c.context, room[1:]):
         frontier = _square_level(frontier, _square_rows(prof), rest)
-    return Cycle(c.context, _odd_terms(out for _, _, out in frontier))
+    return Cycle._trusted(c.context, _odd_terms(out for _, _, out in frontier))
 
 
 # -- text notation ("h0*l2 + h1*l1") ------------------------------------------

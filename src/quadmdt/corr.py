@@ -100,7 +100,7 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
         for mid in itertools.product(*duals):
             for right in rights.get(mid, ()):
                 support.symmetric_difference_update({left + right})
-    return Correspondence(Cycle(context, frozenset(support)), f.split)
+    return Correspondence(Cycle._trusted(context, frozenset(support)), f.split)
 
 
 def _partners(sym: FactorSymbol, profile: QuadricProfile) -> list:
@@ -133,7 +133,7 @@ def transpose(f: Correspondence) -> Correspondence:
     context = f.right_context + f.left_context
     support = {elt[f.split :] + elt[: f.split] for elt in f.cycle.support}
     return Correspondence(
-        Cycle(context, frozenset(support)), len(f.right_context)
+        Cycle._trusted(context, frozenset(support)), len(f.right_context)
     )
 
 
@@ -178,7 +178,7 @@ def essential(x):
     support = frozenset(
         elt for elt in c.support if any(sym.kind == chow.L for sym in elt)
     )
-    return _like(x, Cycle(c.context, support))
+    return _like(x, Cycle._trusted(c.context, support))
 
 
 def cap(a, b):
@@ -186,7 +186,7 @@ def cap(a, b):
     ca, cb = _as_cycle(a), _as_cycle(b)
     if ca.context != cb.context:
         raise ContextMismatch("cap requires a common context")
-    return _like(a, Cycle(ca.context, ca.support & cb.support))
+    return _like(a, Cycle._trusted(ca.context, ca.support & cb.support))
 
 
 def contains(outer, inner) -> bool:
@@ -216,7 +216,7 @@ def diagonal_mult(c: Cycle) -> Cycle:
             out.append(prod)
         else:
             support.symmetric_difference_update({tuple(out)})
-    return Cycle(half, frozenset(support))
+    return Cycle._trusted(half, frozenset(support))
 
 
 def _check_level(profile: QuadricProfile, t: int):
@@ -263,7 +263,7 @@ def reduce_f(profile: QuadricProfile, t: int, x):
     for elt in c.support:
         if all(sym.index >= w for sym in elt):
             support.add(tuple(FactorSymbol(sym.kind, sym.index - w) for sym in elt))
-    return _like(x, Cycle(tuple(kernel for _ in c.context), frozenset(support)))
+    return _like(x, Cycle._trusted(tuple(kernel for _ in c.context), frozenset(support)))
 
 
 def reduce_g(profile: QuadricProfile, t: int, x):
@@ -276,4 +276,4 @@ def reduce_g(profile: QuadricProfile, t: int, x):
         tuple(FactorSymbol(sym.kind, sym.index + w) for sym in elt)
         for elt in c.support
     }
-    return _like(x, Cycle(tuple(profile for _ in c.context), frozenset(support)))
+    return _like(x, Cycle._trusted(tuple(profile for _ in c.context), frozenset(support)))

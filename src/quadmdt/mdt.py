@@ -41,12 +41,15 @@ the enumerator merges up front and the rows' checks report when split.
 
 The rows work on a compiled form of a (profile, RuleSet) pair: Lambda(X)
 encoded as the integers 0..2r-1 in lambda_set order (so integer order is
-symbol order), with the profile-only data -- shells, expected endpoints,
-Izh - 1, the interior j_t, the R-VPN assertion and the connection pairs --
-computed once and cached per pair.  Every row but R-SHIFT and the
-connection rows reads one block at a time: R-PARITY and R-ENDPOINT any
-block, R-UPPER and R-KARPENKO the upper block (first symbol 0_lo), R-VISHIK
-a block based at some j_{t-1}.  Each row's check yields its witnesses as
+symbol order).  The profile-only data -- shells, expected endpoints,
+Izh - 1, the interior j_t, the symbols and each connection rule's pairs per
+scope -- is cached per profile and shared by every rule set; the pair adds
+only its rows, the R-VPN assertion, R-VISHIK's positions and the pairs of
+the connection rules in scope.  The checker alone names symbols, from a
+name table per Lambda(X).  Every row but R-SHIFT and the connection rows
+reads one block at a time: R-PARITY and R-ENDPOINT any block, R-UPPER and
+R-KARPENKO the upper block (first symbol 0_lo), R-VISHIK a block based at
+some j_{t-1}.  Each row's check yields its witnesses as
 templates with their arguments, and only check_partition formats them: it
 collects every witness, row by row and, for a per-block row, block by
 block.  The enumerator searches block by block instead of testing whole
@@ -163,17 +166,30 @@ def up(i: int) -> LambdaSymbol:
     return LambdaSymbol(UP, i)
 
 
+# Lambda(X) depends on (r, d_X) alone, which many profiles share
+@functools.lru_cache(maxsize=64)
+def _symbols(r: int, d_x: int) -> tuple:
+    """The 2r symbols of Lambda(X), lower ones first."""
+    return tuple(map(lo, range(r))) + tuple(map(up, range(d_x - r + 1, d_x + 1)))
+
+
 @functools.lru_cache(maxsize=64)
 def _window(r: int, d_x: int) -> frozenset:
-    """The 2r symbols of Lambda(X)."""
-    return frozenset(map(lo, range(r))) | frozenset(map(up, range(d_x - r + 1, d_x + 1)))
+    """The 2r symbols of Lambda(X), as a set."""
+    return frozenset(_symbols(r, d_x))
+
+
+@functools.lru_cache(maxsize=64)
+def _name_table(r: int, d_x: int) -> tuple:
+    """The checker's witness names: each code's text ("3_lo", "17^up") and
+    each symbol's code, in lambda_set order."""
+    symbols = _symbols(r, d_x)
+    return tuple(map(str, symbols)), dict(zip(symbols, range(2 * r)))
 
 
 def lambda_set(profile: QuadricProfile) -> tuple:
     """The 2r symbols of Lambda(X), lower ones first."""
-    return tuple(lo(i) for i in range(profile.r)) + tuple(
-        up(i) for i in range(profile.d_x - profile.r + 1, profile.d_x + 1)
-    )
+    return _symbols(profile.r, profile.d_x)
 
 
 def alpha_cycle(sym: LambdaSymbol, profile: QuadricProfile) -> Correspondence:
@@ -294,9 +310,7 @@ class MdtPartition(_Record):
             for block in data["blocks"]:
                 for entry in block:
                     unknown.update(set(entry) - {"kind", "i"})
-                blocks.append(
-                    tuple(LambdaSymbol(entry["kind"], json_int(entry["i"])) for entry in block)
-                )
+                blocks.append(tuple([_json_symbol(entry) for entry in block]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ArityMismatch("malformed partition JSON: %s" % exc) from exc
         if unknown:
@@ -307,6 +321,18 @@ class MdtPartition(_Record):
         return " | ".join(
             "{" + ", ".join(str(sym) for sym in block) + "}" for block in self.blocks
         )
+
+
+def _json_symbol(entry) -> LambdaSymbol:
+    """The symbol of a partition JSON entry, from the lo/up caches; its fields
+    are read and checked in LambdaSymbol(entry["kind"], json_int(entry["i"]))'s
+    order, with its errors."""
+    kind, index = entry["kind"], json_int(entry["i"])
+    if kind == LO:
+        return lo(index)
+    if kind == UP:
+        return up(index)
+    return LambdaSymbol(kind, index)  # raises: kind is neither
 
 
 # The slots' own setters, for _canonical: one survivor costs about 0.1 us
@@ -367,6 +393,11 @@ class Violation(_Record):
         return {"rule": self.rule, "witness": self.witness}
 
 
+# The slots' own setters, for check_partition, which reports many violations
+# per call
+_SET_RULE, _SET_WITNESS = (vars(Violation)[name].__set__ for name in Violation.__slots__)
+
+
 def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     """Connections contributed by the virtual-Pfister-neighbour lemma.
 
@@ -393,30 +424,43 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
 
 
 def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
-    """Enabled connection rule id -> the symbol pairs it forces into one block.
+    """Enabled connection rule id -> the scope flag its pairs are built with.
 
-    The one statement of R-DUAL, R-EXC and R-VPN and their scopes: the
-    enumerator merges every pair, the checker reports every split pair.
+    The one statement of the scopes of R-DUAL, R-EXC and R-VPN: the
+    enumerator merges every pair of these rules, the checker reports every
+    split pair.  The flag is R-VPN's assumed scope; R-EXC's scope decides
+    only whether it applies, not its pairs.
     """
     table = {}
     if "R-DUAL" in rules.enabled:
-        table["R-DUAL"] = forced_connections(profile)
+        table["R-DUAL"] = False
     if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
-        table["R-EXC"] = tuple((lo(p.a), up(p.b)) for p in excellent_pairs(profile))
+        table["R-EXC"] = False
     if "R-VPN" in rules.enabled:
-        table["R-VPN"] = vpn_connections(profile, assumed="R-VPN" in rules.assumed)
+        table["R-VPN"] = "R-VPN" in rules.assumed
     return table
+
+
+# the symbol pairs of each connection rule, by profile and scope flag; each
+# entry looks its function up when called, so a wrapper set on the module
+# (as a tracer does) sees every call
+_CONNECTION_PAIRS = {
+    "R-DUAL": lambda profile, assumed: forced_connections(profile),
+    "R-EXC": lambda profile, assumed: [(lo(p.a), up(p.b)) for p in excellent_pairs(profile)],
+    "R-VPN": lambda profile, assumed: vpn_connections(profile, assumed),
+}
 
 
 # -- the compiled form -----------------------------------------------------------
 
 
-class _Compiled:
-    """A profile and a RuleSet over the integer symbols 0..2r-1.
+class _ProfileForm:
+    """A profile over the integer symbols 0..2r-1: what every RuleSet shares.
 
-    Symbol k is lambda_set(profile)[k], so integer order is LambdaSymbol
-    order: k < r is k_lo, and k >= r is an upper symbol.  Every attribute
-    depends on the profile and the rules only; _compile sets them once.
+    Symbol k is symbols[k] = lambda_set(profile)[k], so integer order is
+    LambdaSymbol order: k < r is k_lo, and k >= r is an upper symbol.
+    _profile_form sets every attribute once; the connection pairs are
+    memoised per rule and scope flag as rule sets ask for them.
     """
 
     __slots__ = (
@@ -428,17 +472,48 @@ class _Compiled:
         "expected_b",  # lower index a -> the b that R-ENDPOINT requires
         "izh_b",  # Izh - 1, the b that R-UPPER requires
         "interior",  # j_t for 0 < t < h
-        "vpn_assertion",  # what an asserted R-VPN reports on every partition
-        "connections",  # connection rule id -> the [a, b] int pairs it forces together
-        "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
-        "rows",  # the enabled RULES rows, in table order
+        "symbols",  # code -> its LambdaSymbol
+        "profile",
+        "pairs",  # (connection rule id, scope flag) -> its [a, b] int pairs
     )
 
     def code(self, sym: LambdaSymbol) -> int:
         return sym.index if sym.kind == LO else sym.index + self.up_offset
 
     def symbol(self, k: int) -> LambdaSymbol:
-        return lo(k) if k < self.r else up(k - self.up_offset)
+        return self.symbols[k]
+
+    def connection_pairs(self, rule_id: str, assumed: bool) -> list:
+        key = rule_id, assumed
+        pairs = self.pairs.get(key)
+        if pairs is None:
+            # pairs as 2-lists: fresh 2-tuples raised the peak memory of
+            # check_oneshot, which compiles every profile it checks, by
+            # 0.6-0.8 MB (of ~30)
+            pairs = self.pairs[key] = [
+                [self.code(a), self.code(b)]
+                for a, b in _CONNECTION_PAIRS[rule_id](self.profile, assumed)
+            ]
+        return pairs
+
+
+class _Compiled(_ProfileForm):
+    """A profile and a RuleSet over the integer symbols 0..2r-1.
+
+    It holds its profile's form's attributes, shared by every RuleSet, and
+    adds what depends on the rules: _compile sets them once.  The name
+    table is set by check_partition alone, on its first read: the search
+    never names a symbol.
+    """
+
+    __slots__ = (
+        "vpn_assertion",  # what an asserted R-VPN reports on every partition
+        "connections",  # connection rule id in scope -> its [a, b] int pairs
+        "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
+        "rows",  # the enabled RULES rows, in table order
+        "names",  # code -> its symbol's text, or None
+        "codes",  # LambdaSymbol -> its code, or None
+    )
 
 
 def _vpn_assertion(profile: QuadricProfile) -> tuple:
@@ -474,32 +549,44 @@ def _vishik_positions(profile: QuadricProfile) -> dict:
     return out
 
 
-# QuadricProfile and RuleSet are frozen, so one compiled form serves every
-# check of a (profile, rules) pair; check_partition is called once per
-# partition by callers that check many partitions of one profile
+# QuadricProfile and RuleSet are frozen, so one form serves every check of a
+# profile, under every rule set, and one compiled form every check of a
+# (profile, rules) pair: callers check many partitions of one profile, or one
+# partition under several rule sets
+@functools.lru_cache(maxsize=32)
+def _profile_form(profile: QuadricProfile) -> _ProfileForm:
+    f = _ProfileForm()
+    f.r = r = profile.r
+    f.pattern = p = profile.pattern
+    f.up_offset = 2 * r - 1 - profile.d_x
+    f.steps = profile.steps
+    f.shell = tuple(t for t in range(1, len(p)) for _ in range(p[t - 1], p[t]))
+    f.expected_b = tuple(
+        a + profile.d_x + 1 - p[t - 1] - p[t] for a, t in enumerate(f.shell)
+    )
+    f.izh_b = profile.izhboldin_dim - 1
+    f.interior = frozenset(p[1:-1])
+    f.symbols = lambda_set(profile)
+    f.profile = profile
+    f.pairs = {}
+    return f
+
+
 @functools.lru_cache(maxsize=32)
 def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
+    form = _profile_form(profile)
     c = _Compiled()
-    c.r = r = profile.r
-    c.pattern = p = profile.pattern
-    c.up_offset = 2 * r - 1 - profile.d_x
-    c.steps = profile.steps
-    c.shell = tuple(t for t in range(1, len(p)) for _ in range(p[t - 1], p[t]))
-    c.expected_b = tuple(
-        a + profile.d_x + 1 - p[t - 1] - p[t] for a, t in enumerate(c.shell)
-    )
-    c.izh_b = profile.izhboldin_dim - 1
-    c.interior = frozenset(p[1:-1])
+    for name in _ProfileForm.__slots__:
+        setattr(c, name, getattr(form, name))
+    c.names = c.codes = None
     c.vpn_assertion = (
         _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
     )
     c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
     c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
-    # pairs as 2-lists: fresh 2-tuples raised the peak memory of check_oneshot,
-    # which compiles every profile it checks, by 0.6-0.8 MB (of ~30)
     c.connections = {
-        rule_id: [[c.code(a), c.code(b)] for a, b in pairs]
-        for rule_id, pairs in _connection_rules(profile, rules).items()
+        rule_id: form.connection_pairs(rule_id, assumed)
+        for rule_id, assumed in _connection_rules(profile, rules).items()
     }
     return c
 
@@ -517,12 +604,12 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
 
 
 def _fmt(c, block) -> str:
-    return ", ".join([str(c.symbol(k)) for k in block])
+    return ", ".join(map(c.names.__getitem__, block))
 
 
 class _BlockText:
-    """A witness argument: a block, written as its symbols only when the
-    witness's text is formatted."""
+    """A witness argument: a block (or one symbol, as a block of one),
+    written as its symbols only when the witness's text is formatted."""
 
     __slots__ = ("c", "block")
 
@@ -535,9 +622,10 @@ class _BlockText:
 
 def _split_pairs(c, rule_id, template, block_of):
     """Witnesses of a connection rule: one per pair the candidate splits."""
+    names = c.names
     for a, b in c.connections.get(rule_id, ()):
         if block_of[a] != block_of[b]:
-            yield template, (c.symbol(a), c.symbol(b))
+            yield template, (names[a], names[b])
 
 
 def _check_dual(c, block_of, blocks):
@@ -569,28 +657,24 @@ def _check_endpoint(c, block):
 
 def _check_shift(c, block_of, blocks):
     r, p = c.r, c.pattern
+    based = {block[0]: block for block in blocks}  # each block at its first symbol
     for t in range(1, len(p)):
         lo_bound, hi_bound = p[t - 1], p[t]
-        members = {
-            a: blocks[block_of[a]]
-            for a in range(lo_bound, hi_bound)
-            if blocks[block_of[a]][0] == a
-        }
-        if not members:
+        base = based.get(lo_bound)
+        if base is None:
+            members = [a for a in range(lo_bound, hi_bound) if a in based]
+            if members:
+                yield (
+                    "shell %d has blocks based at %s but none at j_%d = %d",
+                    (t, members, t - 1, lo_bound),
+                )
             continue
         step = hi_bound - lo_bound
-        base = members.get(lo_bound)
-        if base is None:
-            yield (
-                "shell %d has blocks based at %s but none at j_%d = %d",
-                (t, sorted(members), t - 1, lo_bound),
-            )
-            continue
         lowers = [k for k in base if k < r]
         for k in range(1, step):
             # a lower symbol shifted to r or beyond leaves Lambda(X)
             shifted = tuple(x + k for x in base)
-            if lowers[-1] + k >= r or members.get(lo_bound + k) != shifted:
+            if lowers[-1] + k >= r or based.get(lo_bound + k) != shifted:
                 yield (
                     "shell %d: block at a = %d must be the base block shifted by %d",
                     (t, lo_bound + k, k),
@@ -601,7 +685,7 @@ def _check_shift(c, block_of, blocks):
             if i + step > p[t2]:
                 yield (
                     "base block of shell %d contains %s with %d + %d > j_%d = %d",
-                    (t, c.symbol(i), i, step, t2, p[t2]),
+                    (t, c.names[i], i, step, t2, p[t2]),
                 )
 
 
@@ -666,7 +750,7 @@ def _check_vishik(c, block):
     t, positions = shell
     for pos, k in positions:
         if pos not in block:
-            yield "block at a = j_%d must contain %s (k = %d)", (t - 1, c.symbol(pos), k)
+            yield "block at a = j_%d must contain %s (k = %d)", (t - 1, _BlockText(c, (pos,)), k)
 
 
 # -- the rule table and the checker ----------------------------------------------
@@ -739,18 +823,26 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
             % (partition.r, partition.d_x, profile.r, profile.d_x)
         )
     c = _compile(profile, rules)
-    blocks = tuple(tuple(c.code(sym) for sym in block) for block in partition.blocks)
+    if c.codes is None:  # the witness text's names, which the search never reads
+        c.names, c.codes = _name_table(profile.r, profile.d_x)
+    codes = c.codes
+    blocks = tuple([tuple(map(codes.__getitem__, block)) for block in partition.blocks])
     block_of = [0] * (2 * profile.r)
     for position, block in enumerate(blocks):
         for k in block:
             block_of[k] = position
     violations = []
+    append, new = violations.append, object.__new__
     for rule in c.rows:
         if rule.scope == "block":
             found = [w for block in blocks for w in rule.check(c, block)]
         else:
             found = rule.check(c, block_of, blocks)
-        violations += [Violation(rule.id, template % args) for template, args in found]
+        for template, args in found:
+            violation = new(Violation)
+            _SET_RULE(violation, rule.id)
+            _SET_WITNESS(violation, template % args)
+            append(violation)
     return tuple(violations)
 
 
@@ -883,8 +975,9 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
         options = (((block,), mask) for block, mask in passing.items())
     # the survivors' blocks are the options' symbol tuples
     opened_by = [[] for _ in atom_list]
+    symbol = c.symbols.__getitem__
     for orbit, mask in options:
-        blocks = tuple([tuple([c.symbol(k) for k in block]) for block in orbit])
+        blocks = tuple([tuple(map(symbol, block)) for block in orbit])
         opened_by[(mask & -mask).bit_length() - 1].append((mask, blocks))
     return opened_by
 

@@ -185,6 +185,17 @@ def test_mul_matches_pairwise_oracle(pair):
     assert mul(a, b) == _mul_pairwise(a, b)
 
 
+@given(cycle_pairs(), st.integers(0, 6))
+@example((FULL, FULL), 3)
+def test_results_match_validating_constructor(pair, j):
+    # sums, products and squares build their results unvalidated: each must
+    # be the cycle that the validating constructor builds from its parts
+    a, b = pair
+    for result in (a + b, mul(a, b), steenrod(j, a), steenrod(j, a * b)):
+        assert type(result.context) is tuple and type(result.support) is frozenset
+        assert result == Cycle(result.context, result.support)
+
+
 def test_factor_partners_match_mul_factor_scan():
     for p in every_profile(6, 4):
         basis = factor_basis(p)

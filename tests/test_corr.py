@@ -431,3 +431,32 @@ def test_degree_pairing_matches_composition():
                 assert bool(composed) == bool(pairing)
                 if a.dimension() + b.dimension() != p.d_x:
                     assert pairing == 0
+
+
+@given(st.data())
+def test_results_match_validating_constructor(data):
+    # every operation here builds its result unvalidated: each result must be
+    # the cycle that the validating constructor builds from its parts
+    left, middle, right = (data.draw(contexts(0, 2)) for _ in range(3))
+    f = Correspondence(Cycle.of_basis(left + middle, *data.draw(terms(left + middle))), len(left))
+    g = Correspondence(Cycle.of_basis(middle + right, *data.draw(terms(middle + right))), len(middle))
+    other = Cycle.of_basis(left + middle, *data.draw(terms(left + middle)))
+    p = data.draw(st.sampled_from(SMALL_PROFILES))
+    t = data.draw(st.integers(0, p.height - 1))
+    arity = data.draw(st.integers(1, 2))
+    x = Cycle.of_basis((p,) * arity, *data.draw(terms((p,) * arity)))
+    kernel = p.kernel(t)
+    y = Cycle.of_basis((kernel,) * arity, *data.draw(terms((kernel,) * arity)))
+    results = [
+        compose(f, g).cycle,
+        compose(f, transpose(f)).cycle,
+        transpose(f).cycle,
+        essential(f).cycle,
+        cap(f.cycle, other),
+        diagonal_mult(Cycle.of_basis(left + left, *data.draw(terms(left + left)))),
+        reduce_f(p, t, x),
+        reduce_g(p, t, y),
+    ]
+    for result in results:
+        assert type(result.context) is tuple and type(result.support) is frozenset
+        assert result == Cycle(result.context, result.support)

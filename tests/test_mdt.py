@@ -351,11 +351,10 @@ WITNESS_FORMATS = (
 )
 
 
-def test_check_reports_golden():
-    # full (rule, witness) reports for seeded partitions of r <= 8 profiles
-    # under five rule sets, recorded before the rule rows moved to integer
-    # symbols: the file pins every witness's text and order
-    records = json.loads((GOLDEN / "check_reports.json").read_text())
+def _check_golden_reports(name):
+    """Check every record of a golden report file; return the witness
+    formats its reports use."""
+    records = json.loads((GOLDEN / name).read_text())
     hit = set()
     for record in records:
         profile = QuadricProfile.from_json_dict(record["profile"])
@@ -370,7 +369,24 @@ def test_check_reports_golden():
             matched = [f for f in WITNESS_FORMATS if re.fullmatch(f, witness)]
             assert matched, witness
             hit.update(matched)
-    assert hit == set(WITNESS_FORMATS)
+    return hit
+
+
+def test_check_reports_golden():
+    # full (rule, witness) reports for seeded partitions of r <= 8 profiles
+    # under five rule sets, recorded before the rule rows moved to integer
+    # symbols: the file pins every witness's text and order
+    assert _check_golden_reports("check_reports.json") == set(WITNESS_FORMATS)
+
+
+def test_check_reports_wide_golden():
+    # the same for seeded partitions of r = 9..24 profiles, recorded before
+    # the checker read symbol names from a table: it pins two-digit names
+    # such as 17^up and 12_lo in every witness format but the second
+    # Karpenko theorem's
+    karpenko_second = r"v2\(i_\d+\) = \d+ exceeds v2\(i_1\) \+ 1 = \d+"
+    hit = _check_golden_reports("check_reports_wide.json")
+    assert hit == set(WITNESS_FORMATS) - {karpenko_second}
 
 
 @st.composite
@@ -402,6 +418,30 @@ def test_partition_json_round_trip():
     part = blocks(P22, [lo(0), up(3)], [lo(1), up(4)])
     data = part.to_json_dict()
     assert MdtPartition.from_json_dict(data, P22) == part
+
+
+# malformed partition blocks and their exact errors: each entry is read
+# field by field, kind before index, with json_int before the kind check
+MALFORMED_BLOCKS = [
+    ([[{"kind": "mid", "i": 1.5}]], "malformed partition JSON: 1.5 is not an integer"),
+    ([[{"kind": ["lo"], "i": 0}]], "malformed partition JSON: kind must be 'lo' or 'up'"),
+    (
+        [[["lo", 0]]],
+        "malformed partition JSON: list indices must be integers or slices, not str",
+    ),
+    ([[{"kind": "lo", "x": 1}]], "malformed partition JSON: 'i'"),
+    ([[{"kind": "lo", "i": True}]], "malformed partition JSON: True is not an integer"),
+    ([[{"kind": "lo", "i": 0, "x": 2}]], "malformed partition JSON: unknown keys ['x']"),
+    ([[{"kind": "lo", "i": -1}]], "-1_lo outside the lo window"),
+    ([[{"kind": "lo", "i": 0}, 5]], "malformed partition JSON: 'int' object is not iterable"),
+]
+
+
+def test_partition_json_errors():
+    for data, message in MALFORMED_BLOCKS:
+        with pytest.raises(ArityMismatch) as exc:
+            MdtPartition.from_json_dict({"blocks": data}, P22)
+        assert str(exc.value) == message, data
 
 
 # -- enumerator ----------------------------------------------------------------------
@@ -690,6 +730,30 @@ def test_count_matches_listing(rules):
         )
 
 
+def test_check_reports_independent_of_rule_set_order():
+    # the compiled forms of one profile share its form, which memoises each
+    # connection rule's pairs per scope: the five rule sets checked forward
+    # and in reverse, from cold caches, must give the same reports
+    rng = random.Random(15)
+    for profile in SWEEP_R7 + R8_FIXED:
+        parts = []
+        for units in ([[sym] for sym in lambda_set(profile)], forced_connections(profile)) * 2:
+            units = list(units)
+            rng.shuffle(units)
+            groups = {}
+            for unit in units:
+                groups.setdefault(rng.randrange(len(units)), []).extend(unit)
+            parts.append(MdtPartition.of(profile, groups.values()))
+        reports = []
+        for order in (ORACLE_RULE_SETS, ORACLE_RULE_SETS[::-1]):
+            mdt._compile.cache_clear()
+            mdt._profile_form.cache_clear()
+            reports.append(
+                {rules: [check_partition(profile, part, rules) for part in parts] for rules in order}
+            )
+        assert reports[0] == reports[1], str(profile)
+
+
 def test_shift_search_matches_leaf_pass_alone():
     # R-SHIFT alone, over single-symbol atoms: no other row hides a shell
     # whose base block breaks part (2), or whose lower symbol j_{t-1} sits in
@@ -737,6 +801,17 @@ def test_enumerate_formats_no_witness(monkeypatch):
     monkeypatch.setattr(mdt.LambdaSymbol, "__str__", refuse)
     for profile, answer in expected.items():
         assert enumerate_mdt(profile) == answer
+
+
+def test_search_builds_no_name_table():
+    # only check_partition names symbols: the listing and the count build no
+    # name table, which the test above cannot see once one is cached
+    mdt._compile.cache_clear()
+    mdt._name_table.cache_clear()
+    for profile in GENERATE_AND_TEST_PROFILES:
+        enumerate_mdt(profile)
+        mdt._count_mdt(profile)
+    assert mdt._name_table.cache_info().currsize == 0
 
 
 def test_enumerate_height_one_unique():
