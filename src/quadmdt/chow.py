@@ -21,12 +21,13 @@ compositions of j.  S^{j_t} vanishes on a factor once j_t >= r, so only
 compositions with every part at most r - 1 contribute.
 
 mul and steenrod visit only the terms that can be nonzero.  Each indexes
-a support as a prefix tree, one level per factor, and walks it factor
-by factor: mul walks each term of the smaller support down the larger
-one's tree through the factor partners of its symbols only (the symbols
-with a nonzero product), and steenrod walks the tree of its input through
-the nonzero squares S^{j_t} of each symbol only, carrying the part of j
-still to be spent.  The products and squares come from per-profile tables
+a support as a prefix tree, one level per factor.  mul multiplies the
+trees of its two inputs node by node from the roots, pairing each symbol
+only with its factor partners (the symbols with a nonzero product) and
+adding up the products of the subtrees below each pair as F2 sums of
+sets; steenrod walks the tree of its input factor by factor through the
+nonzero squares S^{j_t} of each symbol only, carrying the part of j still
+to be spent.  The products and squares come from per-profile tables
 whose rows are built from mul_factor and steenrod_factor, so each law
 above is stated once.
 """
@@ -100,6 +101,11 @@ class Cycle(_Record):
                     % (len(elt), arity)
                 )
             for sym, prof in zip(elt, context):
+                # a plain (kind, index) tuple equals its symbol, so test the type
+                if not isinstance(sym, FactorSymbol):
+                    raise ContextMismatch(
+                        "basis entry %r is not a FactorSymbol" % (sym,)
+                    )
                 if not 0 <= sym.index < prof.r:
                     raise ContextMismatch(
                         "symbol %s outside index range [0, %d)" % (sym, prof.r)
@@ -233,42 +239,80 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
 
     The bilinear law sums the factorwise product over every pair of terms.
     A pair contributes exactly when every factor product is nonzero, so
-    the larger support is indexed once as a prefix tree (one level per
-    factor) and each term of the smaller one walks down it, following at
-    each level only the branches of its symbol's factor partners -- the
-    symbols whose product with it is nonzero.  At each node the walk goes
-    through the node's children or the partners, whichever are fewer, and
-    looks the other up.  Each nonzero pair of terms is reached once, at the
-    end of a path of the tree, and the F2 sum of the products is the
-    bilinear law's.  Every factor product commutes, so the sides may swap.
+    both supports are indexed as prefix trees (one level per factor) and
+    multiplied node by node from the roots.  At a pair of nodes, each child
+    symbol s of a's node meets only its factor partners among the children
+    of b's node -- the symbols t with a nonzero product p = s t -- going
+    through the children or the partners, whichever are fewer.  The
+    subtrees below s and t multiply to a set of tails, and the F2 sum of the
+    tail sets of all pairs with one product p, a symmetric difference of
+    sets, gives the terms (p,) + tail.  At the last factor, a symbol times a
+    node is the F2 sum of the symbol's products with the node's symbols,
+    memoised per (symbol, node) within the call: one last-level node of b
+    meets the same symbol under many prefixes of a.  Every sum is an F2
+    sum, never a union: over dim == 2 (mod 4) and s = 0, l_m h^m and
+    l_m l_m are both l_0 and cancel.
     """
     if a.context != b.context:
         raise ContextMismatch("cannot multiply cycles over different contexts")
-    if len(a.support) > len(b.support):
-        a, b = b, a
-    if not a.support:
-        return Cycle._trusted(a.context, frozenset())
-    tree = _prefix_tree(b.support)
-    rows = [_partner_rows(prof) for prof in a.context]
-    support = set()
-    for ea in a.support:
-        frontier = [(tree, ())]
-        for sa, row in zip(ea, rows):
-            partners = row[sa]
-            level = []
-            for node, out in frontier:
-                if len(node) < len(partners):
-                    for sb, child in node.items():
-                        if (prod := partners.get(sb)) is not None:
-                            level.append((child, out + (prod,)))
+    if not a.context:
+        # over the empty product the only basis tuple is the unit ()
+        return Cycle._trusted((), a.support & b.support)
+    *rows, last = [_partner_rows(prof) for prof in a.context]
+    memo = {}
+
+    def last_level(node_a, node_b):
+        # a node is a dict, so its id names it: both trees outlive the memo
+        out, node = set(), id(node_b)
+        for s in node_a:
+            key = (s, node)
+            if (sub := memo.get(key)) is None:
+                sub = memo[key] = _products(last[s], node_b)
+            out ^= sub
+        return out
+
+    def level(node_a, node_b, depth):
+        if depth == len(rows):
+            return last_level(node_a, node_b)
+        row = rows[depth]
+        acc = {}
+        for s, child_a in node_a.items():
+            partners = row[s]
+            if len(node_b) < len(partners):
+                pairs = [
+                    (prod, child_b)
+                    for t, child_b in node_b.items()
+                    if (prod := partners.get(t)) is not None
+                ]
+            else:
+                pairs = [
+                    (prod, child_b)
+                    for t, prod in partners.items()
+                    if (child_b := node_b.get(t)) is not None
+                ]
+            for prod, child_b in pairs:
+                # each level returns a fresh set, so acc may own and update it
+                sub = level(child_a, child_b, depth + 1)
+                if prod in acc:
+                    acc[prod] ^= sub
                 else:
-                    for sb, prod in partners.items():
-                        if (child := node.get(sb)) is not None:
-                            level.append((child, out + (prod,)))
-            frontier = level
-        for _, out in frontier:
-            support.symmetric_difference_update({out})
+                    acc[prod] = sub
+        return {(prod,) + tail for prod, sub in acc.items() for tail in sub}
+
+    support = level(_prefix_tree(a.support), _prefix_tree(b.support), 0)
     return Cycle._trusted(a.context, frozenset(support))
+
+
+def _products(partners: dict, node: dict) -> frozenset:
+    """The F2 sum of the 1-tuples (s b,) over the symbols b of a node, given
+    the partner row {b: s b} of s."""
+    if len(node) < len(partners):
+        terms = [(prod,) for b in node if (prod := partners.get(b)) is not None]
+    else:
+        terms = [(prod,) for b, prod in partners.items() if b in node]
+    support = frozenset(terms)
+    # only l_0 can occur twice (l_m h^m = l_m l_m), and then it cancels
+    return support if len(support) == len(terms) else _odd_terms(terms)
 
 
 def _prefix_tree(support) -> dict:

@@ -12,7 +12,9 @@ with it is l_0 under the multiplication table.  Such a product pairs equal
 indices (h^i l_i, and l_m l_m with m = (dim - 2)/2 in the exceptional case
 dim == 2 (mod 4)), so each symbol has at most two partners.  compose
 indexes g by its middle tuple and, for each term of f, looks up only the
-partner middles instead of pairing every term of f with every term of g.
+partner middles instead of pairing every term of f with every term of g;
+the partners come from per-profile tables whose rows are built from
+mul_factor, as chow's are.
 This makes composition total on mixed-degree cycles.
 
 Isotropic reduction (reduce_f / reduce_g) shifts every index down/up by
@@ -24,6 +26,7 @@ tests).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import chow
@@ -85,6 +88,8 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     So g is indexed once by its middle tuple, and each term of f visits only
     its partner middles (at most 2^k for k middle factors, the empty tuple
     when the middle is empty); the result is the bilinear law's F2 sum.
+    The partners of each middle symbol are read from its factor's table,
+    built lazily once per profile, rather than worked out again per term.
     """
     middle = f.right_context
     if middle != g.left_context:
@@ -93,10 +98,11 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     rights = {}
     for eg in g.cycle.support:
         rights.setdefault(eg[: g.split], []).append(eg[g.split :])
+    tables = [_partner_table(prof) for prof in middle]
     support = set()
     for ef in f.cycle.support:
         left = ef[: f.split]
-        duals = [_partners(sym, prof) for sym, prof in zip(ef[f.split :], middle)]
+        duals = [table[sym] for sym, table in zip(ef[f.split :], tables)]
         for mid in itertools.product(*duals):
             for right in rights.get(mid, ()):
                 support.symmetric_difference_update({left + right})
@@ -108,6 +114,13 @@ def _partners(sym: FactorSymbol, profile: QuadricProfile) -> list:
     # indices, so h^i and l_i are the only candidates.
     i = sym.index
     return [b for b in (h(i), l(i)) if chow.mul_factor(sym, b, profile) == l(0)]
+
+
+# symbol -> its partners; the tables of the 32 profiles used last are kept,
+# as chow's are
+@functools.lru_cache(maxsize=32)
+def _partner_table(profile: QuadricProfile) -> chow._RowTable:
+    return chow._RowTable(_partners, profile)
 
 
 def diagonal_class(profile: QuadricProfile) -> Correspondence:

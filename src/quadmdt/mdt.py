@@ -1058,10 +1058,16 @@ def mdt_pfister_neighbour(profile: QuadricProfile, inner=None) -> MdtPartition:
     With dim = 2^n + m: the first m blocks are {i_lo, (2^n - 1 + i)^up};
     the rest is the complementary form's partition shifted by m.  The
     complementary profile has type (r - m, s); pass its partition as
-    ``inner`` (omit it when r = m).
+    ``inner`` (omit it when r = m).  A neighbour has first Witt index
+    i_1 = m, so a profile whose pattern has j_1 != m is NotNeighbourEligible.
     """
     inv = pfister_neighbour_invariants(profile.dim, profile.s)
     n, m = inv.n, inv.m
+    if profile.pattern[1] != m:
+        raise NotNeighbourEligible(
+            "i_1 = %d, but a neighbour of dim 2^%d + %d has i_1 = %d"
+            % (profile.pattern[1], n, m, m)
+        )
     blocks = [(lo(i), up((1 << n) - 1 + i)) for i in range(m)]
     if profile.r == m:
         if inner:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -176,10 +177,24 @@ def _mul_pairwise(a, b):
 
 # P630 holds the exceptional l2 * l2 = l0; the full basis pairs every symbol.
 FULL = Cycle.of_basis((P630, P632), *basis_tuples((P630, P632)))
+# alone, its l2 * h2 and l2 * l2 are both l0 and cancel in one last-factor sum
+FULL_630 = Cycle.of_basis((P630,), *basis_tuples((P630,)))
+UNIT_0, ZERO_0 = identity_cycle(()), Cycle.zero(())
+
+
+def seeded_dense(seed, context=(P630, P632, P630)):
+    """Half the basis of the context, drawn with a fixed seed."""
+    basis = list(basis_tuples(context))
+    return Cycle.of_basis(context, *random.Random(seed).sample(basis, len(basis) // 2))
 
 
 @given(cycle_pairs())
 @example((FULL, FULL))
+@example((UNIT_0, UNIT_0))
+@example((UNIT_0, ZERO_0))
+@example((ZERO_0, ZERO_0))
+@example((FULL_630, FULL_630))
+@example((seeded_dense(1), seeded_dense(2)))
 def test_mul_matches_pairwise_oracle(pair):
     a, b = pair
     assert mul(a, b) == _mul_pairwise(a, b)
@@ -436,6 +451,15 @@ def test_index_bounds_enforced():
         single(P632, h(3))
     with pytest.raises(ContextMismatch):
         Cycle.of_basis((P632, P632), (h(0),))
+
+
+@pytest.mark.parametrize("entry", [("h", 0), 0, "h0"])
+def test_non_symbol_entry_rejected(entry):
+    # a plain (kind, index) tuple equals its symbol, but is not one
+    with pytest.raises(ContextMismatch, match="is not a FactorSymbol"):
+        Cycle.of_basis((P632,), (entry,))
+    with pytest.raises(ContextMismatch, match="is not a FactorSymbol"):
+        Cycle((P632,), frozenset({(entry,)}))
 
 
 # -- text and JSON round trips ----------------------------------------------------------

@@ -988,12 +988,31 @@ def test_mdt_pfister_neighbour_assembled():
 def test_mdt_pfister_neighbour_errors():
     with pytest.raises(NotNeighbourEligible):
         mdt_pfister_neighbour(prof(12, 3, 6, [0, 1, 3]))  # r + s > 2^n
+    with pytest.raises(NotNeighbourEligible, match="i_1 = 1"):
+        mdt_pfister_neighbour(prof(4, 2, 0, [0, 1, 2]))  # dim 4 = 2^1 + 2
     p = prof(10, 4, 2, [0, 2, 4])
     with pytest.raises(ArityMismatch):
         mdt_pfister_neighbour(p)  # r > m needs the inner partition
     inner_wrong = mdt_height_one(prof(5, 1, 3))
     with pytest.raises(ArityMismatch):
         mdt_pfister_neighbour(p, inner_wrong)
+
+
+def test_mdt_pfister_neighbour_passes_checker_on_sweep():
+    # without inner (r = m) on every r <= 8, s <= 8 profile: each partition
+    # returned passes the proven checker, and the 16 that do are all kept
+    returned = []
+    for r in range(1, 9):
+        for s in range(9):
+            for pattern in pattern_enumerate(r, s):
+                p = mk_profile(2 * r + s, r, s, pattern)
+                try:
+                    part = mdt_pfister_neighbour(p)
+                except (NotNeighbourEligible, ArityMismatch):
+                    continue
+                assert check_partition(p, part) == (), str(p)
+                returned.append(p)
+    assert len(returned) == 16
 
 
 def test_mdt_strongly_excellent_example():
