@@ -456,7 +456,7 @@ def steenrod(j: int, c: Cycle) -> Cycle:
 
 # -- text notation ("h0*l2 + h1*l1") ------------------------------------------
 
-_TERM_RE = re.compile(r"^([hl])(\d+)$")
+_TERM_RE = re.compile(r"^([hl])([0-9]+)$")  # not \d, which also matches non-ASCII digits
 
 
 def cycle_to_text(c: Cycle) -> str:

@@ -53,14 +53,15 @@ some j_{t-1}.  Each row's check yields its witnesses as
 templates with their arguments, and only check_partition formats them: it
 collects every witness, row by row and, for a per-block row, block by
 block.  The enumerator searches block by block instead of testing whole
-candidates: a block is complete when it is chosen, so each union of atoms
-is judged once by the per-block rows, with no witness text.  R-SHIFT is
-read whole by the checker (_check_shift) and incrementally by the search
-(_shift_orbits), which places a shell's base block together with its
-shifts; no pass runs over complete candidates.  The search tries blocks in
-order, so the survivors come out canonically ordered: they are built as
-MdtPartitions canonical by construction, with no re-validation, and the
-count (_count_mdt, behind mdt-solve --count) builds none.
+candidates: a block is complete when it is chosen, so it forms only the
+unions of atoms that can open a block, each judged once by the per-block
+rows not implied, with no witness text.  R-SHIFT is read whole by the
+checker (_check_shift) and block by block by the search (_search_table),
+which places a base block together with its shifts; no pass runs over
+complete candidates.  The search tries blocks in order, so the survivors
+come out canonically ordered: they are built as MdtPartitions canonical by
+construction, with no re-validation, and the count (_count_mdt, behind
+mdt-solve --count) builds none.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class Rule(_Record):
       candidate, given by each symbol's block position and its blocks.  The
       one such rule, R-SHIFT, is read whole by the checker and block by
       block by the enumerator, which places a base block with its shifts
-      (_shift_orbits);
+      (_search_table);
     - "connection": as "partition", for a rule whose symbol pairs the
       enumerator merges into atoms before it places any block.
 
@@ -355,7 +356,8 @@ class RuleSet(_Record):
     ``enabled`` defaults to the proven rules.  ``assumed`` widens R-EXC /
     R-VPN beyond their automatic (profile-forced) scope: R-EXC then checks
     excellent pairs for every s, R-VPN asserts the form itself is a virtual
-    Pfister neighbour.
+    Pfister neighbour.  Each field is stored as a frozenset of the ids given;
+    ``assumed`` may name only enabled R-EXC / R-VPN.
     """
 
     __slots__ = ("enabled", "assumed")
@@ -363,9 +365,16 @@ class RuleSet(_Record):
     def __init__(self, enabled: frozenset = None, assumed: frozenset = frozenset()):
         if enabled is None:
             enabled = PROVEN_RULE_IDS
+        if isinstance(enabled, str) or isinstance(assumed, str):
+            raise ValueError("rule ids must be given as a collection, not one string")
+        enabled, assumed = frozenset(enabled), frozenset(assumed)
         for rule in enabled | assumed:
             if rule not in RULE_IDS:
                 raise ValueError("unknown rule id %r" % (rule,))
+        if not assumed <= enabled & {"R-EXC", "R-VPN"}:
+            raise ValueError(
+                "assumed %s: only enabled R-EXC / R-VPN can be assumed" % sorted(assumed)
+            )
         _set(self, "enabled", enabled)
         _set(self, "assumed", assumed)
 
@@ -873,39 +882,31 @@ def _passes(c, checks, block) -> bool:
 # A block based at j + k (0 < k < i_t) is then never opened on its own: were
 # its atom still unplaced, the block of j would not be based at j, and the
 # shell would have blocks but no base.  Shells of width 1 constrain nothing.
-# So the search's state is the set of unplaced atoms alone.
-
-
-def _shift_orbits(c, passing):
-    """Each base block's option: (its orbit's blocks, their atom mask).
-
-    ``passing`` maps every union of atoms that passes the per-block rows, as
-    its ascending symbols, to its atom mask.  A block based at an upper
-    symbol is in no shell and is its own orbit; see the comment above for
-    the rest.
-    """
-    r, p, shell = c.r, c.pattern, c.shell
-    for block, mask in passing.items():
-        a = block[0]
-        if a >= r:
-            yield (block,), mask
-            continue
-        j = p[shell[a] - 1]
-        if a != j:  # placed with the base block at j
-            continue
-        width = p[shell[a]] - j
-        if any(i + width > p[shell[i]] for i in block if i < r):
-            continue
-        orbit, orbit_mask = (block,), mask
-        for k in range(1, width):
-            shifted = tuple([x + k for x in block])
-            shifted_mask = passing.get(shifted)
-            if shifted_mask is None or shifted_mask & orbit_mask:
-                break
-            orbit += (shifted,)
-            orbit_mask |= shifted_mask
-        else:
-            yield orbit, orbit_mask
+# So the search's state is the set of unplaced atoms alone, and only an
+# atom whose lowest symbol is some j_{t-1} or upper opens a block.
+#
+# The rows the search need not run.  R-DUAL pairs each lower symbol a of
+# shell t with its partner, (d_X + 1 - j_{t-1} - j_t + a)^up = expected_b[a]:
+# shell t's partners fill (d_X - j_t, d_X - j_{t-1}], so over all shells
+# they run through the r upper symbols once each.
+#   - R-PARITY follows from R-DUAL.  The pairs are a perfect matching of
+#     Lambda(X), so every atom, and every union of atoms, has even size.
+#   - R-ENDPOINT follows from R-DUAL and R-SHIFT.  Every atom holds a pair,
+#     so a block's first symbol a is lower and its last one upper: the
+#     "one-sided" witness cannot occur.  The block's upper symbols are the
+#     partners of its lower ones, which are all >= a.  Partners grow with
+#     the index inside a shell and fall from one shell to the next, so the
+#     last symbol is a's partner exactly when no other lower symbol of the
+#     block lies in a's shell t.  No atom is upper alone, so the search opens
+#     blocks at j = j_{t-1} only, and part (2) gives i + i_t <= j_t for each
+#     lower i >= j of the base block in shell t: i = j.  Its shift by
+#     0 < k < i_t moves a lower i of shell t' > t to i + k < j_{t'}, still in
+#     shell t', so j + k is the shift's one lower symbol in shell t; and as a
+#     union of atoms, the shift's upper symbols are the partners of its lower
+#     ones.  A shell of width 1 holds one lower symbol.
+# Without R-DUAL a block may be odd, and without R-SHIFT a block may hold
+# two lower symbols of one shell, so then the row runs.  The checker runs
+# every row.
 
 
 def _search_table(profile: QuadricProfile, rules, max_r: int):
@@ -915,13 +916,12 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     The profile and rules are compiled once.  The pairs of the connection
     rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find
     into atoms, so no candidate splits one; an asserted R-VPN that fails its
-    numerology excludes every partition.  Each union of atoms is judged once
-    by the per-block rows (R-PARITY, R-ENDPOINT, R-UPPER, R-KARPENKO,
-    R-VISHIK), which format no witness text for it.  R-SHIFT turns the
-    passing unions into options (_shift_orbits): a base block with its
-    shifts.  An option is listed under the lowest atom of its mask, with its
-    blocks as symbol tuples.  Raises BoundExceeded when r > max_r or the
-    atoms are more than 10.
+    numerology excludes every partition.  Only the unions of atoms that can
+    open a block are formed (see the comments above), and each is judged
+    once by the per-block rows that are not implied, with no witness text.
+    An option, a base block with its shifts, is listed under its opening
+    atom, with its blocks as symbol tuples, in the order of its base block.
+    Raises BoundExceeded when r > max_r or the atoms are more than 10.
     """
     if rules is None:
         rules = RuleSet.proven()
@@ -957,28 +957,60 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
         )
     if c.vpn_assertion:  # reported on every partition
         return None
-    block_checks = [rule.check for rule in c.rows if rule.scope == "block"]
-    # every union of atoms that passes the per-block rows: its symbols
-    # ascending -> its atom mask, in block order
-    members = [()] * (1 << len(atom_list))
-    passing = []
-    for mask in range(1, 1 << len(atom_list)):
-        low = (mask & -mask).bit_length() - 1
-        members[mask] = members[mask & (mask - 1)] + atom_list[low]
-        block = tuple(sorted(members[mask]))
-        if _passes(c, block_checks, block):
-            passing.append((block, mask))
-    passing = dict(sorted(passing))
-    if "R-SHIFT" in rules.enabled:
-        options = _shift_orbits(c, passing)
-    else:
-        options = (((block,), mask) for block, mask in passing.items())
-    # the survivors' blocks are the options' symbol tuples
+    shift = "R-SHIFT" in rules.enabled
+    dual = "R-DUAL" in rules.enabled
+    implied = {"R-PARITY": dual, "R-ENDPOINT": dual and shift}  # see the comments above
+    rows = [rule for rule in c.rows if rule.scope == "block" and not implied.get(rule.id)]
+    checks = [rule.check for rule in rows]
+    # R-UPPER and R-KARPENKO read the upper block alone, the one of 0_lo
+    other_checks = [rule.check for rule in rows if rule.id not in ("R-UPPER", "R-KARPENKO")]
+    r, p, shell = c.r, c.pattern, c.shell
+    atom_of = {k: index for index, atom in enumerate(atom_list) for k in atom}
     opened_by = [[] for _ in atom_list]
-    symbol = c.symbols.__getitem__
-    for orbit, mask in options:
-        blocks = tuple([tuple(map(symbol, block)) for block in orbit])
-        opened_by[(mask & -mask).bit_length() - 1].append((mask, blocks))
+    for low, opener in enumerate(atom_list):
+        width, a = 1, opener[0]
+        if shift and a < r:
+            j = p[shell[a] - 1]
+            if a != j:  # placed with the base block at j
+                continue
+            width = p[shell[a]] - j
+        # R-SHIFT part (2) for width i_t, atom by atom; it holds at width 1
+        fits = [
+            width == 1 or all(i + width <= p[shell[i]] for i in atom if i < r)
+            for atom in atom_list
+        ]
+        unions = [(1 << low, opener)] if fits[low] else []
+        for index in range(low + 1, len(atom_list)):
+            if fits[index]:
+                atom = atom_list[index]
+                unions += [(mask | 1 << index, members + atom) for mask, members in unions]
+        run = other_checks if a else checks
+        options = []
+        for mask, members in unions:
+            block = tuple(sorted(members))
+            if not _passes(c, run, block):
+                continue
+            orbit = (block,)
+            for k in range(1, width):
+                shifted = tuple([x + k for x in block])
+                if shifted[-1] >= n:
+                    break
+                ids = set(map(atom_of.__getitem__, shifted))
+                held = sum([1 << i for i in ids])
+                # exactly a union of atoms, disjoint from the orbit so far
+                if sum([len(atom_list[i]) for i in ids]) != len(shifted) or held & mask:
+                    break
+                if not _passes(c, run, shifted):
+                    break
+                orbit += (shifted,)
+                mask |= held
+            else:
+                options.append((block, mask, orbit))
+        # the survivors' blocks are the options' symbol tuples
+        opened_by[low] = [
+            (mask, tuple([tuple(map(c.symbols.__getitem__, block)) for block in orbit]))
+            for _, mask, orbit in sorted(options)
+        ]
     return opened_by
 
 

@@ -400,6 +400,15 @@ def test_steenrod_bad_cycle(capsys):
     assert "error" in json.loads(err)
 
 
+# an Arabic-Indic and a mathematical double-struck one: int() reads both as 1
+@pytest.mark.parametrize("cycle", ["h\u0661", "h\U0001d7d9"])
+def test_steenrod_rejects_non_ascii_digits(capsys, cycle):
+    profile = '{"dim": 8, "r": 3, "s": 2, "pattern": [0, 1, 2, 3]}'
+    code, out, err = run(capsys, "steenrod", "-j", "0", cycle, "--profile", profile)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_compose_command(capsys):
     profile = {"dim": 5, "r": 2, "s": 1, "pattern": [0, 1, 2]}
     f = json.dumps(

@@ -21,6 +21,7 @@ from quadmdt.errors import (
 from quadmdt.mdt import (
     _GAP,
     _vishik_positions,
+    PROVEN_RULE_IDS,
     RULE_IDS,
     LambdaSymbol,
     MdtPartition,
@@ -700,14 +701,57 @@ SWEEP_R7 = [
 ]
 
 
-@pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
-def test_enumerator_matches_leaf_pass(rules):
+# the search skips R-PARITY under R-DUAL, and R-ENDPOINT under R-DUAL and
+# R-SHIFT: without either premise the row must still run, and each then
+# excludes partitions on its own (test_implied_rows_run_without_their_premise)
+WITHOUT_SHIFT = RuleSet(PROVEN_RULE_IDS - {"R-SHIFT"})
+WITHOUT_DUAL = RuleSet(PROVEN_RULE_IDS - {"R-DUAL"})
+
+
+@pytest.mark.parametrize(
+    "rules,max_r",
+    [(rules, 7) for rules in ORACLE_RULE_SETS]
+    # without R-DUAL few symbols merge: r > 4 nears the 10-atom bound
+    + [(WITHOUT_SHIFT, 7), (WITHOUT_DUAL, 4)],
+    ids=ORACLE_RULE_IDS + ["no-R-SHIFT", "no-R-DUAL"],
+)
+def test_enumerator_matches_leaf_pass(rules, max_r):
     # R-SHIFT decided as blocks are placed against the whole row run on
-    # every complete candidate, on every r <= 7 sweep profile; equality of
-    # the tuples also pins the order, which the search reaches unsorted
+    # every complete candidate, on every sweep profile with r <= max_r; the
+    # leaf pass runs every per-block row on every block.  Equality of the
+    # tuples also pins the order, which the search reaches unsorted
     assert len(SWEEP_R7) == 349
     for profile in SWEEP_R7:
-        assert enumerate_mdt(profile, rules) == _leaf_pass_enumerate(profile, rules), str(profile)
+        if profile.r <= max_r:
+            expected = _leaf_pass_enumerate(profile, rules)
+            assert enumerate_mdt(profile, rules) == expected, str(profile)
+
+
+@pytest.mark.parametrize(
+    "rules,row,profile,counts",
+    [
+        (WITHOUT_SHIFT, "R-ENDPOINT", prof(7, 3, 1, [0, 3]), (1, 2)),
+        (WITHOUT_DUAL, "R-PARITY", prof(11, 3, 5, [0, 1, 2, 3]), (5, 6)),
+    ],
+    ids=["R-ENDPOINT", "R-PARITY"],
+)
+def test_implied_rows_run_without_their_premise(rules, row, profile, counts):
+    # the row alone excludes a partition here, in the search and in the oracle
+    dropped = RuleSet(rules.enabled - {row})
+    for enumerate_ in (enumerate_mdt, _leaf_pass_enumerate):
+        assert (len(enumerate_(profile, rules)), len(enumerate_(profile, dropped))) == counts
+
+
+@pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
+def test_implied_rows_exclude_nothing(rules):
+    # the arguments beside the R-SHIFT comment in mdt.py, checked apart from
+    # the search: under R-DUAL and R-SHIFT, R-PARITY and R-ENDPOINT exclude
+    # no partition that the other rows keep
+    assert {"R-DUAL", "R-SHIFT", "R-PARITY", "R-ENDPOINT"} <= rules.enabled
+    dropped = RuleSet(rules.enabled - {"R-PARITY", "R-ENDPOINT"}, rules.assumed)
+    for profile in SWEEP_R7:
+        expected = _leaf_pass_enumerate(profile, rules)
+        assert _leaf_pass_enumerate(profile, dropped) == expected, str(profile)
 
 
 @pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
@@ -885,6 +929,39 @@ def test_rule_set_unknown_id():
         RuleSet.proven().enable("R-NOPE")
     with pytest.raises(ValueError):
         RuleSet(enabled=frozenset({"R-BOGUS"}))
+
+
+def test_rule_set_normalises_fields():
+    # any collection of ids is stored as a frozenset, so the lru caches keyed
+    # on the rule set can hash it, and equal selections compare equal
+    p = prof(6, 2, 2, [0, 2])
+    for enabled in ({"R-DUAL", "R-SHIFT"}, ["R-DUAL", "R-SHIFT"], ("R-SHIFT", "R-DUAL")):
+        rules = RuleSet(enabled=enabled)
+        assert rules == RuleSet(frozenset({"R-DUAL", "R-SHIFT"}))
+        assert type(rules.enabled) is frozenset and type(rules.assumed) is frozenset
+        assert enumerate_mdt(p, rules) == enumerate_mdt(p, RuleSet(frozenset(enabled)))
+        assert check_partition(p, mdt_height_one(p), rules) == ()
+    rules = RuleSet(["R-DUAL", "R-EXC"], ["R-EXC"])
+    assert rules == RuleSet(frozenset({"R-DUAL"})).enable("R-EXC")
+    assert type(rules.assumed) is frozenset
+
+
+def test_rule_set_rejects_malformed_fields():
+    # a string would be read as its characters
+    for enabled, assumed in (("R-DUAL", ()), (["R-DUAL"], "R-EXC")):
+        with pytest.raises(ValueError, match="not one string"):
+            RuleSet(enabled, assumed)
+    # only an enabled R-EXC / R-VPN can be assumed: anything else would act as
+    # the rule set without it but compare unequal to it and compile apart
+    for enabled, assumed in (
+        ({"R-DUAL"}, {"R-EXC"}),
+        ({"R-DUAL", "R-VPN"}, {"R-EXC"}),
+        ({"R-DUAL", "R-SHIFT"}, {"R-SHIFT"}),
+    ):
+        with pytest.raises(ValueError, match="can be assumed"):
+            RuleSet(frozenset(enabled), frozenset(assumed))
+    with pytest.raises(ValueError, match="unknown rule id"):
+        RuleSet(["R-DUAL"], ["R-BOGUS"])
 
 
 def test_vishik_rule_behaviour():
