@@ -12,7 +12,9 @@ inline as JSON, as @FILE, or as "-" for stdin.
 
 Each command imports the layers it uses (mdt, chow, corr) in its body:
 every CLI request is its own process, which compiles and runs each module
-it imports, so a profile-only request should not pay for the others.
+it imports, so a profile-only request should not pay for the others.  The
+mdt commands import mdt only once their profile JSON has parsed, so a
+malformed profile exits 2 without loading it.
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ def cmd_excellent_pairs(args) -> int:
 
 
 def cmd_mdt_solve(args) -> int:
+    profile = QuadricProfile.from_json_dict(_load_json(args.profile))
     from . import mdt
 
-    profile = QuadricProfile.from_json_dict(_load_json(args.profile))
     rules = _parse_mdt_rules(args.rules)
     if args.max_r < 0:
         raise ValueError("--max-r must be >= 0, got %d" % args.max_r)
@@ -162,9 +164,9 @@ def cmd_mdt_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    profile = QuadricProfile.from_json_dict(_load_json(args.profile))
     from . import mdt
 
-    profile = QuadricProfile.from_json_dict(_load_json(args.profile))
     partition = mdt.MdtPartition.from_json_dict(_load_json(args.partition), profile)
     rules = _parse_mdt_rules(args.rules)
     violations = mdt.check_partition(profile, partition, rules)
@@ -173,11 +175,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    from . import mdt
-
     # Diagram shape only needs (r, pattern); the i_1-bound validation is
     # deliberately skipped so classical illustration patterns render.
     fields = profile_json_fields(_load_json(args.profile), required=("r", "pattern"))
+    from . import mdt
+
     shape = mdt.ShellPattern(r=fields["r"], pattern=fields["pattern"])
     diagram = mdt.shell_diagram(shape)
     if args.format == "svg":

@@ -46,19 +46,19 @@ Izh - 1, the interior j_t, the symbols and each connection rule's pairs per
 scope -- is cached per profile and shared by every rule set; the pair adds
 only its rows, the R-VPN assertion, R-VISHIK's positions and the pairs of
 the connection rules in scope.  The checker alone names symbols, from a
-name table per Lambda(X).  Every row but R-SHIFT and the connection rows
-reads one block at a time: R-PARITY and R-ENDPOINT any block, R-UPPER and
-R-KARPENKO the upper block (first symbol 0_lo), R-VISHIK a block based at
-some j_{t-1}.  Each row's check yields its witnesses as
-templates with their arguments, and only check_partition formats them: it
-collects every witness, row by row and, for a per-block row, block by
-block.  The enumerator searches block by block instead of testing whole
-candidates: a block is complete when it is chosen, so it forms only the
-unions of atoms that can open a block, each judged once by the per-block
-rows not implied, with no witness text.  R-SHIFT is read whole by the
-checker (_check_shift) and block by block by the search (_search_table),
-which places a base block together with its shifts; no pass runs over
-complete candidates.  The search tries blocks in order, so the survivors
+name table per Lambda(X).  The checker calls each enabled row once per
+candidate.  A per-block row walks the candidate's blocks itself and yields
+its witnesses block by block: R-PARITY and R-ENDPOINT read every block,
+R-UPPER and R-KARPENKO only the first, the upper block (first symbol 0_lo),
+and R-VISHIK the blocks based at some j_{t-1}.  Each row's check yields its
+witnesses as templates with their arguments, and only check_partition
+formats them, row by row.  The enumerator searches block by block instead
+of testing whole candidates: a block is complete when it is chosen, so it
+forms only the unions of atoms that can open a block, each judged once by
+the per-block rows not implied, with no witness text.  R-SHIFT is read
+whole by the checker (_check_shift) and block by block by the search
+(_search_table), which places a base block together with its shifts; no
+pass runs over complete candidates.  The search tries blocks in order, so the survivors
 come out canonically ordered: they are built as MdtPartitions canonical by
 construction, with no re-validation, and the count (_count_mdt, behind
 mdt-solve --count) builds none.
@@ -108,8 +108,11 @@ class Rule(_Record):
     ``compiled``, the profile and rules over integer symbols (see _compile).
     What else it reads depends on ``scope``:
 
-    - "block": ``check(compiled, block)`` reads one block, an ascending int
-      tuple; a candidate breaks the rule where any of its blocks does;
+    - "block": ``check(compiled, blocks)`` reads the candidate's blocks,
+      ascending int tuples in canonical order, and yields its witnesses
+      block by block; a candidate breaks the rule where any of its blocks
+      does.  The enumerator judges one block by the same check, passing
+      ``(block,)``;
     - "partition": ``check(compiled, block_of, blocks)`` reads the whole
       candidate, given by each symbol's block position and its blocks.  The
       one such rule, R-SHIFT, is read whole by the checker and block by
@@ -220,16 +223,11 @@ def forced_connections(profile: QuadricProfile) -> tuple:
     For each shell t and 0 <= i < i_t this pairs (j_{t-1} + i)_lo with
     (d_X - (j_t - 1 - i))^up.  The range is inclusive of i = i_t - 1:
     stopping one short would leave width-1 shells without connections,
-    contradicting the worked low-dimensional cases.
+    contradicting the worked low-dimensional cases.  With a = j_{t-1} + i
+    the partner is expected_b[a] of the profile's form, the b that
+    R-ENDPOINT requires of a block based at a.
     """
-    pairs = []
-    p = profile.pattern
-    for t in range(1, profile.height + 1):
-        for i in range(p[t] - p[t - 1]):
-            pairs.append(
-                (lo(p[t - 1] + i), up(profile.d_x - (p[t] - 1 - i)))
-            )
-    return tuple(pairs)
+    return tuple((lo(a), up(b)) for a, b in enumerate(_profile_form(profile).expected_b))
 
 
 class MdtPartition(_Record):
@@ -309,8 +307,11 @@ class MdtPartition(_Record):
             unknown = set(data) - {"blocks"}
             blocks = []
             for block in data["blocks"]:
+                # each block's keys are read before its symbols, so a
+                # non-iterable entry fails before an earlier entry's fields
                 for entry in block:
-                    unknown.update(set(entry) - {"kind", "i"})
+                    if type(entry) is not dict or entry.keys() != _ENTRY_KEYS:
+                        unknown.update(set(entry) - _ENTRY_KEYS)
                 blocks.append(tuple([_json_symbol(entry) for entry in block]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ArityMismatch("malformed partition JSON: %s" % exc) from exc
@@ -322,6 +323,9 @@ class MdtPartition(_Record):
         return " | ".join(
             "{" + ", ".join(str(sym) for sym in block) + "}" for block in self.blocks
         )
+
+
+_ENTRY_KEYS = frozenset(("kind", "i"))  # the keys of a partition JSON entry
 
 
 def _json_symbol(entry) -> LambdaSymbol:
@@ -417,6 +421,11 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     otherwise the form cannot be a neighbour and its pairs would leave
     Lambda(X).
     """
+    return tuple((lo(a), up(b)) for a, b in _vpn_index_pairs(profile, assumed))
+
+
+def _vpn_index_pairs(profile: QuadricProfile, assumed: bool):
+    """vpn_connections as (lower index, upper index) pairs."""
     pairs = {}  # (lower index, upper index) -> None: deduped, in order
     p = profile.pattern
     for t in range(profile.height):
@@ -429,7 +438,7 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
             continue
         for i in range(m):
             pairs[(i + w, (1 << n) + i - 1 + w)] = None
-    return tuple((lo(a), up(b)) for a, b in pairs)
+    return pairs.keys()
 
 
 def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
@@ -450,13 +459,15 @@ def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
     return table
 
 
-# the symbol pairs of each connection rule, by profile and scope flag; each
-# entry looks its function up when called, so a wrapper set on the module
-# (as a tracer does) sees every call
+# the pairs of each connection rule as (lower index, upper index), by profile
+# form and scope flag: forced_connections, excellent_pairs and
+# vpn_connections without building their symbols.  Each entry looks its
+# function up when called, so a wrapper set on the module (as a tracer does)
+# sees every call
 _CONNECTION_PAIRS = {
-    "R-DUAL": lambda profile, assumed: forced_connections(profile),
-    "R-EXC": lambda profile, assumed: [(lo(p.a), up(p.b)) for p in excellent_pairs(profile)],
-    "R-VPN": lambda profile, assumed: vpn_connections(profile, assumed),
+    "R-DUAL": lambda form, assumed: enumerate(form.expected_b),
+    "R-EXC": lambda form, assumed: [(p.a, p.b) for p in excellent_pairs(form.profile)],
+    "R-VPN": lambda form, assumed: _vpn_index_pairs(form.profile, assumed),
 }
 
 
@@ -486,9 +497,6 @@ class _ProfileForm:
         "pairs",  # (connection rule id, scope flag) -> its [a, b] int pairs
     )
 
-    def code(self, sym: LambdaSymbol) -> int:
-        return sym.index if sym.kind == LO else sym.index + self.up_offset
-
     def symbol(self, k: int) -> LambdaSymbol:
         return self.symbols[k]
 
@@ -499,9 +507,9 @@ class _ProfileForm:
             # pairs as 2-lists: fresh 2-tuples raised the peak memory of
             # check_oneshot, which compiles every profile it checks, by
             # 0.6-0.8 MB (of ~30)
+            up_offset = self.up_offset
             pairs = self.pairs[key] = [
-                [self.code(a), self.code(b)]
-                for a, b in _CONNECTION_PAIRS[rule_id](self.profile, assumed)
+                [a, b + up_offset] for a, b in _CONNECTION_PAIRS[rule_id](self, assumed)
             ]
         return pairs
 
@@ -602,14 +610,16 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
 
 # -- the rule rows ---------------------------------------------------------------
 #
-# Each check reads the compiled form and either one block, an ascending int
-# tuple, or a whole candidate: ``block_of[k]`` is the position of symbol k's
-# block in ``blocks``, the canonically ordered blocks.  A lower symbol sorts
+# Each check reads the compiled form and ``blocks``, the candidate's blocks as
+# ascending int tuples in canonical order (the search passes one block as
+# ``(block,)``), and a whole-candidate check also ``block_of``: block_of[k] is
+# the position of symbol k's block in ``blocks``.  A lower symbol sorts
 # before every upper one, so a block's a is its first symbol when that is
 # lower, and its b its last symbol when that is upper; 0_lo's block is the
-# upper block, the one whose first symbol is 0.  A check yields each witness
-# as its text's template and arguments: the search drops a union at its first
-# witness and formats nothing, and check_partition fills them in.
+# upper block, the one whose first symbol is 0, and so the first block of a
+# candidate.  A check yields each witness as its text's template and
+# arguments: the search drops a union at its first witness and formats
+# nothing, and check_partition fills them in.
 
 
 def _fmt(c, block) -> str:
@@ -650,18 +660,21 @@ def _check_vpn(c, block_of, blocks):
     yield from _split_pairs(c, "R-VPN", "%s and %s must be co-blocked", block_of)
 
 
-def _check_parity(c, block):
-    if len(block) % 2:
-        yield "odd block {%s}", (_BlockText(c, block),)
+def _check_parity(c, blocks):
+    for block in blocks:
+        if len(block) % 2:
+            yield "odd block {%s}", (_BlockText(c, block),)
 
 
-def _check_endpoint(c, block):
-    a, top = block[0], block[-1]
-    if a >= c.r or top < c.r:
-        yield "one-sided block {%s} has no endpoint pair", (_BlockText(c, block),)
-    elif top - c.up_offset != c.expected_b[a]:
-        b = top - c.up_offset
-        yield "block {%s}: b = %d, expected %d", (_BlockText(c, block), b, c.expected_b[a])
+def _check_endpoint(c, blocks):
+    r, up_offset, expected_b = c.r, c.up_offset, c.expected_b
+    for block in blocks:
+        a, top = block[0], block[-1]
+        if a >= r or top < r:
+            yield "one-sided block {%s} has no endpoint pair", (_BlockText(c, block),)
+        elif top - up_offset != expected_b[a]:
+            b = top - up_offset
+            yield "block {%s}: b = %d, expected %d", (_BlockText(c, block), b, expected_b[a])
 
 
 def _check_shift(c, block_of, blocks):
@@ -680,14 +693,21 @@ def _check_shift(c, block_of, blocks):
             continue
         step = hi_bound - lo_bound
         lowers = [k for k in base if k < r]
+        size = len(base)
         for k in range(1, step):
-            # a lower symbol shifted to r or beyond leaves Lambda(X)
-            shifted = tuple(x + k for x in base)
-            if lowers[-1] + k >= r or based.get(lo_bound + k) != shifted:
-                yield (
-                    "shell %d: block at a = %d must be the base block shifted by %d",
-                    (t, lo_bound + k, k),
-                )
+            # the block based at j_{t-1} + k must be the base block shifted
+            # by k; a lower symbol shifted to r or beyond leaves Lambda(X)
+            other = based.get(lo_bound + k)
+            if other is not None and len(other) == size and lowers[-1] + k < r:
+                for x, y in zip(base, other):
+                    if x + k != y:
+                        break
+                else:
+                    continue
+            yield (
+                "shell %d: block at a = %d must be the base block shifted by %d",
+                (t, lo_bound + k, k),
+            )
         # part (2): lo members of the base block respect the shell widths
         for i in lowers:
             t2 = c.shell[i]
@@ -702,7 +722,8 @@ def _check_shift(c, block_of, blocks):
 _NOT_INTERIOR_JT = "smallest positive lower index %d is not some j_t, t < h"
 
 
-def _check_upper(c, block):
+def _check_upper(c, blocks):
+    block = blocks[0]  # a candidate's first block holds 0_lo
     if block[0]:  # not the upper block
         return
     r = c.r
@@ -727,7 +748,8 @@ def _check_upper(c, block):
                 yield "lower indices %s in [j_1, j_2) must be %s", (inside, expected)
 
 
-def _check_karpenko(c, block):
+def _check_karpenko(c, blocks):
+    block = blocks[0]  # a candidate's first block holds 0_lo
     if block[0] or len(block) <= 2:  # not the upper block, or a pair
         return
     i1 = c.steps[0]
@@ -752,14 +774,19 @@ def _check_karpenko(c, block):
         yield "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d", (t + 1, v2(i_next), v2(i1) + 1)
 
 
-def _check_vishik(c, block):
-    shell = c.vishik.get(block[0])
-    if shell is None:  # not based at a j_{t-1} that R-VISHIK constrains
-        return
-    t, positions = shell
-    for pos, k in positions:
-        if pos not in block:
-            yield "block at a = j_%d must contain %s (k = %d)", (t - 1, _BlockText(c, (pos,)), k)
+def _check_vishik(c, blocks):
+    vishik = c.vishik
+    for block in blocks:
+        shell = vishik.get(block[0])
+        if shell is None:  # not based at a j_{t-1} that R-VISHIK constrains
+            continue
+        t, positions = shell
+        for pos, k in positions:
+            if pos not in block:
+                yield (
+                    "block at a = j_%d must contain %s (k = %d)",
+                    (t - 1, _BlockText(c, (pos,)), k),
+                )
 
 
 # -- the rule table and the checker ----------------------------------------------
@@ -818,6 +845,12 @@ RULE_IDS = tuple(RULES)
 PROVEN_RULE_IDS = frozenset(RULE_IDS) - {"R-VISHIK"}
 
 
+def _check_rule_set(rules):
+    """Reject rules that are not a RuleSet before they reach a cache."""
+    if type(rules) is not RuleSet:
+        raise TypeError("rules must be a RuleSet, not %s" % type(rules).__name__)
+
+
 def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None):
     """Evaluate every enabled necessary condition; return the violations.
 
@@ -826,6 +859,9 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     """
     if rules is None:
         rules = RuleSet.proven()
+    _check_rule_set(rules)
+    if type(partition) is not MdtPartition:
+        raise TypeError("partition must be an MdtPartition, not %s" % type(partition).__name__)
     if partition.r != profile.r or partition.d_x != profile.d_x:
         raise ArityMismatch(
             "partition is over (r=%d, d_X=%d), profile needs (r=%d, d_X=%d)"
@@ -844,7 +880,7 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     append, new = violations.append, object.__new__
     for rule in c.rows:
         if rule.scope == "block":
-            found = [w for block in blocks for w in rule.check(c, block)]
+            found = rule.check(c, blocks)
         else:
             found = rule.check(c, block_of, blocks)
         for template, args in found:
@@ -860,8 +896,9 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
 
 def _passes(c, checks, block) -> bool:
     """No per-block check yields a witness on the block; stops at the first."""
+    blocks = (block,)
     for check in checks:
-        for _ in check(c, block):
+        for _ in check(c, blocks):
             return False
     return True
 
@@ -925,6 +962,7 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     """
     if rules is None:
         rules = RuleSet.proven()
+    _check_rule_set(rules)
     if profile.r > max_r:
         raise BoundExceeded(
             "r = %d exceeds the enumeration bound %d" % (profile.r, max_r)

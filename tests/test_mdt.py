@@ -50,6 +50,7 @@ from quadmdt.profile import (
     excellent_pairs,
     mk_profile,
     pattern_enumerate,
+    v2,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -390,6 +391,215 @@ def test_check_reports_wide_golden():
     assert hit == set(WITNESS_FORMATS) - {karpenko_second}
 
 
+# -- the rows' call shapes against their old readings ------------------------------
+
+
+def _random_profile(rng, r):
+    """A profile of type (r, s <= 8) whose pattern takes random admissible
+    steps (each within its kernel's 2-adic bound)."""
+    s = rng.randrange(9)
+    dim = 2 * r + s
+    pattern = [0]
+    while pattern[-1] < r:
+        kernel = dim - 2 * pattern[-1]
+        steps = [i for i in range(1, r - pattern[-1] + 1) if i <= 1 << v2(kernel - i)]
+        pattern.append(pattern[-1] + rng.choice(steps))
+    return mk_profile(dim, r, s, pattern)
+
+
+# profiles with wide shells: one of width 24, and 8 then 16
+WIDE_SHELLS = [mk_profile(56, 24, 8, [0, 24]), mk_profile(48, 24, 0, [0, 8, 24])]
+
+
+def _named(profile, rules=None):
+    """The compiled form with the checker's name table set, as
+    check_partition sets it."""
+    c = mdt._compile(profile, RuleSet.proven() if rules is None else rules)
+    c.names, c.codes = mdt._name_table(profile.r, profile.d_x)
+    return c
+
+
+def _tuple_shift_witnesses(c, block_of, blocks):
+    """R-SHIFT as it read each shift by building the shifted tuple: the
+    oracle of _check_shift, which compares in place."""
+    r, p = c.r, c.pattern
+    based = {block[0]: block for block in blocks}
+    for t in range(1, len(p)):
+        lo_bound, hi_bound = p[t - 1], p[t]
+        base = based.get(lo_bound)
+        if base is None:
+            members = [a for a in range(lo_bound, hi_bound) if a in based]
+            if members:
+                yield (
+                    "shell %d has blocks based at %s but none at j_%d = %d",
+                    (t, members, t - 1, lo_bound),
+                )
+            continue
+        step = hi_bound - lo_bound
+        lowers = [k for k in base if k < r]
+        for k in range(1, step):
+            shifted = tuple(x + k for x in base)
+            if lowers[-1] + k >= r or based.get(lo_bound + k) != shifted:
+                yield (
+                    "shell %d: block at a = %d must be the base block shifted by %d",
+                    (t, lo_bound + k, k),
+                )
+        for i in lowers:
+            t2 = c.shell[i]
+            if i + step > p[t2]:
+                yield (
+                    "base block of shell %d contains %s with %d + %d > j_%d = %d",
+                    (t, c.names[i], i, step, t2, p[t2]),
+                )
+
+
+def _shift_candidate(rng, c):
+    """Canonical int blocks of a candidate built to meet R-SHIFT's cases: a
+    base block in some shells, with its shifts kept, damaged or dropped, and
+    the other symbols grouped at random."""
+    r, p = c.r, c.pattern
+    free = set(range(2 * r))
+    blocks = []
+    for t in range(1, len(p)):
+        j, width = p[t - 1], p[t] - p[t - 1]
+        if j not in free or rng.random() < 0.3:
+            continue
+        los = sorted(free & set(range(j + 1, r)))
+        ups = sorted(free & set(range(r, 2 * r)))
+        base = {j, *rng.sample(los, min(len(los), rng.randrange(3)))}
+        base |= set(rng.sample(ups, min(len(ups), rng.randrange(1, 4))))
+        free -= base
+        blocks.append(base)
+        for k in range(1, width):
+            shifted = {x + k for x in base}
+            if not shifted <= free or rng.random() < 0.1:
+                continue
+            if rng.random() < 0.15:  # damaged: one symbol dropped or swapped
+                shifted.discard(rng.choice(sorted(shifted - {j + k}) or [j + k]))
+                if free - shifted and rng.random() < 0.5:
+                    shifted.add(rng.choice(sorted(free - shifted)))
+            shifted &= free
+            if shifted:
+                free -= shifted
+                blocks.append(shifted)
+    rest = sorted(free)
+    groups = {}
+    for k in rest:
+        groups.setdefault(rng.randrange(max(1, len(rest) // 2)), set()).add(k)
+    blocks += groups.values()
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def _block_of(blocks, n):
+    block_of = [0] * n
+    for position, block in enumerate(blocks):
+        for k in block:
+            block_of[k] = position
+    return block_of
+
+
+def test_check_shift_matches_tuple_reading():
+    # the in-place comparison against the shifted tuples, on shell widths up
+    # to 24; the counts show each case occurs: a full orbit, a shift that
+    # leaves the window, a shell with blocks but no base
+    rng = random.Random(11)
+    profiles = WIDE_SHELLS * 20
+    profiles += [_random_profile(rng, rng.randrange(1, 25)) for _ in range(300)]
+    seen = {"orbit": 0, "leaves": 0, "no base": 0, "width": 0}
+    for profile in profiles:
+        c = _named(profile)
+        for _ in range(4):
+            blocks = _shift_candidate(rng, c)
+            block_of = _block_of(blocks, 2 * c.r)
+            expected = list(_tuple_shift_witnesses(c, block_of, blocks))
+            assert list(mdt._check_shift(c, block_of, blocks)) == expected, (profile, blocks)
+            texts = [template % args for template, args in expected]
+            seen["no base"] += any("but none at" in text for text in texts)
+            for t in range(1, len(c.pattern)):
+                j, width = c.pattern[t - 1], c.pattern[t] - c.pattern[t - 1]
+                base = blocks[block_of[j]]
+                if width == 1 or base[0] != j:
+                    continue
+                seen["width"] = max(seen["width"], width)
+                lowers = [k for k in base if k < c.r]
+                seen["leaves"] += lowers[-1] + width - 1 >= c.r
+                seen["orbit"] += not any("shell %d:" % t in text for text in texts)
+    assert seen["width"] == 24
+    assert min(seen.values()) >= 10, seen
+
+
+def test_block_rows_walk_the_blocks():
+    # a per-block row called once over all the blocks yields the witnesses
+    # of its calls over each block alone, in block order
+    rng = random.Random(3)
+    rules = RuleSet.proven().enable("R-VISHIK")
+    rows = [rule for rule in mdt.RULES.values() if rule.scope == "block"]
+    assert {rule.id for rule in rows} == {
+        "R-PARITY", "R-ENDPOINT", "R-UPPER", "R-KARPENKO", "R-VISHIK"
+    }
+    profiles = SWEEP_R7 + [_random_profile(rng, rng.randrange(8, 25)) for _ in range(60)]
+    witnesses = 0
+    for profile in profiles:
+        c = _named(profile, rules)
+        for _ in range(3):
+            blocks = _shift_candidate(rng, c)
+            for rule in rows:
+                whole = [template % args for template, args in rule.check(c, blocks)]
+                alone = [
+                    template % args
+                    for block in blocks
+                    for template, args in rule.check(c, (block,))
+                ]
+                assert whole == alone, (rule.id, profile, blocks)
+                witnesses += len(whole)
+    assert witnesses > 1000
+
+
+def _literal_forced_connections(profile):
+    """(j_{t-1} + i)_lo -- (d_X - (j_t - 1 - i))^up for 0 <= i < i_t, shell
+    by shell, as the splitting pattern states them."""
+    p = profile.pattern
+    return [
+        (lo(p[t - 1] + i), up(profile.d_x - (p[t] - 1 - i)))
+        for t in range(1, len(p))
+        for i in range(p[t] - p[t - 1])
+    ]
+
+
+def test_connection_pair_codes_match_public_pairs():
+    # the compiled form builds each connection rule's pairs as integer codes
+    # without symbols: they must be the codes of the public pair lists, under
+    # both scope flags, on every r <= 8, s <= 8 profile and random r <= 24
+    rng = random.Random(5)
+    profiles = [
+        mk_profile(2 * r + s, r, s, pattern)
+        for r in range(1, 9)
+        for s in range(9)
+        for pattern in pattern_enumerate(r, s)
+    ]
+    assert len(profiles) == 585
+    profiles += [_random_profile(rng, rng.randrange(9, 25)) for _ in range(200)]
+    profiles += WIDE_SHELLS
+    pairs_seen = {rule_id: 0 for rule_id in ("R-DUAL", "R-EXC", "R-VPN")}
+    for profile in profiles:
+        code = {sym: k for k, sym in enumerate(lambda_set(profile))}
+        form = mdt._profile_form(profile)
+        dual = _literal_forced_connections(profile)
+        assert list(forced_connections(profile)) == dual
+        exc = [(lo(p.a), up(p.b)) for p in excellent_pairs(profile)]
+        for assumed in (False, True):
+            public = {
+                "R-DUAL": dual,
+                "R-EXC": exc,
+                "R-VPN": vpn_connections(profile, assumed),
+            }
+            for rule_id, pairs in public.items():
+                expected = [[code[a], code[b]] for a, b in pairs]
+                assert form.connection_pairs(rule_id, assumed) == expected, (rule_id, profile)
+                pairs_seen[rule_id] += len(expected)
+    assert min(pairs_seen.values()) > 1000, pairs_seen
+
+
 @st.composite
 def random_partitions(draw):
     """A random partition of Lambda(X) for a random profile with r <= 6."""
@@ -443,6 +653,86 @@ def test_partition_json_errors():
         with pytest.raises(ArityMismatch) as exc:
             MdtPartition.from_json_dict({"blocks": data}, P22)
         assert str(exc.value) == message, data
+
+
+def _tuple_from_json_dict(data, profile):
+    """MdtPartition.from_json_dict as it read every entry's keys into a set:
+    the decoder's oracle, with the same errors."""
+    try:
+        unknown = set(data) - {"blocks"}
+        blocks = []
+        for block in data["blocks"]:
+            for entry in block:
+                unknown.update(set(entry) - {"kind", "i"})
+            blocks.append(tuple([mdt._json_symbol(entry) for entry in block]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArityMismatch("malformed partition JSON: %s" % exc) from exc
+    if unknown:
+        raise ArityMismatch("malformed partition JSON: unknown keys %s" % sorted(unknown))
+    return MdtPartition.of(profile, blocks)
+
+
+def _decoded(decode, data, profile):
+    """The partition a decoder returns, or the type and text of its error."""
+    try:
+        return decode(data, profile)
+    except Exception as exc:  # any error: the two readings must raise alike
+        return type(exc), str(exc)
+
+
+LO0, UP3 = {"kind": "lo", "i": 0}, {"kind": "up", "i": 3}
+LO1, UP4 = {"kind": "lo", "i": 1}, {"kind": "up", "i": 4}
+
+# partition JSON over P22, malformed in each way an entry or the object can be
+DECODER_CASES = [
+    {"blocks": [[LO0, UP3], [LO1, UP4]]},
+    {"blocks": [[UP4, LO1], [UP3, LO0]]},
+    {"blocks": [[LO0, UP3], [LO1, ["up", 4]]]},  # an entry that is a list
+    {"blocks": [[LO0, UP3], [LO1, "4^up"]]},  # a string
+    {"blocks": [[LO0, UP3], [LO1, 4]]},  # an int
+    {"blocks": [[LO0, UP3], [LO1, None]]},
+    {"blocks": [[LO0, UP3], [LO1, [["up"]]]]},  # unhashable members
+    {"blocks": [[LO0, UP3], [LO1, ("kind", "i")]]},  # a tuple of the keys
+    {"blocks": [[LO0, UP3], [LO1, dict(UP4, x=1)]]},  # an extra key
+    {"blocks": [[dict(LO0, x=1), UP3], [dict(LO1, y=2), dict(UP4, x=1)]]},
+    {"blocks": [[LO0, UP3], [LO1, UP4]], "extra": 1},  # an extra top-level key
+    {"blocks": [[LO0, UP3], [LO1, {"kind": "up"}]]},  # a missing "i"
+    {"blocks": [[LO0, UP3], [LO1, {"i": 4}]]},  # a missing "kind"
+    {"blocks": [[LO0, UP3], [LO1, {"kind": "up", "i": True}]]},  # a bool index
+    {"blocks": [[LO0, UP3], [LO1, {"kind": "up", "i": 4.0}]]},  # a float index
+    {"blocks": [[LO0, UP3], [LO1, {"kind": "mid", "i": 4}]]},  # an unknown kind
+    {"blocks": [[LO0, UP3], [LO1, {"kind": ["up"], "i": 4}]]},
+    # a bad field, then an entry whose keys cannot be read, in one block
+    {"blocks": [[LO0, UP3], [{"kind": "mid", "i": 1}, 4]]},
+    {"blocks": [[LO0, UP3], [dict(LO1, x=1), {"kind": "up", "i": 4.5}]]},
+    {"blocks": [[LO0, UP3], [dict(LO1, x=1)], [{"kind": "up", "i": 4.5}]]},
+    {"blocks": [[LO0, UP3], [{"kind": "lo", "i": 9}, UP4]]},  # outside the window
+    {"blocks": [[LO0, UP3]]},
+    {"blocks": [[LO0, UP3], LO1]},  # a block that is an entry
+    {"blocks": [[LO0, UP3], 5]},
+    {"blocks": 5},
+    {"blocks": None},
+    {},
+    [],
+    "blocks",
+    5,
+]
+
+
+def test_partition_decoder_matches_set_reading():
+    # the one comparison of each entry's keys against the set reading: the
+    # same partition, or the same error type and message
+    for data in DECODER_CASES:
+        expected = _decoded(_tuple_from_json_dict, data, P22)
+        assert _decoded(MdtPartition.from_json_dict, data, P22) == expected, data
+    rng = random.Random(7)
+    for profile in SWEEP_R7[::7]:
+        symbols = list(lambda_set(profile))
+        rng.shuffle(symbols)
+        cut = sorted(rng.sample(range(1, len(symbols)), rng.randrange(len(symbols))))
+        groups = [symbols[a:b] for a, b in zip([0] + cut, cut + [len(symbols)])]
+        data = {"blocks": [[{"kind": s.kind, "i": s.index} for s in g] for g in groups]}
+        assert MdtPartition.from_json_dict(data, profile) == _tuple_from_json_dict(data, profile)
 
 
 # -- enumerator ----------------------------------------------------------------------
@@ -522,7 +812,7 @@ def _leaf_pass_enumerate(profile, rules):
     mask_of = {}
     for mask in range(1, 1 << len(atom_list)):
         block = tuple(sorted(k for i, atom in enumerate(atom_list) if mask >> i & 1 for k in atom))
-        if passes("block", block):
+        if passes("block", (block,)):
             low = (mask & -mask).bit_length() - 1
             opened_by[low].append((mask, block))
             mask_of[block] = mask
@@ -962,6 +1252,44 @@ def test_rule_set_rejects_malformed_fields():
             RuleSet(frozenset(enabled), frozenset(assumed))
     with pytest.raises(ValueError, match="unknown rule id"):
         RuleSet(["R-DUAL"], ["R-BOGUS"])
+
+
+# a rule selection that is not a RuleSet, as a caller might pass one
+NOT_RULE_SETS = [["R-DUAL"], "R-DUAL", frozenset({"R-DUAL"}), PROVEN_RULE_IDS]
+ENTRY_POINTS = {
+    "check_partition": lambda rules: check_partition(
+        P22, blocks(P22, [lo(0), up(3)], [lo(1), up(4)]), rules
+    ),
+    "enumerate_mdt": lambda rules: enumerate_mdt(P22, rules),
+    "_count_mdt": lambda rules: mdt._count_mdt(P22, rules),
+}
+
+
+@pytest.mark.parametrize("rules", NOT_RULE_SETS, ids=["list", "str", "frozenset", "ids"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_rules_must_be_a_rule_set(entry, rules):
+    # a list used to fail hashing in the cache and a string or frozenset on
+    # a missing attribute; each is a TypeError naming the expected type
+    with pytest.raises(TypeError) as exc:
+        ENTRY_POINTS[entry](rules)
+    assert str(exc.value) == "rules must be a RuleSet, not %s" % type(rules).__name__
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [
+        ((lo(0), up(3)), (lo(1), up(4))),
+        blocks(P22, [lo(0), up(3)], [lo(1), up(4)]).to_json_dict(),
+        None,
+    ],
+    ids=["blocks", "json", "none"],
+)
+def test_partition_must_be_an_mdt_partition(partition):
+    with pytest.raises(TypeError) as exc:
+        check_partition(P22, partition)
+    assert str(exc.value) == (
+        "partition must be an MdtPartition, not %s" % type(partition).__name__
+    )
 
 
 def test_vishik_rule_behaviour():

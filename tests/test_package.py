@@ -125,6 +125,23 @@ def test_cli_loads_only_the_layers_its_command_uses(argv, modules):
     assert {m for m in loaded if m.startswith("quadmdt.")} == modules
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mdt-solve", '{"dim": 6, "r": 2,'],
+        ["check", '{"dim": 6, "r": 2,', PARTITION_22],
+        ["diagram", '{"r": 2, "pattern": [0, 2]'],
+    ],
+    ids=["mdt-solve", "check", "diagram"],
+)
+def test_cli_malformed_profile_loads_no_mdt(argv):
+    # mdt is imported only once the profile JSON parses: a malformed request
+    # exits 2 without compiling it
+    code, loaded = _loaded(RUN_CLI, *argv)
+    assert code == 2
+    assert "quadmdt.mdt" not in loaded
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in CASES], ids=CASE_IDS)
 def test_cli_loads_no_dataclasses_or_inspect(argv):
     # -S: no site hook imports either first; dataclasses, which loads inspect,
