@@ -39,29 +39,29 @@ enabling it only turns it on.  R-DUAL, R-EXC and R-VPN are connection rules:
 their scopes are stated once, as a table of symbol pairs per profile that
 the enumerator merges up front and the rows' checks report when split.
 
-The rows work on a compiled form of a (profile, RuleSet) pair: Lambda(X)
-encoded as the integers 0..2r-1 in lambda_set order (so integer order is
-symbol order).  The profile-only data -- shells, expected endpoints,
-Izh - 1, the interior j_t, the symbols and each connection rule's pairs per
-scope -- is cached per profile and shared by every rule set; the pair adds
-only its rows, the R-VPN assertion, R-VISHIK's positions and the pairs of
-the connection rules in scope.  The checker alone names symbols, from a
-name table per Lambda(X).  The checker calls each enabled row once per
-candidate.  A per-block row walks the candidate's blocks itself and yields
-its witnesses block by block: R-PARITY and R-ENDPOINT read every block,
-R-UPPER and R-KARPENKO only the first, the upper block (first symbol 0_lo),
-and R-VISHIK the blocks based at some j_{t-1}.  Each row's check yields its
-witnesses as templates with their arguments, and only check_partition
-formats them, row by row.  The enumerator searches block by block instead
-of testing whole candidates: a block is complete when it is chosen, so it
-forms only the unions of atoms that can open a block, each judged once by
-the per-block rows not implied, with no witness text.  R-SHIFT is read
-whole by the checker (_check_shift) and block by block by the search
-(_search_table), which places a base block together with its shifts; no
-pass runs over complete candidates.  The search tries blocks in order, so the survivors
-come out canonically ordered: they are built as MdtPartitions canonical by
-construction, with no re-validation, and the count (_count_mdt, behind
-mdt-solve --count) builds none.
+The rows work on one compiled form per (profile, RuleSet) pair, which
+_compile builds once: Lambda(X) encoded as the integers 0..2r-1 in
+lambda_set order (so integer order is symbol order), the profile's shells,
+expected endpoints, Izh - 1 and interior j_t, and the pair's rows, R-VPN
+assertion, R-VISHIK positions and connection pairs in scope.  Only the
+connection pairs, the costliest part, are shared between rule sets: they
+are cached per profile, rule and scope flag.  The checker alone names
+symbols, from a name table per Lambda(X).  The checker calls each enabled
+row once per candidate.  A per-block row walks the candidate's blocks
+itself and yields its witnesses block by block: R-PARITY and R-ENDPOINT
+read every block, R-UPPER and R-KARPENKO only the first, the upper block
+(first symbol 0_lo), and R-VISHIK the blocks based at some j_{t-1}.  Each
+row's check yields its witnesses as templates with their arguments, and
+only check_partition formats them, row by row.  The enumerator searches
+block by block instead of testing whole candidates: a block is complete
+when it is chosen, so it forms only the unions of atoms that can open a
+block, each judged once by the per-block rows not implied, with no witness
+text.  R-SHIFT is read whole by the checker (_check_shift) and block by
+block by the search (_search_table), which places a base block together
+with its shifts; no pass runs over complete candidates.  The search tries
+blocks in order, so the survivors come out canonically ordered: they are
+built as MdtPartitions canonical by construction, with no re-validation,
+and the count (_count_mdt, behind mdt-solve --count) builds none.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Rule(_Record):
 
     ``check`` yields the witness of every way a candidate breaks the rule,
     as a (template, arguments) pair that check_partition formats, reading
-    ``compiled``, the profile and rules over integer symbols (see _compile).
-    What else it reads depends on ``scope``:
+    ``compiled``, the one compiled form of the profile and rules over
+    integer symbols (_Compiled).  What else it reads depends on ``scope``:
 
     - "block": ``check(compiled, blocks)`` reads the candidate's blocks,
       ascending int tuples in canonical order, and yields its witnesses
@@ -119,7 +119,8 @@ class Rule(_Record):
       block by the enumerator, which places a base block with its shifts
       (_search_table);
     - "connection": as "partition", for a rule whose symbol pairs the
-      enumerator merges into atoms before it places any block.
+      enumerator merges into atoms before it places any block; the pairs
+      in scope are ``compiled.connections[id]`` (_connection_rules).
 
     ``provenance`` is "proven", "conjectural" or "interpretation-sensitive".
     """
@@ -224,10 +225,10 @@ def forced_connections(profile: QuadricProfile) -> tuple:
     (d_X - (j_t - 1 - i))^up.  The range is inclusive of i = i_t - 1:
     stopping one short would leave width-1 shells without connections,
     contradicting the worked low-dimensional cases.  With a = j_{t-1} + i
-    the partner is expected_b[a] of the profile's form, the b that
-    R-ENDPOINT requires of a block based at a.
+    the partner is the b that R-ENDPOINT requires of a block based at a, as
+    _shells states it for the checker and the search.
     """
-    return tuple((lo(a), up(b)) for a, b in enumerate(_profile_form(profile).expected_b))
+    return tuple((lo(a), up(b)) for a, b in enumerate(_shells(profile)[1]))
 
 
 class MdtPartition(_Record):
@@ -459,28 +460,18 @@ def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
     return table
 
 
-# the pairs of each connection rule as (lower index, upper index), by profile
-# form and scope flag: forced_connections, excellent_pairs and
-# vpn_connections without building their symbols.  Each entry looks its
-# function up when called, so a wrapper set on the module (as a tracer does)
-# sees every call
-_CONNECTION_PAIRS = {
-    "R-DUAL": lambda form, assumed: enumerate(form.expected_b),
-    "R-EXC": lambda form, assumed: [(p.a, p.b) for p in excellent_pairs(form.profile)],
-    "R-VPN": lambda form, assumed: _vpn_index_pairs(form.profile, assumed),
-}
-
-
 # -- the compiled form -----------------------------------------------------------
 
 
-class _ProfileForm:
-    """A profile over the integer symbols 0..2r-1: what every RuleSet shares.
+class _Compiled:
+    """A profile and a RuleSet over the integer symbols 0..2r-1.
 
     Symbol k is symbols[k] = lambda_set(profile)[k], so integer order is
     LambdaSymbol order: k < r is k_lo, and k >= r is an upper symbol.
-    _profile_form sets every attribute once; the connection pairs are
-    memoised per rule and scope flag as rule sets ask for them.
+    _compile sets every attribute once, except the name table, which
+    check_partition alone sets on its first read: the search never names a
+    symbol.  The shells and the connection pairs are the same objects in
+    every compiled form of a profile (_shells, _pair_codes).
     """
 
     __slots__ = (
@@ -493,37 +484,6 @@ class _ProfileForm:
         "izh_b",  # Izh - 1, the b that R-UPPER requires
         "interior",  # j_t for 0 < t < h
         "symbols",  # code -> its LambdaSymbol
-        "profile",
-        "pairs",  # (connection rule id, scope flag) -> its [a, b] int pairs
-    )
-
-    def symbol(self, k: int) -> LambdaSymbol:
-        return self.symbols[k]
-
-    def connection_pairs(self, rule_id: str, assumed: bool) -> list:
-        key = rule_id, assumed
-        pairs = self.pairs.get(key)
-        if pairs is None:
-            # pairs as 2-lists: fresh 2-tuples raised the peak memory of
-            # check_oneshot, which compiles every profile it checks, by
-            # 0.6-0.8 MB (of ~30)
-            up_offset = self.up_offset
-            pairs = self.pairs[key] = [
-                [a, b + up_offset] for a, b in _CONNECTION_PAIRS[rule_id](self, assumed)
-            ]
-        return pairs
-
-
-class _Compiled(_ProfileForm):
-    """A profile and a RuleSet over the integer symbols 0..2r-1.
-
-    It holds its profile's form's attributes, shared by every RuleSet, and
-    adds what depends on the rules: _compile sets them once.  The name
-    table is set by check_partition alone, on its first read: the search
-    never names a symbol.
-    """
-
-    __slots__ = (
         "vpn_assertion",  # what an asserted R-VPN reports on every partition
         "connections",  # connection rule id in scope -> its [a, b] int pairs
         "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
@@ -566,35 +526,57 @@ def _vishik_positions(profile: QuadricProfile) -> dict:
     return out
 
 
-# QuadricProfile and RuleSet are frozen, so one form serves every check of a
-# profile, under every rule set, and one compiled form every check of a
-# (profile, rules) pair: callers check many partitions of one profile, or one
-# partition under several rule sets
+# read by every compiled form of a profile and by its R-DUAL pairs: uncached,
+# the two extra calls per profile (about 4 us each at r <= 24) cost
+# check_oneshot, which checks each profile under two rule sets, about 1 % of
+# its op time
 @functools.lru_cache(maxsize=32)
-def _profile_form(profile: QuadricProfile) -> _ProfileForm:
-    f = _ProfileForm()
-    f.r = r = profile.r
-    f.pattern = p = profile.pattern
-    f.up_offset = 2 * r - 1 - profile.d_x
-    f.steps = profile.steps
-    f.shell = tuple(t for t in range(1, len(p)) for _ in range(p[t - 1], p[t]))
-    f.expected_b = tuple(
-        a + profile.d_x + 1 - p[t - 1] - p[t] for a, t in enumerate(f.shell)
-    )
-    f.izh_b = profile.izhboldin_dim - 1
-    f.interior = frozenset(p[1:-1])
-    f.symbols = lambda_set(profile)
-    f.profile = profile
-    f.pairs = {}
-    return f
+def _shells(profile: QuadricProfile) -> tuple:
+    """Per lower index a: its shell t, and the b that R-ENDPOINT requires of a
+    block based at a, a + d_X + 1 - j_{t-1} - j_t.  So shell t's b fill
+    (d_X - j_t, d_X - j_{t-1}] in order."""
+    p, top = profile.pattern, profile.d_x + 1
+    shell, expected_b = [], []
+    for t in range(1, len(p)):
+        shell += [t] * (p[t] - p[t - 1])
+        expected_b += range(top - p[t], top - p[t - 1])
+    return tuple(shell), tuple(expected_b)
+
+
+# QuadricProfile and RuleSet are frozen, so one compiled form serves every
+# check of a (profile, rules) pair, and one list of pairs every rule set that
+# puts a connection rule in the same scope: callers check many partitions of
+# one profile, or one partition under several rule sets.  128 entries held
+# more profiles' pairs than that needs and raised check_oneshot's peak memory
+# by about 0.3 MB.
+@functools.lru_cache(maxsize=64)
+def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
+    """A connection rule's pairs as [lower code, upper code] under its scope
+    flag: forced_connections, excellent_pairs and vpn_connections without
+    building their symbols."""
+    if rule_id == "R-DUAL":
+        pairs = enumerate(_shells(profile)[1])
+    elif rule_id == "R-EXC":
+        pairs = [(p.a, p.b) for p in excellent_pairs(profile)]
+    else:
+        pairs = _vpn_index_pairs(profile, assumed)
+    # 2-lists: fresh 2-tuples raised the peak memory of check_oneshot, which
+    # compiles every profile it checks, by 0.6-0.8 MB (of ~30)
+    up_offset = 2 * profile.r - 1 - profile.d_x
+    return [[a, b + up_offset] for a, b in pairs]
 
 
 @functools.lru_cache(maxsize=32)
 def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
-    form = _profile_form(profile)
     c = _Compiled()
-    for name in _ProfileForm.__slots__:
-        setattr(c, name, getattr(form, name))
+    c.r = r = profile.r
+    c.up_offset = 2 * r - 1 - profile.d_x
+    c.pattern = p = profile.pattern
+    c.steps = profile.steps
+    c.shell, c.expected_b = _shells(profile)
+    c.izh_b = profile.izhboldin_dim - 1
+    c.interior = frozenset(p[1:-1])
+    c.symbols = lambda_set(profile)
     c.names = c.codes = None
     c.vpn_assertion = (
         _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
@@ -602,7 +584,7 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
     c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
     c.connections = {
-        rule_id: form.connection_pairs(rule_id, assumed)
+        rule_id: _pair_codes(profile, rule_id, assumed)
         for rule_id, assumed in _connection_rules(profile, rules).items()
     }
     return c

@@ -569,7 +569,8 @@ def _literal_forced_connections(profile):
 def test_connection_pair_codes_match_public_pairs():
     # the compiled form builds each connection rule's pairs as integer codes
     # without symbols: they must be the codes of the public pair lists, under
-    # both scope flags, on every r <= 8, s <= 8 profile and random r <= 24
+    # both scope flags, on every r <= 8, s <= 8 profile and random r <= 24;
+    # R-EXC is out of the proven set's scope exactly when s >= 2
     rng = random.Random(5)
     profiles = [
         mk_profile(2 * r + s, r, s, pattern)
@@ -580,22 +581,27 @@ def test_connection_pair_codes_match_public_pairs():
     assert len(profiles) == 585
     profiles += [_random_profile(rng, rng.randrange(9, 25)) for _ in range(200)]
     profiles += WIDE_SHELLS
+    # every connection rule in scope, with R-VPN's scope flag off and on
+    in_scope = (RuleSet(assumed=frozenset({"R-EXC"})), RuleSet.proven().enable("R-EXC", "R-VPN"))
     pairs_seen = {rule_id: 0 for rule_id in ("R-DUAL", "R-EXC", "R-VPN")}
     for profile in profiles:
         code = {sym: k for k, sym in enumerate(lambda_set(profile))}
-        form = mdt._profile_form(profile)
+        proven = mdt._compile(profile, RuleSet.proven()).connections
+        assert ("R-EXC" in proven) == (profile.s <= 1), profile
         dual = _literal_forced_connections(profile)
         assert list(forced_connections(profile)) == dual
         exc = [(lo(p.a), up(p.b)) for p in excellent_pairs(profile)]
-        for assumed in (False, True):
+        for rules in in_scope:
             public = {
                 "R-DUAL": dual,
                 "R-EXC": exc,
-                "R-VPN": vpn_connections(profile, assumed),
+                "R-VPN": vpn_connections(profile, "R-VPN" in rules.assumed),
             }
+            connections = mdt._compile(profile, rules).connections
+            assert connections.keys() == public.keys(), profile
             for rule_id, pairs in public.items():
                 expected = [[code[a], code[b]] for a, b in pairs]
-                assert form.connection_pairs(rule_id, assumed) == expected, (rule_id, profile)
+                assert connections[rule_id] == expected, (rule_id, rules, profile)
                 pairs_seen[rule_id] += len(expected)
     assert min(pairs_seen.values()) > 1000, pairs_seen
 
@@ -850,7 +856,7 @@ def _leaf_pass_enumerate(profile, rules):
 
     place((1 << len(atom_list)) - 1)
     return tuple(
-        MdtPartition.of(profile, [[c.symbol(k) for k in block] for block in blocks])
+        MdtPartition.of(profile, [[c.symbols[k] for k in block] for block in blocks])
         for blocks in sorted(survivors)
     )
 
@@ -1065,9 +1071,9 @@ def test_count_matches_listing(rules):
 
 
 def test_check_reports_independent_of_rule_set_order():
-    # the compiled forms of one profile share its form, which memoises each
-    # connection rule's pairs per scope: the five rule sets checked forward
-    # and in reverse, from cold caches, must give the same reports
+    # the compiled forms of one profile share its shells and each connection
+    # rule's pairs per scope flag: the five rule sets checked forward and in
+    # reverse, from cold caches, must give the same reports
     rng = random.Random(15)
     for profile in SWEEP_R7 + R8_FIXED:
         parts = []
@@ -1081,11 +1087,25 @@ def test_check_reports_independent_of_rule_set_order():
         reports = []
         for order in (ORACLE_RULE_SETS, ORACLE_RULE_SETS[::-1]):
             mdt._compile.cache_clear()
-            mdt._profile_form.cache_clear()
+            mdt._pair_codes.cache_clear()
+            mdt._shells.cache_clear()
             reports.append(
                 {rules: [check_partition(profile, part, rules) for part in parts] for rules in order}
             )
         assert reports[0] == reports[1], str(profile)
+
+
+def test_rule_sets_share_pair_codes():
+    # one list of a connection rule's pairs per profile and scope flag, read
+    # by every rule set that puts the rule in that scope
+    wide = RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK")
+    for profile in SWEEP_R7:
+        proven = mdt._compile(profile, RuleSet.proven()).connections
+        widened = mdt._compile(profile, wide).connections
+        assert widened["R-DUAL"] is proven["R-DUAL"], str(profile)
+        if profile.s <= 1:
+            assert widened["R-EXC"] is proven["R-EXC"], str(profile)
+        assert widened["R-VPN"] is not proven["R-VPN"], str(profile)
 
 
 def test_shift_search_matches_leaf_pass_alone():
@@ -1174,6 +1194,12 @@ def test_enumerate_open_case_dim10():
     assert conjectural
     assert all(part.co_blocked(lo(1), up(8)) for part in conjectural)
     assert all(part.co_blocked(lo(0), up(7)) for part in conjectural)
+    assert (len(proven), len(conjectural)) == (2, 1)
+    # at s = 1 the proven set applies R-EXC by itself: naming it adds nothing
+    p = prof(7, 3, 1, [0, 1, 2, 3])
+    assert mdt._count_mdt(p, RuleSet(PROVEN_RULE_IDS - {"R-EXC"})) == 5
+    assert mdt._count_mdt(p) == 2
+    assert mdt._count_mdt(p, RuleSet.proven().enable("R-EXC")) == 2
 
 
 def test_enumerator_matches_raw_filter_r4():
