@@ -10,24 +10,29 @@ the two middle tuples is the all-l_0 tuple, i.e. when every middle factor
 of b' is a partner of the matching factor of b -- a symbol whose product
 with it is l_0 under the multiplication table.  Such a product pairs equal
 indices (h^i l_i, and l_m l_m with m = (dim - 2)/2 in the exceptional case
-dim == 2 (mod 4)), so each symbol has at most two partners.  compose
-indexes g by its middle tuple and, for each term of f, looks up only the
-partner middles instead of pairing every term of f with every term of g;
-the partners come from per-profile tables whose rows are built from
+dim == 2 (mod 4)), so each symbol has at most two partners, and the
+partner relation is symmetric.  compose is an F2 product by rows: the
+dual row of a middle b is the sum of the right sets of g's middles that
+are partner tuples of b, and the row of a left a is the sum of the dual
+rows of f's middles under a.  Every sum is a symmetric difference of sets,
+never a union, and no term of f meets a term of g on its own.  The
+partners come from per-profile tables whose rows are built from
 mul_factor, as chow's are.
 This makes composition total on mixed-degree cycles.
 
 Isotropic reduction (reduce_f / reduce_g) shifts every index down/up by
-the Witt index of the chosen splitting-tower level.  Both h- and l-symbols
-shift the same way: that is the only convention under which f o g = id and
-the idempotent-transport identities hold (derived multiplicatively in the
-tests).
+the Witt index of the chosen splitting-tower level, through a table of the
+symbols in the support.  Both h- and l-symbols shift the same way: that is
+the only convention under which f o g = id and the idempotent-transport
+identities hold (derived multiplicatively in the tests).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
+from operator import getitem
 
 from . import chow
 from .chow import Cycle, FactorSymbol, h, l
@@ -84,29 +89,36 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     """Composite correspondence "f then g": Corr(X,Y) x Corr(Y,Z) -> Corr(X,Z).
 
     A pair of terms a x b of f and b' x c of g contributes a x c exactly when
-    deg(b b') = 1, that is when b' is a product of factorwise partners of b.
-    So g is indexed once by its middle tuple, and each term of f visits only
-    its partner middles (at most 2^k for k middle factors, the empty tuple
-    when the middle is empty); the result is the bilinear law's F2 sum.
-    The partners of each middle symbol are read from its factor's table,
-    built lazily once per profile, rather than worked out again per term.
+    deg(b b') = 1, that is when b is a tuple of factorwise partners of b'
+    (deg(b b') = deg(b' b)).  So the product runs by rows, each an F2 sum
+    of sets: g is indexed once as middle -> set of rights; each distinct
+    middle b' of g adds its set into the dual row of each of its partner
+    tuples b (at most 2^k for k middle factors, the empty tuple when the
+    middle is empty); each term a x b of f adds the dual row of b into the
+    row of a; and each term a x c of the result is built once, from the
+    rows.  The partners of each middle symbol are read from its factor's
+    table, built lazily once per profile.
     """
     middle = f.right_context
     if middle != g.left_context:
         raise ContextMismatch("middle contexts do not match")
     context = f.left_context + g.right_context
-    rights = {}
+    rights = defaultdict(set)
     for eg in g.cycle.support:
-        rights.setdefault(eg[: g.split], []).append(eg[g.split :])
+        rights[eg[: g.split]].add(eg[g.split :])
     tables = [_partner_table(prof) for prof in middle]
-    support = set()
+    # a dual row may be g's own set, so it is never changed in place: a
+    # second sum into it makes a new set
+    duals = {}
+    for mid, row in rights.items():
+        for dual in itertools.product(*map(getitem, tables, mid)):
+            duals[dual] = duals[dual] ^ row if dual in duals else row
+    rows = defaultdict(set)
     for ef in f.cycle.support:
-        left = ef[: f.split]
-        duals = [table[sym] for sym, table in zip(ef[f.split :], tables)]
-        for mid in itertools.product(*duals):
-            for right in rights.get(mid, ()):
-                support.symmetric_difference_update({left + right})
-    return Correspondence(Cycle._trusted(context, frozenset(support)), f.split)
+        if (row := duals.get(ef[f.split :])) is not None:
+            rows[ef[: f.split]] ^= row
+    support = frozenset(left + right for left, row in rows.items() for right in row)
+    return Correspondence(Cycle._trusted(context, support), f.split)
 
 
 def _partners(sym: FactorSymbol, profile: QuadricProfile) -> list:
@@ -266,27 +278,35 @@ def _uniform_context(x, profile):
     return c
 
 
+def _shift(c: Cycle, w: int) -> frozenset:
+    """The support of c with every index moved by w, less the terms in which
+    a symbol would get a negative index.  Each symbol that occurs is shifted
+    once, so the cost follows the support, not r."""
+    table = {
+        sym: (h if sym.kind == chow.H else l)(sym.index + w)
+        for sym in set().union(*c.support)
+        if sym.index + w >= 0
+    }
+    return frozenset(
+        out for elt in c.support if None not in (out := tuple(map(table.get, elt)))
+    )
+
+
 def reduce_f(profile: QuadricProfile, t: int, x):
-    """Isotropic reduction f_t: shift every index down by j_t, killing small ones."""
+    """Isotropic reduction f_t: shift every index down by j_t, killing small
+    ones, through a table of the symbols in the support (_shift)."""
     _check_level(profile, t)
     c = _uniform_context(x, profile)
-    w = profile.pattern[t]
     kernel = profile.kernel(t)
-    support = set()
-    for elt in c.support:
-        if all(sym.index >= w for sym in elt):
-            support.add(tuple(FactorSymbol(sym.kind, sym.index - w) for sym in elt))
-    return _like(x, Cycle._trusted(tuple(kernel for _ in c.context), frozenset(support)))
+    support = _shift(c, -profile.pattern[t])
+    return _like(x, Cycle._trusted(tuple(kernel for _ in c.context), support))
 
 
 def reduce_g(profile: QuadricProfile, t: int, x):
-    """Section g_t of f_t: shift every index up by j_t (input over the kernel)."""
+    """Section g_t of f_t: shift every index up by j_t (input over the
+    kernel), through a table of the symbols in the support (_shift)."""
     _check_level(profile, t)
     kernel = profile.kernel(t)
     c = _uniform_context(x, kernel)
-    w = profile.pattern[t]
-    support = {
-        tuple(FactorSymbol(sym.kind, sym.index + w) for sym in elt)
-        for elt in c.support
-    }
-    return _like(x, Cycle._trusted(tuple(profile for _ in c.context), frozenset(support)))
+    support = _shift(c, profile.pattern[t])
+    return _like(x, Cycle._trusted(tuple(profile for _ in c.context), support))

@@ -64,13 +64,14 @@ built as MdtPartitions canonical by construction, with no re-validation,
 and the count (_count_mdt, behind mdt-solve --count) builds none.
 """
 
+# annotations are never evaluated, so the Callable and Correspondence they
+# name are not imported: loading typing costs a CLI request about 3 ms
 from __future__ import annotations
 
 import functools
 import itertools
 import operator
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     ArityMismatch,
@@ -92,9 +93,6 @@ from .profile import (
     strongly_excellent_profile,
     v2,
 )
-
-if TYPE_CHECKING:
-    from .corr import Correspondence
 
 LO = "lo"
 UP = "up"

@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quadmdt.chow import Cycle, basis_tuples, h, l, mul_factor
+from quadmdt.chow import Cycle, FactorSymbol, basis_tuples, h, l, mul_factor
 from quadmdt.corr import (
     Correspondence,
     _partner_table,
@@ -24,7 +26,7 @@ from quadmdt.corr import (
 )
 from quadmdt.errors import ContextMismatch, DegreeUnderflow, InvalidLevel
 from quadmdt.mdt import alpha_cycle, lambda_set
-from quadmdt.profile import mk_profile, pattern_enumerate
+from quadmdt.profile import QuadricProfile, mk_profile, pattern_enumerate
 
 
 def prof(dim, r, s, pattern=None):
@@ -135,6 +137,30 @@ def test_compose_matches_pairwise_oracle(data):
         g_terms.append(mid + data.draw(symbols(right)))
     f = Correspondence(Cycle.of_basis(left + middle, *f_terms), len(left))
     g = Correspondence(Cycle.of_basis(middle + right, *g_terms), len(middle))
+    assert compose(f, g) == _compose_pairwise(f, g)
+
+
+# dim 10, s = 0: l_4 l_4 = l_0, so l_4 has the two partners h^4 and l_4
+EXCEPTIONAL = mk_profile(10, 5, 0, [0, 1, 2, 3, 4, 5])
+
+
+def _dense_corr(rng, context, split):
+    basis = list(basis_tuples(context))
+    return Correspondence(Cycle.of_basis(context, *rng.sample(basis, round(0.3 * len(basis)))), split)
+
+
+@pytest.mark.parametrize(
+    "profile, blocks",
+    [(prof(2 * r + s, r, s), (1, 1, 1)) for r, s in [(3, 0), (4, 1), (5, 2), (6, 3)]]
+    + [(EXCEPTIONAL, blocks) for blocks in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]],
+)
+def test_compose_matches_pairwise_oracle_dense(profile, blocks):
+    # 30 % of the basis on each side: every left tuple of f has many terms, so
+    # the rows of compose sum many overlapping sets, whose common terms cancel
+    rng = random.Random("compose-dense:%d:%d:%s" % (profile.dim, profile.r, blocks))
+    left, middle, right = ((profile,) * k for k in blocks)
+    f = _dense_corr(rng, left + middle, len(left))
+    g = _dense_corr(rng, middle + right, len(middle))
     assert compose(f, g) == _compose_pairwise(f, g)
 
 
@@ -340,6 +366,66 @@ def test_diagonal_mult_four_factors():
 
 
 # -- isotropic reduction ----------------------------------------------------------------
+
+
+def _reduce_f_per_symbol(profile, t, x):
+    """reduce_f as a new FactorSymbol per symbol of every term."""
+    c = x.cycle if isinstance(x, Correspondence) else x
+    w = profile.pattern[t]
+    kernel = profile.kernel(t)
+    support = set()
+    for elt in c.support:
+        if all(sym.index >= w for sym in elt):
+            support.add(tuple(FactorSymbol(sym.kind, sym.index - w) for sym in elt))
+    return Cycle(tuple(kernel for _ in c.context), frozenset(support))
+
+
+def _reduce_g_per_symbol(profile, t, x):
+    """reduce_g as a new FactorSymbol per symbol of every term."""
+    c = x.cycle if isinstance(x, Correspondence) else x
+    w = profile.pattern[t]
+    support = {
+        tuple(FactorSymbol(sym.kind, sym.index + w) for sym in elt)
+        for elt in c.support
+    }
+    return Cycle(tuple(profile for _ in c.context), frozenset(support))
+
+
+def _random_cycle(rng, context, most=60):
+    basis = list(basis_tuples(context))
+    return Cycle.of_basis(context, *rng.sample(basis, rng.randint(0, min(most, len(basis)))))
+
+
+def test_reduce_matches_per_symbol_oracle():
+    rng = random.Random("reduce-oracle")
+    checked = 0
+    for r in range(1, 6):
+        for s in range(5):
+            for pattern in pattern_enumerate(r, s):
+                p = prof(2 * r + s, r, s, pattern)
+                for t in range(p.height):
+                    kernel = p.kernel(t)
+                    arity = rng.randint(1, 3)
+                    x = _random_cycle(rng, (p,) * arity)
+                    y = _random_cycle(rng, (kernel,) * arity)
+                    assert reduce_f(p, t, x) == _reduce_f_per_symbol(p, t, x), (p, t)
+                    assert reduce_g(p, t, y) == _reduce_g_per_symbol(p, t, y), (p, t)
+                    split = rng.randint(0, arity)
+                    xc, yc = Correspondence(x, split), Correspondence(y, split)
+                    assert reduce_f(p, t, xc).cycle == _reduce_f_per_symbol(p, t, xc)
+                    assert reduce_g(p, t, yc).cycle == _reduce_g_per_symbol(p, t, yc)
+                    checked += 1
+    assert checked > 200
+
+
+def test_reduce_cost_follows_the_support_not_r():
+    # a table of symbols over range(r) would take seconds at r = 2^20
+    p = QuadricProfile(2**21, 2**20, 0, (0, 2**20))
+    x = Cycle.of_basis((p, p), (h(2**20 - 1), l(2**19)))
+    start = time.perf_counter()
+    out = reduce_f(p, 0, x)
+    assert time.perf_counter() - start < 0.1
+    assert out == x
 
 
 def test_reduce_f_shifts_down():

@@ -144,11 +144,11 @@ def test_cli_malformed_profile_loads_no_mdt(argv):
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in CASES], ids=CASE_IDS)
 def test_cli_loads_no_dataclasses_or_inspect(argv):
-    # -S: no site hook imports either first; dataclasses, which loads inspect,
-    # cost each request about 15 ms
+    # -S: no site hook imports any of them first; dataclasses, which loads
+    # inspect, cost each request about 15 ms, and typing about 3 ms
     code, loaded = _loaded(RUN_CLI, *argv, flags=("-S",))
     assert code == 0
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert not {"dataclasses", "inspect", "typing"} & set(loaded)
 
 
 def _records():
