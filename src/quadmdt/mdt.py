@@ -41,27 +41,34 @@ the enumerator merges up front and the rows' checks report when split.
 
 The rows work on one compiled form per (profile, RuleSet) pair, which
 _compile builds once: Lambda(X) encoded as the integers 0..2r-1 in
-lambda_set order (so integer order is symbol order), the profile's shells,
-expected endpoints, Izh - 1 and interior j_t, and the pair's rows, R-VPN
-assertion, R-VISHIK positions and connection pairs in scope.  Only the
-connection pairs, the costliest part, are shared between rule sets: they
-are cached per profile, rule and scope flag.  The checker alone names
-symbols, from a name table per Lambda(X).  The checker calls each enabled
-row once per candidate.  A per-block row walks the candidate's blocks
-itself and yields its witnesses block by block: R-PARITY and R-ENDPOINT
-read every block, R-UPPER and R-KARPENKO only the first, the upper block
-(first symbol 0_lo), and R-VISHIK the blocks based at some j_{t-1}.  Each
-row's check yields its witnesses as templates with their arguments, and
-only check_partition formats them, row by row.  The enumerator searches
-block by block instead of testing whole candidates: a block is complete
-when it is chosen, so it forms only the unions of atoms that can open a
-block, each judged once by the per-block rows not implied, with no witness
-text.  R-SHIFT is read whole by the checker (_check_shift) and block by
-block by the search (_search_table), which places a base block together
-with its shifts; no pass runs over complete candidates.  The search tries
-blocks in order, so the survivors come out canonically ordered: they are
-built as MdtPartitions canonical by construction, with no re-validation,
-and the count (_count_mdt, behind mdt-solve --count) builds none.
+lambda_set order (so integer order is symbol order), the profile's shells
+and expected endpoints (the first, expected_b[0], is Izh - 1, the b of the
+upper block), the upper-block rows' other constants (the [j_1, j_2) data,
+2^v, and per interior j_t R-KARPENKO's 2-adic witnesses), and the pair's
+rows, R-VPN assertion, R-VISHIK positions and connection pairs in scope; so
+no row recomputes profile data per candidate.  Only the connection pairs,
+the costliest part, are shared between rule sets: they are cached per
+profile, rule and scope flag.  The checker alone names symbols, from a name
+table per Lambda(X).  The checker calls each enabled row once per
+candidate.  A per-block row walks the candidate's blocks itself and yields
+its witnesses block by block: R-PARITY and R-ENDPOINT read every block,
+R-UPPER and R-KARPENKO only the first, the upper block (first symbol 0_lo),
+and R-VISHIK the blocks based at some j_{t-1}; R-UPPER runs its four
+clauses in turn.  Each row's check yields its witnesses as templates with
+their arguments, and only check_partition formats them, row by row.  The
+enumerator searches block by block instead of testing whole candidates: a
+block is complete when it is chosen, so it forms only the unions of atoms
+that can open a block, each judged once, with no witness text, by the
+per-block rows and R-UPPER clauses that the other enabled rules do not
+imply.  It skips R-PARITY and R-UPPER's "size > 2" clause under R-DUAL,
+R-ENDPOINT and R-UPPER's b clause under R-DUAL and R-SHIFT, and R-UPPER's
+interior clause under R-KARPENKO; its [j_1, j_2) clause always runs.
+R-SHIFT is read whole by the checker (_check_shift) and block by block by
+the search (_search_table), which places a base block together with its
+shifts; no pass runs over complete candidates.  The search tries blocks in
+order, so the survivors come out canonically ordered: they are built as
+MdtPartitions canonical by construction, with no re-validation, and the
+count (_count_mdt, behind mdt-solve --count) builds none.
 """
 
 # annotations are never evaluated, so the Callable and Correspondence they
@@ -110,7 +117,8 @@ class Rule(_Record):
       ascending int tuples in canonical order, and yields its witnesses
       block by block; a candidate breaks the rule where any of its blocks
       does.  The enumerator judges one block by the same check, passing
-      ``(block,)``;
+      ``(block,)``, and R-UPPER's clause by clause (_UPPER_CLAUSES, each
+      called as the row is);
     - "partition": ``check(compiled, block_of, blocks)`` reads the whole
       candidate, given by each symbol's block position and its blocks.  The
       one such rule, R-SHIFT, is read whole by the checker and block by
@@ -469,18 +477,21 @@ class _Compiled:
     _compile sets every attribute once, except the name table, which
     check_partition alone sets on its first read: the search never names a
     symbol.  The shells and the connection pairs are the same objects in
-    every compiled form of a profile (_shells, _pair_codes).
+    every compiled form of a profile (_shells, _pair_codes).  The
+    upper-block rows' profile-only data (expected_b[0], interior, karpenko,
+    between) is read by the checker and the search alike, and computed
+    here only.
     """
 
     __slots__ = (
         "r",
         "up_offset",  # symbol i^up is i + up_offset
         "pattern",
-        "steps",
         "shell",  # lower index -> its shell t
         "expected_b",  # lower index a -> the b that R-ENDPOINT requires
-        "izh_b",  # Izh - 1, the b that R-UPPER requires
-        "interior",  # j_t for 0 < t < h
+        "interior",  # j_t (0 < t < h) -> R-KARPENKO's witnesses when the upper block's least i > 0
+        "karpenko",  # (2^v - 1, v), 2^v the least power of 2 >= i_1
+        "between",  # (j_1, j_2, witness if i_1 does not divide i_2, indices R-UPPER wants there)
         "symbols",  # code -> its LambdaSymbol
         "vpn_assertion",  # what an asserted R-VPN reports on every partition
         "connections",  # connection rule id in scope -> its [a, b] int pairs
@@ -521,6 +532,22 @@ def _vishik_positions(profile: QuadricProfile) -> dict:
         starts = itertools.accumulate(exp.m, initial=p[t - 1])
         positions = zip(starts, range(1, exp.j + 1))
         out[p[t - 1]] = (t, tuple((pos, k) for pos, k in positions if pos < profile.r))
+    return out
+
+
+def _karpenko_bounds(profile: QuadricProfile) -> dict:
+    """Per j_t, 0 < t < h: the witnesses, as (template, arguments), of
+    R-KARPENKO's bounds on v2(i_{t+1}) when j_t is the upper block's
+    smallest positive lower index."""
+    p = profile.pattern
+    v1, out = v2(p[1]), dict.fromkeys(p[1:-1], ())
+    for t in range(1, len(p) - 1):
+        vn, gap = v2(p[t + 1] - p[t]), p[t] - p[1]  # v2(i_{t+1}), and j_t - i_1
+        if vn < v1:
+            out[p[t]] = (("v2(i_%d) = %d < v2(i_1) = %d", (t + 1, vn, v1)),)
+        # second theorem; v2(0) counts as +infinity
+        elif vn > v1 + 1 and (gap == 0 or v2(gap) >= v1 + 2):
+            out[p[t]] = (("v2(i_%d) = %d exceeds v2(i_1) + 1 = %d", (t + 1, vn, v1 + 1)),)
     return out
 
 
@@ -570,15 +597,16 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     c.r = r = profile.r
     c.up_offset = 2 * r - 1 - profile.d_x
     c.pattern = p = profile.pattern
-    c.steps = profile.steps
     c.shell, c.expected_b = _shells(profile)
-    c.izh_b = profile.izhboldin_dim - 1
-    c.interior = frozenset(p[1:-1])
+    c.interior = _karpenko_bounds(profile)
+    v = (p[1] - 1).bit_length()
+    c.karpenko = (1 << v) - 1, v
+    j1, j2 = p[1], p[min(2, len(p) - 1)]  # at h = 1 the window [j_1, j_1) is empty
+    indivisible = (("i_1 = %d does not divide i_2 = %d", (j1, j2 - j1)),) if (j2 - j1) % j1 else ()
+    c.between = j1, j2, indivisible, list(range(j1, j2 - j1 + 1, j1))
     c.symbols = lambda_set(profile)
     c.names = c.codes = None
-    c.vpn_assertion = (
-        _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
-    )
+    c.vpn_assertion = _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
     c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
     c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
     c.connections = {
@@ -702,56 +730,58 @@ def _check_shift(c, block_of, blocks):
 _NOT_INTERIOR_JT = "smallest positive lower index %d is not some j_t, t < h"
 
 
+# R-UPPER's clauses, each reading the upper block, blocks[0]; the search runs
+# only those that the other enabled rules do not imply (see the comments
+# beside the R-SHIFT block)
+def _upper_b(c, blocks):
+    # R-ENDPOINT's b at a = 0, d_X + 1 - j_1, is Izh - 1 = dim - j_1 - 1
+    b = blocks[0][-1] - c.up_offset if blocks[0][-1] >= c.r else None
+    if b != c.expected_b[0]:
+        yield "upper block has b = %s, expected Izh - 1 = %d", (b, c.expected_b[0])
+
+
+def _upper_size(c, blocks):
+    block = blocks[0]  # ascending from 0_lo: a second lower symbol is block[1]
+    if len(block) != 2 and (len(block) == 1 or block[1] >= c.r):
+        yield "upper block of size > 2 needs >= 2 lower symbols", ()
+
+
+def _upper_interior(c, blocks):
+    block = blocks[0]
+    if len(block) > 2 and block[1] < c.r and block[1] not in c.interior:
+        yield _NOT_INTERIOR_JT, (block[1],)
+
+
+def _upper_between(c, blocks):
+    j1, j2, indivisible, expected = c.between
+    inside = [k for k in blocks[0] if j1 <= k < j2]  # j_2 <= r: lower symbols
+    if inside:
+        yield from indivisible
+        if inside != expected:
+            yield "lower indices %s in [j_1, j_2) must be %s", (inside, expected)
+
+
+_UPPER_CLAUSES = (_upper_b, _upper_size, _upper_interior, _upper_between)
+
+
 def _check_upper(c, blocks):
-    block = blocks[0]  # a candidate's first block holds 0_lo
-    if block[0]:  # not the upper block
-        return
-    r = c.r
-    b = block[-1] - c.up_offset if block[-1] >= r else None
-    if b != c.izh_b:
-        yield "upper block has b = %s, expected Izh - 1 = %d", (b, c.izh_b)
-    los = [k for k in block if k < r]
-    if len(block) != 2:
-        if len(los) < 2:
-            yield "upper block of size > 2 needs >= 2 lower symbols", ()
-        elif los[1] not in c.interior:
-            yield _NOT_INTERIOR_JT, (los[1],)
-    if len(c.pattern) >= 3:
-        j1, j2 = c.pattern[1], c.pattern[2]
-        inside = [i for i in los if j1 <= i < j2]
-        if inside:
-            i1, i2 = c.steps[0], c.steps[1]
-            if i2 % i1:
-                yield "i_1 = %d does not divide i_2 = %d", (i1, i2)
-            expected = list(range(i1, j2 - i1 + 1, i1))
-            if inside != expected:
-                yield "lower indices %s in [j_1, j_2) must be %s", (inside, expected)
+    if not blocks[0][0]:  # a candidate's first block holds 0_lo: the upper block
+        for clause in _UPPER_CLAUSES:
+            yield from clause(c, blocks)
 
 
 def _check_karpenko(c, blocks):
     block = blocks[0]  # a candidate's first block holds 0_lo
     if block[0] or len(block) <= 2:  # not the upper block, or a pair
         return
-    i1 = c.steps[0]
-    v = (i1 - 1).bit_length()  # smallest v with i1 <= 2^v
-    positives = [k for k in block[1:] if k < c.r]
-    for i in positives:
-        if i % (1 << v):
+    r, (mask, v) = c.r, c.karpenko
+    for i in block[1:]:  # the positive lower indices, in order
+        if i >= r:
+            break
+        if i & mask:
             yield "lower index %d in the upper block not divisible by 2^%d", (i, v)
-    if not positives:
-        return
-    mn = positives[0]
-    if mn not in c.interior:
-        yield _NOT_INTERIOR_JT, (mn,)
-        return
-    t = c.pattern.index(mn)
-    i_next = c.steps[t]
-    if v2(i_next) < v2(i1):
-        yield "v2(i_%d) = %d < v2(i_1) = %d", (t + 1, v2(i_next), v2(i1))
-    # second theorem; v2(0) counts as +infinity
-    gap = mn - i1
-    if (gap == 0 or v2(gap) >= v2(i1) + 2) and v2(i_next) > v2(i1) + 1:
-        yield "v2(i_%d) = %d exceeds v2(i_1) + 1 = %d", (t + 1, v2(i_next), v2(i1) + 1)
+    if block[1] < r:  # the 2-adic bounds of the smallest, else that it is no j_t
+        yield from c.interior.get(block[1], ((_NOT_INTERIOR_JT, (block[1],)),))
 
 
 def _check_vishik(c, blocks):
@@ -825,10 +855,14 @@ RULE_IDS = tuple(RULES)
 PROVEN_RULE_IDS = frozenset(RULE_IDS) - {"R-VISHIK"}
 
 
-def _check_rule_set(rules):
-    """Reject rules that are not a RuleSet before they reach a cache."""
+def _check_rule_set(rules) -> RuleSet:
+    """The rules to apply, the proven ones for None; rules that are not a
+    RuleSet are rejected before they reach a cache."""
+    if rules is None:
+        return RuleSet.proven()
     if type(rules) is not RuleSet:
         raise TypeError("rules must be a RuleSet, not %s" % type(rules).__name__)
+    return rules
 
 
 def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None):
@@ -837,9 +871,7 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     The violations come in RULE_IDS order; a per-block rule's come block by
     block in canonical order, each in its check's order.
     """
-    if rules is None:
-        rules = RuleSet.proven()
-    _check_rule_set(rules)
+    rules = _check_rule_set(rules)
     if type(partition) is not MdtPartition:
         raise TypeError("partition must be an MdtPartition, not %s" % type(partition).__name__)
     if partition.r != profile.r or partition.d_x != profile.d_x:
@@ -922,8 +954,30 @@ def _passes(c, checks, block) -> bool:
 #     union of atoms, the shift's upper symbols are the partners of its lower
 #     ones.  A shell of width 1 holds one lower symbol.
 # Without R-DUAL a block may be odd, and without R-SHIFT a block may hold
-# two lower symbols of one shell, so then the row runs.  The checker runs
-# every row.
+# two lower symbols of one shell, so then the row runs.
+#
+# R-UPPER's clauses read the upper block U, the block of 0_lo, which only
+# atom 0 opens; three of the four are implied.
+#   - The b clause is R-ENDPOINT's test on U.  0 lies in shell 1, so
+#     expected_b[0] = d_X + 1 - j_1 = dim - j_1 - 1 = Izh - 1 is the b both
+#     require, and U is one-sided exactly when it has no upper symbol, where
+#     the clause reads b = None.  So the clause fires on U exactly when
+#     R-ENDPOINT does, and it need not run where R-ENDPOINT need not: under
+#     R-DUAL and R-SHIFT.
+#   - "size > 2 needs 2 lower symbols" follows from R-DUAL.  U is a union of
+#     atoms, and each pair matches a lower symbol with an upper one, so
+#     |U| is twice the number of U's lower symbols; |U| != 2 gives |U| >= 4
+#     and at least 2 lower symbols.
+#   - The interior clause follows from R-KARPENKO.  It fires when |U| != 2
+#     and U's second lower symbol U[1], its smallest positive lower index,
+#     is no j_t with 0 < t < h.  Then U holds two lower symbols and |U| > 2,
+#     so R-KARPENKO reads U, and unless its divisibility test already
+#     yields, it makes the same _NOT_INTERIOR_JT test on the same U[1].  So
+#     any union the clause rejects, R-KARPENKO rejects; the checker reports
+#     that witness twice, once per rule.  R-DUAL is not needed here.
+#   - The [j_1, j_2) clause (i_1 divides i_2, and U's lower indices in
+#     [j_1, j_2) are i_1, 2 i_1, ...) has no such argument and always runs.
+# The checker runs every row and every clause.
 
 
 def _search_table(profile: QuadricProfile, rules, max_r: int):
@@ -935,55 +989,56 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     into atoms, so no candidate splits one; an asserted R-VPN that fails its
     numerology excludes every partition.  Only the unions of atoms that can
     open a block are formed (see the comments above), and each is judged
-    once by the per-block rows that are not implied, with no witness text.
+    once, with no witness text, by the per-block rows and R-UPPER clauses
+    that are not implied; an opener with none of them to run judges none.
     An option, a base block with its shifts, is listed under its opening
     atom, with its blocks as symbol tuples, in the order of its base block.
     Raises BoundExceeded when r > max_r or the atoms are more than 10.
     """
-    if rules is None:
-        rules = RuleSet.proven()
-    _check_rule_set(rules)
+    rules = _check_rule_set(rules)
     if profile.r > max_r:
-        raise BoundExceeded(
-            "r = %d exceeds the enumeration bound %d" % (profile.r, max_r)
-        )
+        raise BoundExceeded("r = %d exceeds the enumeration bound %d" % (profile.r, max_r))
     c = _compile(profile, rules)
     n = 2 * profile.r
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    r, p, shell = c.r, c.pattern, c.shell
+    parent = list(range(n))  # union-find: a code's root is the least code of its atom
     for pairs in c.connections.values():
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    atoms = {}
+            while a != parent[a]:
+                a = parent[a]
+            while b != parent[b]:
+                b = parent[b]
+            parent[max(a, b)] = min(a, b)
+    atoms = {}  # root -> its atom's codes, in order; so atom 0 holds 0_lo
+    room = [n] * n  # R-SHIFT part (2) per root: the widest shift its atom allows
     for k in range(n):
-        atoms.setdefault(find(k), []).append(k)
-    atom_list = sorted(map(tuple, atoms.values()))
+        parent[k] = root = parent[parent[k]]  # parent[k] <= k, whose root is set
+        atoms.setdefault(root, []).append(k)
+        if k < r and p[shell[k]] - k < room[root]:
+            room[root] = p[shell[k]] - k
+    atom_list = list(map(tuple, atoms.values()))
     # 2^10 unions of atoms and up to Bell(10) complete candidates are the
     # practical ceiling; rule sets without R-DUAL leave 2r single-symbol
     # atoms and hit this early.
     if len(atom_list) > 10:
-        raise BoundExceeded(
-            "%d unconstrained atoms exceed the search bound" % len(atom_list)
-        )
+        raise BoundExceeded("%d unconstrained atoms exceed the search bound" % len(atom_list))
     if c.vpn_assertion:  # reported on every partition
         return None
-    shift = "R-SHIFT" in rules.enabled
-    dual = "R-DUAL" in rules.enabled
-    implied = {"R-PARITY": dual, "R-ENDPOINT": dual and shift}  # see the comments above
-    rows = [rule for rule in c.rows if rule.scope == "block" and not implied.get(rule.id)]
-    checks = [rule.check for rule in rows]
+    shift, dual = "R-SHIFT" in rules.enabled, "R-DUAL" in rules.enabled
+    implied = {  # the rows and R-UPPER's clauses not run: see the comments above
+        _check_parity: dual, _check_endpoint: dual and shift, _upper_b: dual and shift,
+        _upper_size: dual, _upper_interior: "R-KARPENKO" in rules.enabled,
+    }
+    upper_checks = [  # the per-block rows' checks, R-UPPER's clause by clause
+        check for rule in c.rows if rule.scope == "block"
+        for check in (_UPPER_CLAUSES if rule.check is _check_upper else (rule.check,))
+        if not implied.get(check)
+    ]
     # R-UPPER and R-KARPENKO read the upper block alone, the one of 0_lo
-    other_checks = [rule.check for rule in rows if rule.id not in ("R-UPPER", "R-KARPENKO")]
-    r, p, shell = c.r, c.pattern, c.shell
-    atom_of = {k: index for index, atom in enumerate(atom_list) for k in atom}
+    checks = [check for check in upper_checks if check not in _UPPER_CLAUSES + (_check_karpenko,)]
+    atom_of = None  # only the shifts of a base block read it, and a shell of width 1 has none
+    if shift and len(p) <= r:
+        atom_of = {k: index for index, atom in enumerate(atom_list) for k in atom}
     opened_by = [[] for _ in atom_list]
     for low, opener in enumerate(atom_list):
         width, a = 1, opener[0]
@@ -992,21 +1047,16 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
             if a != j:  # placed with the base block at j
                 continue
             width = p[shell[a]] - j
-        # R-SHIFT part (2) for width i_t, atom by atom; it holds at width 1
-        fits = [
-            width == 1 or all(i + width <= p[shell[i]] for i in atom if i < r)
-            for atom in atom_list
-        ]
-        unions = [(1 << low, opener)] if fits[low] else []
+        unions = [(1 << low, opener)] if width <= room[a] else []
         for index in range(low + 1, len(atom_list)):
-            if fits[index]:
-                atom = atom_list[index]
+            atom = atom_list[index]
+            if width <= room[atom[0]]:
                 unions += [(mask | 1 << index, members + atom) for mask, members in unions]
-        run = other_checks if a else checks
+        run = checks if a else upper_checks
         options = []
         for mask, members in unions:
             block = tuple(sorted(members))
-            if not _passes(c, run, block):
+            if run and not _passes(c, run, block):
                 continue
             orbit = (block,)
             for k in range(1, width):
@@ -1018,7 +1068,7 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
                 # exactly a union of atoms, disjoint from the orbit so far
                 if sum([len(atom_list[i]) for i in ids]) != len(shifted) or held & mask:
                     break
-                if not _passes(c, run, shifted):
+                if checks and not _passes(c, checks, shifted):
                     break
                 orbit += (shifted,)
                 mask |= held
@@ -1027,7 +1077,7 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
         # the survivors' blocks are the options' symbol tuples
         opened_by[low] = [
             (mask, tuple([tuple(map(c.symbols.__getitem__, block)) for block in orbit]))
-            for _, mask, orbit in sorted(options)
+            for _, mask, orbit in (sorted(options) if len(options) > 1 else options)
         ]
     return opened_by
 

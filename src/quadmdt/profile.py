@@ -443,7 +443,9 @@ def excellent_pairs(profile: QuadricProfile) -> tuple:
             if 0 <= cob < r and prefix <= cob < prefix + m_k:
                 pairs.append(ExcellentPair(a=a, b=b, k=k))
         prefix += m_k
-    return tuple(sorted(pairs, key=lambda p: (p.a, p.b)))
+    # already sorted: every m_k >= 1, so the windows ascend and are disjoint,
+    # and each a has at most one b
+    return tuple(pairs)
 
 
 def strongly_excellent_profile(n_list, s: int):

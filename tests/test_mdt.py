@@ -173,6 +173,8 @@ def test_forced_connections_cover_lambda():
             ups = {b for _, b in pairs}
             assert los == set(lambda_set(p)[: p.r])
             assert ups == set(lambda_set(p)[p.r :])
+            # 0_lo's partner is the b that R-UPPER requires, Izh - 1
+            assert pairs[0] == (lo(0), up(p.izhboldin_dim - 1))
 
 
 def test_vpn_connections_gating():
@@ -998,18 +1000,21 @@ SWEEP_R7 = [
 
 
 # the search skips R-PARITY under R-DUAL, and R-ENDPOINT under R-DUAL and
-# R-SHIFT: without either premise the row must still run, and each then
-# excludes partitions on its own (test_implied_rows_run_without_their_premise)
+# R-SHIFT; of R-UPPER's clauses it skips the b clause under R-DUAL and R-SHIFT,
+# "size > 2" under R-DUAL and the interior clause under R-KARPENKO: without its
+# premise each must still run, and each then excludes partitions on its own
+# (test_implied_rows_run_without_their_premise)
 WITHOUT_SHIFT = RuleSet(PROVEN_RULE_IDS - {"R-SHIFT"})
 WITHOUT_DUAL = RuleSet(PROVEN_RULE_IDS - {"R-DUAL"})
+WITHOUT_KARPENKO = RuleSet(PROVEN_RULE_IDS - {"R-KARPENKO"})
 
 
 @pytest.mark.parametrize(
     "rules,max_r",
     [(rules, 7) for rules in ORACLE_RULE_SETS]
     # without R-DUAL few symbols merge: r > 4 nears the 10-atom bound
-    + [(WITHOUT_SHIFT, 7), (WITHOUT_DUAL, 4)],
-    ids=ORACLE_RULE_IDS + ["no-R-SHIFT", "no-R-DUAL"],
+    + [(WITHOUT_SHIFT, 7), (WITHOUT_DUAL, 4), (WITHOUT_KARPENKO, 7)],
+    ids=ORACLE_RULE_IDS + ["no-R-SHIFT", "no-R-DUAL", "no-R-KARPENKO"],
 )
 def test_enumerator_matches_leaf_pass(rules, max_r):
     # R-SHIFT decided as blocks are placed against the whole row run on
@@ -1028,26 +1033,45 @@ def test_enumerator_matches_leaf_pass(rules, max_r):
     [
         (WITHOUT_SHIFT, "R-ENDPOINT", prof(7, 3, 1, [0, 3]), (1, 2)),
         (WITHOUT_DUAL, "R-PARITY", prof(11, 3, 5, [0, 1, 2, 3]), (5, 6)),
+        # R-UPPER's clauses, each dropped from the row.  R-ENDPOINT repeats the
+        # b clause, and under R-DUAL the interior clause rejects every upper
+        # block the b clause rejects, so the b clause alone excludes a
+        # partition only without R-DUAL and R-ENDPOINT (none at r <= 7 with
+        # R-DUAL on)
+        (
+            RuleSet(PROVEN_RULE_IDS - {"R-DUAL", "R-ENDPOINT"}), "_upper_b",
+            prof(6, 2, 2, [0, 1, 2]), (1, 2),
+        ),
+        (WITHOUT_DUAL, "_upper_size", prof(12, 4, 4, [0, 1, 2, 4]), (8, 9)),
+        (WITHOUT_KARPENKO, "_upper_interior", prof(12, 4, 4, [0, 1, 2, 4]), (6, 7)),
     ],
-    ids=["R-ENDPOINT", "R-PARITY"],
+    ids=["R-ENDPOINT", "R-PARITY", "R-UPPER-b", "R-UPPER-size", "R-UPPER-interior"],
 )
-def test_implied_rows_run_without_their_premise(rules, row, profile, counts):
-    # the row alone excludes a partition here, in the search and in the oracle
-    dropped = RuleSet(rules.enabled - {row})
-    for enumerate_ in (enumerate_mdt, _leaf_pass_enumerate):
-        assert (len(enumerate_(profile, rules)), len(enumerate_(profile, dropped))) == counts
+def test_implied_rows_run_without_their_premise(monkeypatch, rules, row, profile, counts):
+    # the row or clause alone excludes a partition here, in the search and in
+    # the oracle: the search runs it, as its premise is off
+    enumerators = (enumerate_mdt, _leaf_pass_enumerate)
+    assert [len(enumerate_(profile, rules)) for enumerate_ in enumerators] == [counts[0]] * 2
+    if row in RULE_IDS:
+        rules = RuleSet(rules.enabled - {row})
+    else:  # the checker and the search read R-UPPER's clauses from one tuple
+        clauses = tuple(clause for clause in mdt._UPPER_CLAUSES if clause.__name__ != row)
+        monkeypatch.setattr(mdt, "_UPPER_CLAUSES", clauses)
+    assert [len(enumerate_(profile, rules)) for enumerate_ in enumerators] == [counts[1]] * 2
 
 
 @pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
-def test_implied_rows_exclude_nothing(rules):
+def test_implied_rows_exclude_nothing(monkeypatch, rules):
     # the arguments beside the R-SHIFT comment in mdt.py, checked apart from
-    # the search: under R-DUAL and R-SHIFT, R-PARITY and R-ENDPOINT exclude
-    # no partition that the other rows keep
-    assert {"R-DUAL", "R-SHIFT", "R-PARITY", "R-ENDPOINT"} <= rules.enabled
+    # the search: under R-DUAL, R-SHIFT and R-KARPENKO, R-PARITY, R-ENDPOINT
+    # and R-UPPER's b, "size > 2" and interior clauses exclude no partition
+    # that the other rows keep
+    assert {"R-DUAL", "R-SHIFT", "R-KARPENKO", "R-PARITY", "R-ENDPOINT"} <= rules.enabled
+    expected = [_leaf_pass_enumerate(profile, rules) for profile in SWEEP_R7]
     dropped = RuleSet(rules.enabled - {"R-PARITY", "R-ENDPOINT"}, rules.assumed)
-    for profile in SWEEP_R7:
-        expected = _leaf_pass_enumerate(profile, rules)
-        assert _leaf_pass_enumerate(profile, dropped) == expected, str(profile)
+    monkeypatch.setattr(mdt, "_UPPER_CLAUSES", (mdt._upper_between,))
+    for profile, survivors in zip(SWEEP_R7, expected):
+        assert _leaf_pass_enumerate(profile, dropped) == survivors, str(profile)
 
 
 @pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
