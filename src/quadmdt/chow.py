@@ -40,7 +40,7 @@ import re
 from collections import Counter, namedtuple
 
 from .errors import BoundExceeded, ContextMismatch
-from .profile import QuadricProfile, _Record, _set, json_int
+from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _set, json_int
 
 H = "h"
 L = "l"
@@ -179,6 +179,13 @@ class Cycle(_Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cycle":
+        return cls._from_json(data, _CYCLE_KEYS)
+
+    @classmethod
+    def _from_json(cls, data: dict, keys: frozenset) -> "Cycle":
+        """The cycle of a JSON object whose top-level keys are among ``keys``.
+        Any other key, there or in a support entry, raises ContextMismatch
+        once the rest of the object has parsed."""
         try:
             context = tuple(QuadricProfile.from_json_dict(p) for p in data["context"])
             support = [
@@ -190,11 +197,19 @@ class Cycle(_Record):
             ]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ContextMismatch("malformed cycle JSON: %s" % exc) from exc
+        unknown = set(data) - keys
+        for elt in data["support"]:
+            for entry in elt:
+                unknown |= entry.keys() - _ENTRY_KEYS
+        if unknown:
+            raise ContextMismatch("malformed cycle JSON: unknown keys %s" % sorted(unknown))
         return cls.of_basis(context, *support)
 
     def __str__(self):
         return cycle_to_text(self)
 
+
+_CYCLE_KEYS = frozenset(("context", "support"))  # the top-level keys of cycle JSON
 
 # The slots' own setters, for _trusted
 _SET_CONTEXT, _SET_SUPPORT = (vars(Cycle)[name].__set__ for name in Cycle.__slots__)

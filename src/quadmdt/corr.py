@@ -39,6 +39,8 @@ from .chow import Cycle, FactorSymbol, h, l
 from .errors import ContextMismatch, DegreeUnderflow, InvalidLevel
 from .profile import QuadricProfile, _Record, _set, json_int
 
+_CORRESPONDENCE_KEYS = frozenset(("context", "support", "split"))  # its JSON's top-level keys
+
 
 class Correspondence(_Record):
     """Cycle over a split context (left factors | right factors)."""
@@ -74,7 +76,7 @@ class Correspondence(_Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Correspondence":
-        cycle = Cycle.from_json_dict(data)
+        cycle = Cycle._from_json(data, _CORRESPONDENCE_KEYS)
         try:
             split = json_int(data["split"])
         except (KeyError, TypeError) as exc:

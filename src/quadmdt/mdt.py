@@ -41,34 +41,33 @@ the enumerator merges up front and the rows' checks report when split.
 
 The rows work on one compiled form per (profile, RuleSet) pair, which
 _compile builds once: Lambda(X) encoded as the integers 0..2r-1 in
-lambda_set order (so integer order is symbol order), the profile's shells
-and expected endpoints (the first, expected_b[0], is Izh - 1, the b of the
-upper block), the upper-block rows' other constants (the [j_1, j_2) data,
-2^v, and per interior j_t R-KARPENKO's 2-adic witnesses), and the pair's
-rows, R-VPN assertion, R-VISHIK positions and connection pairs in scope; so
-no row recomputes profile data per candidate.  Only the connection pairs,
-the costliest part, are shared between rule sets: they are cached per
-profile, rule and scope flag.  The checker alone names symbols, from a name
-table per Lambda(X).  The checker calls each enabled row once per
-candidate.  A per-block row walks the candidate's blocks itself and yields
-its witnesses block by block: R-PARITY and R-ENDPOINT read every block,
-R-UPPER and R-KARPENKO only the first, the upper block (first symbol 0_lo),
-and R-VISHIK the blocks based at some j_{t-1}; R-UPPER runs its four
-clauses in turn.  Each row's check yields its witnesses as templates with
-their arguments, and only check_partition formats them, row by row.  The
-enumerator searches block by block instead of testing whole candidates: a
-block is complete when it is chosen, so it forms only the unions of atoms
-that can open a block, each judged once, with no witness text, by the
-per-block rows and R-UPPER clauses that the other enabled rules do not
-imply.  It skips R-PARITY and R-UPPER's "size > 2" clause under R-DUAL,
-R-ENDPOINT and R-UPPER's b clause under R-DUAL and R-SHIFT, and R-UPPER's
-interior clause under R-KARPENKO; its [j_1, j_2) clause always runs.
-R-SHIFT is read whole by the checker (_check_shift) and block by block by
-the search (_search_table), which places a base block together with its
-shifts; no pass runs over complete candidates.  The search tries blocks in
-order, so the survivors come out canonically ordered: they are built as
-MdtPartitions canonical by construction, with no re-validation, and the
-count (_count_mdt, behind mdt-solve --count) builds none.
+lambda_set order (so integer order is symbol order) with each code's text,
+the profile's shells and expected endpoints (the first, expected_b[0], is
+Izh - 1, the b of the upper block), the upper-block rows' other constants
+(the [j_1, j_2) data, 2^v, and per interior j_t R-KARPENKO's 2-adic
+witnesses), and the pair's rows, R-VPN assertion, R-VISHIK positions and
+connection pairs in scope; so no row recomputes profile data per
+candidate.  Lambda(X) itself, its symbols, their texts and codes, is one
+table per (r, d_X); the connection pairs, the costliest part, are shared
+between rule sets, cached per profile, rule and scope flag.  The checker
+calls each enabled row once per candidate.  A per-block row walks the
+candidate's blocks itself and yields its witnesses block by block:
+R-PARITY and R-ENDPOINT read every block, R-UPPER and R-KARPENKO only the
+first, the upper block (first symbol 0_lo), and R-VISHIK the blocks based
+at some j_{t-1}; R-UPPER runs its four clauses in turn.  Each row's check
+yields its witnesses as templates with their arguments, and only
+check_partition formats them, row by row.  The enumerator searches block
+by block instead of testing whole candidates: a block is complete when it
+is chosen, so it forms only the unions of atoms that can open a block,
+each judged once, up to its first witness, by the per-block rows and
+R-UPPER clauses that the other enabled rules do not imply (the comments
+beside _search_table say which and why).  R-SHIFT is read whole by the
+checker (_check_shift) and block by block by the search (_search_table),
+which places a base block together with its shifts; no pass runs over
+complete candidates.  The search tries blocks in order, so the survivors
+come out canonically ordered: they are built as MdtPartitions canonical by
+construction, with no re-validation, and the count (_count_mdt, behind
+mdt-solve --count) builds none.
 """
 
 # annotations are never evaluated, so the Callable and Correspondence they
@@ -89,6 +88,7 @@ from .errors import (
 )
 from .profile import (
     QuadricProfile,
+    _ENTRY_KEYS,
     _Record,
     _set,
     alternating_2adic,
@@ -177,30 +177,22 @@ def up(i: int) -> LambdaSymbol:
     return LambdaSymbol(UP, i)
 
 
+# Lambda(X) as one table: its 2r symbols, lower ones first, their set, each
+# code's text ("3_lo", "17^up") and each symbol's code
+_LambdaTable = namedtuple("_LambdaTable", "symbols window names codes")
+
+
 # Lambda(X) depends on (r, d_X) alone, which many profiles share
 @functools.lru_cache(maxsize=64)
-def _symbols(r: int, d_x: int) -> tuple:
-    """The 2r symbols of Lambda(X), lower ones first."""
-    return tuple(map(lo, range(r))) + tuple(map(up, range(d_x - r + 1, d_x + 1)))
-
-
-@functools.lru_cache(maxsize=64)
-def _window(r: int, d_x: int) -> frozenset:
-    """The 2r symbols of Lambda(X), as a set."""
-    return frozenset(_symbols(r, d_x))
-
-
-@functools.lru_cache(maxsize=64)
-def _name_table(r: int, d_x: int) -> tuple:
-    """The checker's witness names: each code's text ("3_lo", "17^up") and
-    each symbol's code, in lambda_set order."""
-    symbols = _symbols(r, d_x)
-    return tuple(map(str, symbols)), dict(zip(symbols, range(2 * r)))
+def _lambda(r: int, d_x: int) -> _LambdaTable:
+    symbols = tuple(map(lo, range(r))) + tuple(map(up, range(d_x - r + 1, d_x + 1)))
+    names, codes = tuple(map(str, symbols)), dict(zip(symbols, range(2 * r)))
+    return _LambdaTable(symbols, frozenset(symbols), names, codes)
 
 
 def lambda_set(profile: QuadricProfile) -> tuple:
     """The 2r symbols of Lambda(X), lower ones first."""
-    return _symbols(profile.r, profile.d_x)
+    return _lambda(profile.r, profile.d_x).symbols
 
 
 def alpha_cycle(sym: LambdaSymbol, profile: QuadricProfile) -> Correspondence:
@@ -257,22 +249,20 @@ class MdtPartition(_Record):
         _set(self, "r", r)
         _set(self, "d_x", d_x)
         # 2r distinct symbols inside both windows are exactly Lambda(X)
-        if len(symbols) != 2 * r or set(symbols) != _window(r, d_x):
+        if len(symbols) != 2 * r or set(symbols) != _lambda(r, d_x).window:
             self._reject(blocks)
 
     def _reject(self, blocks):
         """Raise the error for the first symbol, in canonical order, that
         repeats or leaves its window, else for a short cover."""
-        seen = set()
+        seen, window = set(), _lambda(self.r, self.d_x).window
         for block in blocks:
             for sym in block:
                 if sym in seen:
                     raise ArityMismatch("symbol %s appears twice" % (sym,))
                 seen.add(sym)
-                if sym.kind == LO and not 0 <= sym.index < self.r:
-                    raise ArityMismatch("%s outside the lo window" % (sym,))
-                if sym.kind == UP and not self.d_x - self.r < sym.index <= self.d_x:
-                    raise ArityMismatch("%s outside the up window" % (sym,))
+                if sym not in window:
+                    raise ArityMismatch("%s outside the %s window" % (sym, sym.kind))
         raise ArityMismatch("blocks do not cover Lambda(X) exactly")
 
     @classmethod
@@ -330,9 +320,6 @@ class MdtPartition(_Record):
         return " | ".join(
             "{" + ", ".join(str(sym) for sym in block) + "}" for block in self.blocks
         )
-
-
-_ENTRY_KEYS = frozenset(("kind", "i"))  # the keys of a partition JSON entry
 
 
 def _json_symbol(entry) -> LambdaSymbol:
@@ -472,12 +459,11 @@ def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
 class _Compiled:
     """A profile and a RuleSet over the integer symbols 0..2r-1.
 
-    Symbol k is symbols[k] = lambda_set(profile)[k], so integer order is
-    LambdaSymbol order: k < r is k_lo, and k >= r is an upper symbol.
-    _compile sets every attribute once, except the name table, which
-    check_partition alone sets on its first read: the search never names a
-    symbol.  The shells and the connection pairs are the same objects in
-    every compiled form of a profile (_shells, _pair_codes).  The
+    Code k is lambda_set(profile)[k], so integer order is LambdaSymbol
+    order: k < r is k_lo, and k >= r is an upper symbol.  _compile sets
+    every attribute once.  The names and codes are Lambda(X)'s table
+    (_lambda), and the shells and the connection pairs are the same objects
+    in every compiled form of a profile (_shells, _pair_codes).  The
     upper-block rows' profile-only data (expected_b[0], interior, karpenko,
     between) is read by the checker and the search alike, and computed
     here only.
@@ -492,13 +478,12 @@ class _Compiled:
         "interior",  # j_t (0 < t < h) -> R-KARPENKO's witnesses when the upper block's least i > 0
         "karpenko",  # (2^v - 1, v), 2^v the least power of 2 >= i_1
         "between",  # (j_1, j_2, witness if i_1 does not divide i_2, indices R-UPPER wants there)
-        "symbols",  # code -> its LambdaSymbol
         "vpn_assertion",  # what an asserted R-VPN reports on every partition
         "connections",  # connection rule id in scope -> its [a, b] int pairs
         "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
         "rows",  # the enabled RULES rows, in table order
-        "names",  # code -> its symbol's text, or None
-        "codes",  # LambdaSymbol -> its code, or None
+        "names",  # code -> its symbol's text
+        "codes",  # LambdaSymbol -> its code
     )
 
 
@@ -604,8 +589,7 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     j1, j2 = p[1], p[min(2, len(p) - 1)]  # at h = 1 the window [j_1, j_1) is empty
     indivisible = (("i_1 = %d does not divide i_2 = %d", (j1, j2 - j1)),) if (j2 - j1) % j1 else ()
     c.between = j1, j2, indivisible, list(range(j1, j2 - j1 + 1, j1))
-    c.symbols = lambda_set(profile)
-    c.names = c.codes = None
+    _, _, c.names, c.codes = _lambda(r, profile.d_x)
     c.vpn_assertion = _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
     c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
     c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
@@ -626,25 +610,13 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
 # lower, and its b its last symbol when that is upper; 0_lo's block is the
 # upper block, the one whose first symbol is 0, and so the first block of a
 # candidate.  A check yields each witness as its text's template and
-# arguments: the search drops a union at its first witness and formats
-# nothing, and check_partition fills them in.
+# arguments, a block's as its text: the search drops a union at its first
+# witness, and check_partition fills them in.  Under R-DUAL and R-SHIFT the
+# search runs no row that writes a block's text.
 
 
 def _fmt(c, block) -> str:
     return ", ".join(map(c.names.__getitem__, block))
-
-
-class _BlockText:
-    """A witness argument: a block (or one symbol, as a block of one),
-    written as its symbols only when the witness's text is formatted."""
-
-    __slots__ = ("c", "block")
-
-    def __init__(self, c, block):
-        self.c, self.block = c, block
-
-    def __str__(self):
-        return _fmt(self.c, self.block)
 
 
 def _split_pairs(c, rule_id, template, block_of):
@@ -671,7 +643,7 @@ def _check_vpn(c, block_of, blocks):
 def _check_parity(c, blocks):
     for block in blocks:
         if len(block) % 2:
-            yield "odd block {%s}", (_BlockText(c, block),)
+            yield "odd block {%s}", (_fmt(c, block),)
 
 
 def _check_endpoint(c, blocks):
@@ -679,10 +651,10 @@ def _check_endpoint(c, blocks):
     for block in blocks:
         a, top = block[0], block[-1]
         if a >= r or top < r:
-            yield "one-sided block {%s} has no endpoint pair", (_BlockText(c, block),)
+            yield "one-sided block {%s} has no endpoint pair", (_fmt(c, block),)
         elif top - up_offset != expected_b[a]:
             b = top - up_offset
-            yield "block {%s}: b = %d, expected %d", (_BlockText(c, block), b, expected_b[a])
+            yield "block {%s}: b = %d, expected %d", (_fmt(c, block), b, expected_b[a])
 
 
 def _check_shift(c, block_of, blocks):
@@ -795,7 +767,7 @@ def _check_vishik(c, blocks):
             if pos not in block:
                 yield (
                     "block at a = j_%d must contain %s (k = %d)",
-                    (t - 1, _BlockText(c, (pos,)), k),
+                    (t - 1, c.names[pos], k),
                 )
 
 
@@ -880,8 +852,6 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
             % (partition.r, partition.d_x, profile.r, profile.d_x)
         )
     c = _compile(profile, rules)
-    if c.codes is None:  # the witness text's names, which the search never reads
-        c.names, c.codes = _name_table(profile.r, profile.d_x)
     codes = c.codes
     blocks = tuple([tuple(map(codes.__getitem__, block)) for block in partition.blocks])
     block_of = [0] * (2 * profile.r)
@@ -981,7 +951,7 @@ def _passes(c, checks, block) -> bool:
 
 
 def _search_table(profile: QuadricProfile, rules, max_r: int):
-    """The block search's options: per atom, in block order, (mask, blocks)
+    """The block search's options: per atom, in block order, (blocks, mask)
     for each option it opens, or None when no partition can pass.
 
     The profile and rules are compiled once.  The pairs of the connection
@@ -989,10 +959,10 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     into atoms, so no candidate splits one; an asserted R-VPN that fails its
     numerology excludes every partition.  Only the unions of atoms that can
     open a block are formed (see the comments above), and each is judged
-    once, with no witness text, by the per-block rows and R-UPPER clauses
+    once, up to its first witness, by the per-block rows and R-UPPER clauses
     that are not implied; an opener with none of them to run judges none.
     An option, a base block with its shifts, is listed under its opening
-    atom, with its blocks as symbol tuples, in the order of its base block.
+    atom, with its blocks as code tuples, in the order of its base block.
     Raises BoundExceeded when r > max_r or the atoms are more than 10.
     """
     rules = _check_rule_set(rules)
@@ -1053,7 +1023,7 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
             if width <= room[atom[0]]:
                 unions += [(mask | 1 << index, members + atom) for mask, members in unions]
         run = checks if a else upper_checks
-        options = []
+        options = opened_by[low]
         for mask, members in unions:
             block = tuple(sorted(members))
             if run and not _passes(c, run, block):
@@ -1073,12 +1043,8 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
                 orbit += (shifted,)
                 mask |= held
             else:
-                options.append((block, mask, orbit))
-        # the survivors' blocks are the options' symbol tuples
-        opened_by[low] = [
-            (mask, tuple([tuple(map(c.symbols.__getitem__, block)) for block in orbit]))
-            for _, mask, orbit in (sorted(options) if len(options) > 1 else options)
-        ]
+                options.append((orbit, mask))
+        options.sort()  # by base block, which no two options share
     return opened_by
 
 
@@ -1099,6 +1065,11 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     opened_by = _search_table(profile, rules, max_r)
     if opened_by is None:
         return ()
+    symbol = lambda_set(profile).__getitem__  # each option's blocks, named once
+    opened_by = [
+        [(tuple([tuple(map(symbol, block)) for block in orbit]), mask) for orbit, mask in options]
+        for options in opened_by
+    ]
     canonical, r, d_x = MdtPartition._canonical, profile.r, profile.d_x
     survivors = []
 
@@ -1106,7 +1077,7 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
         if not free:
             survivors.append(canonical(chosen, r, d_x))
             return
-        for mask, blocks in opened_by[(free & -free).bit_length() - 1]:
+        for blocks, mask in opened_by[(free & -free).bit_length() - 1]:
             if mask & free == mask:
                 place(free ^ mask, chosen + blocks)
 
@@ -1131,7 +1102,7 @@ def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
         if n is None:
             n = sum(
                 count(free ^ mask)
-                for mask, _ in opened_by[(free & -free).bit_length() - 1]
+                for _, mask in opened_by[(free & -free).bit_length() - 1]
                 if mask & free == mask
             )
             memo[free] = n

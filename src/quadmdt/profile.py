@@ -73,6 +73,7 @@ def pfister_split(dim: int) -> tuple:
 
 
 _PROFILE_KEYS = ("dim", "r", "s", "pattern")
+_ENTRY_KEYS = frozenset(("kind", "i"))  # the keys of a symbol in partition and cycle JSON
 
 
 def json_int(value) -> int:

@@ -490,6 +490,20 @@ def test_cycle_json_round_trip():
     assert Cycle.from_json_dict(data) == c
 
 
+def test_cycle_json_rejects_unknown_keys():
+    # only context and support at the top level, kind and i in an entry; a
+    # cycle has no split, which a correspondence adds
+    data = Cycle.of_basis((P632, P630), (h(1), l(0))).to_json_dict()
+    entry = dict(data["support"][0][0], x=1)
+    for key, bad in (
+        ("extra", dict(data, extra=5)),
+        ("split", dict(data, split=1)),
+        ("x", dict(data, support=[[entry, data["support"][0][1]]])),
+    ):
+        with pytest.raises(ContextMismatch, match=r"unknown keys \['%s'\]" % key):
+            Cycle.from_json_dict(bad)
+
+
 @given(cycles())
 def test_cycle_json_round_trip_random(c):
     data = json.loads(json.dumps(c.to_json_dict()))

@@ -434,6 +434,8 @@ def test_compose_command(capsys):
         f.replace('"i": 0', '"i": 0.5'),
         f.replace('"split": 1', '"split": 1.9'),
         f.replace('"kind": "H"', '"kind": 1'),
+        f.replace('"i": 0}', '"i": 0, "x": 1}'),
+        f.replace('"split": 1', '"split": 1, "extra": 5'),
         "[]",
     ):
         code, out, err = run(capsys, "compose", bad, g)

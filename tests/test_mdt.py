@@ -413,14 +413,6 @@ def _random_profile(rng, r):
 WIDE_SHELLS = [mk_profile(56, 24, 8, [0, 24]), mk_profile(48, 24, 0, [0, 8, 24])]
 
 
-def _named(profile, rules=None):
-    """The compiled form with the checker's name table set, as
-    check_partition sets it."""
-    c = mdt._compile(profile, RuleSet.proven() if rules is None else rules)
-    c.names, c.codes = mdt._name_table(profile.r, profile.d_x)
-    return c
-
-
 def _tuple_shift_witnesses(c, block_of, blocks):
     """R-SHIFT as it read each shift by building the shifted tuple: the
     oracle of _check_shift, which compares in place."""
@@ -509,7 +501,7 @@ def test_check_shift_matches_tuple_reading():
     profiles += [_random_profile(rng, rng.randrange(1, 25)) for _ in range(300)]
     seen = {"orbit": 0, "leaves": 0, "no base": 0, "width": 0}
     for profile in profiles:
-        c = _named(profile)
+        c = mdt._compile(profile, RuleSet.proven())
         for _ in range(4):
             blocks = _shift_candidate(rng, c)
             block_of = _block_of(blocks, 2 * c.r)
@@ -542,7 +534,7 @@ def test_block_rows_walk_the_blocks():
     profiles = SWEEP_R7 + [_random_profile(rng, rng.randrange(8, 25)) for _ in range(60)]
     witnesses = 0
     for profile in profiles:
-        c = _named(profile, rules)
+        c = mdt._compile(profile, rules)
         for _ in range(3):
             blocks = _shift_candidate(rng, c)
             for rule in rows:
@@ -857,8 +849,9 @@ def _leaf_pass_enumerate(profile, rules):
                 chosen.pop()
 
     place((1 << len(atom_list)) - 1)
+    symbols = lambda_set(profile)
     return tuple(
-        MdtPartition.of(profile, [[c.symbols[k] for k in block] for block in blocks])
+        MdtPartition.of(profile, [[symbols[k] for k in block] for block in blocks])
         for blocks in sorted(survivors)
     )
 
@@ -1166,30 +1159,24 @@ def test_enumerate_maximal_splitting_lists_all_bell():
 
 
 def test_enumerate_formats_no_witness(monkeypatch):
-    # the search reads only whether a row yields: no witness text is built
-    # for a union or candidate it drops
-    expected = {profile: enumerate_mdt(profile) for profile in GENERATE_AND_TEST_PROFILES}
+    # the search reads only whether a row yields: under R-DUAL and R-SHIFT,
+    # which every oracle rule set enables, it runs no row that writes a
+    # block's text, so no witness text is built for a union it drops
+    expected = {
+        (profile, rules): enumerate_mdt(profile, rules)
+        for rules in ORACLE_RULE_SETS
+        for profile in GENERATE_AND_TEST_PROFILES
+    }
     mdt._compile.cache_clear()
 
     def refuse(*args):
         raise AssertionError("witness text formatted during the search")
 
     monkeypatch.setattr(mdt, "_fmt", refuse)
-    monkeypatch.setattr(mdt._BlockText, "__str__", refuse)
+    # the pass above left every (r, d_X) table of these profiles cached
     monkeypatch.setattr(mdt.LambdaSymbol, "__str__", refuse)
-    for profile, answer in expected.items():
-        assert enumerate_mdt(profile) == answer
-
-
-def test_search_builds_no_name_table():
-    # only check_partition names symbols: the listing and the count build no
-    # name table, which the test above cannot see once one is cached
-    mdt._compile.cache_clear()
-    mdt._name_table.cache_clear()
-    for profile in GENERATE_AND_TEST_PROFILES:
-        enumerate_mdt(profile)
-        mdt._count_mdt(profile)
-    assert mdt._name_table.cache_info().currsize == 0
+    for (profile, rules), answer in expected.items():
+        assert enumerate_mdt(profile, rules) == answer
 
 
 def test_enumerate_height_one_unique():
