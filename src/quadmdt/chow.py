@@ -131,11 +131,7 @@ class Cycle(_Record):
     @classmethod
     def of_basis(cls, context, *elements) -> "Cycle":
         """Cycle with the given basis tuples (F2: duplicates cancel)."""
-        support = set()
-        for elt in elements:
-            elt = tuple(elt)
-            support.symmetric_difference_update({elt})
-        return cls(tuple(context), frozenset(support))
+        return cls(tuple(context), _odd_terms(map(tuple, elements)))
 
     def __bool__(self):
         return bool(self.support)

@@ -233,17 +233,8 @@ def diagonal_mult(c: Cycle) -> Cycle:
     if c.context[:m] != c.context[m:]:
         raise ContextMismatch("diagonal_mult needs two equal factor blocks")
     half = c.context[:m]
-    support = set()
-    for elt in c.support:
-        out = []
-        for sa, sb, prof in zip(elt[:m], elt[m:], half):
-            prod = chow.mul_factor(sa, sb, prof)
-            if prod is None:
-                break
-            out.append(prod)
-        else:
-            support.symmetric_difference_update({tuple(out)})
-    return Cycle._trusted(half, frozenset(support))
+    products = (tuple(map(chow.mul_factor, elt[:m], elt[m:], half)) for elt in c.support)
+    return Cycle._trusted(half, chow._odd_terms(out for out in products if None not in out))
 
 
 def _check_level(profile: QuadricProfile, t: int):

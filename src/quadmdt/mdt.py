@@ -50,8 +50,10 @@ connection pairs in scope; so no row recomputes profile data per
 candidate.  Lambda(X) itself, its symbols, their texts and codes, is one
 table per (r, d_X); the connection pairs, the costliest part, are shared
 between rule sets, cached per profile, rule and scope flag.  The checker
-calls each enabled row once per candidate.  A per-block row walks the
-candidate's blocks itself and yields its witnesses block by block:
+calls each enabled row once per candidate, with the one view of it that
+the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN) reads which
+block each symbol is in, every other row the blocks.  A per-block row
+walks the candidate's blocks itself and yields its witnesses block by block:
 R-PARITY and R-ENDPOINT read every block, R-UPPER and R-KARPENKO only the
 first, the upper block (first symbol 0_lo), and R-VISHIK the blocks based
 at some j_{t-1}; R-UPPER runs its four clauses in turn.  Each row's check
@@ -119,14 +121,14 @@ class Rule(_Record):
       does.  The enumerator judges one block by the same check, passing
       ``(block,)``, and R-UPPER's clause by clause (_UPPER_CLAUSES, each
       called as the row is);
-    - "partition": ``check(compiled, block_of, blocks)`` reads the whole
-      candidate, given by each symbol's block position and its blocks.  The
-      one such rule, R-SHIFT, is read whole by the checker and block by
-      block by the enumerator, which places a base block with its shifts
-      (_search_table);
-    - "connection": as "partition", for a rule whose symbol pairs the
-      enumerator merges into atoms before it places any block; the pairs
-      in scope are ``compiled.connections[id]`` (_connection_rules).
+    - "partition": ``check(compiled, blocks)`` reads the whole candidate's
+      blocks.  The one such rule, R-SHIFT, is read whole by the checker and
+      block by block by the enumerator, which places a base block with its
+      shifts (_search_table);
+    - "connection": ``check(compiled, block_of)`` reads each symbol's block
+      position, block_of[k], for a rule whose symbol pairs the enumerator
+      merges into atoms before it places any block; the pairs in scope are
+      ``compiled.connections[id]`` (_connection_rules).
 
     ``provenance`` is "proven", "conjectural" or "interpretation-sensitive".
     """
@@ -254,14 +256,16 @@ class MdtPartition(_Record):
 
     def _reject(self, blocks):
         """Raise the error for the first symbol, in canonical order, that
-        repeats or leaves its window, else for a short cover."""
-        seen, window = set(), _lambda(self.r, self.d_x).window
+        repeats or leaves its window, else for a short cover.  The windows
+        are tested by their bounds, so the cost does not grow with r."""
+        seen, r, d_x = set(), self.r, self.d_x
         for block in blocks:
             for sym in block:
                 if sym in seen:
                     raise ArityMismatch("symbol %s appears twice" % (sym,))
                 seen.add(sym)
-                if sym not in window:
+                i = sym.index
+                if not (0 <= i < r if sym.kind == LO else d_x - r < i <= d_x):
                     raise ArityMismatch("%s outside the %s window" % (sym, sym.kind))
         raise ArityMismatch("blocks do not cover Lambda(X) exactly")
 
@@ -339,10 +343,6 @@ def _json_symbol(entry) -> LambdaSymbol:
 _SET_BLOCKS, _SET_R, _SET_D_X = (
     vars(MdtPartition)[name].__set__ for name in MdtPartition.__slots__
 )
-
-
-def _shift_block(block, j):
-    return tuple(sorted(sym.shift(j) for sym in block))
 
 
 # -- rule set ------------------------------------------------------------------
@@ -436,20 +436,21 @@ def _vpn_index_pairs(profile: QuadricProfile, assumed: bool):
 
 
 def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
-    """Enabled connection rule id -> the scope flag its pairs are built with.
+    """Connection rule id in scope -> its pairs as [a, b] int codes
+    (_pair_codes).
 
     The one statement of the scopes of R-DUAL, R-EXC and R-VPN: the
     enumerator merges every pair of these rules, the checker reports every
-    split pair.  The flag is R-VPN's assumed scope; R-EXC's scope decides
-    only whether it applies, not its pairs.
+    split pair.  R-VPN's pairs follow its assumed scope; R-EXC's scope
+    decides only whether it applies, not its pairs.
     """
     table = {}
     if "R-DUAL" in rules.enabled:
-        table["R-DUAL"] = False
+        table["R-DUAL"] = _pair_codes(profile, "R-DUAL", False)
     if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
-        table["R-EXC"] = False
+        table["R-EXC"] = _pair_codes(profile, "R-EXC", False)
     if "R-VPN" in rules.enabled:
-        table["R-VPN"] = "R-VPN" in rules.assumed
+        table["R-VPN"] = _pair_codes(profile, "R-VPN", "R-VPN" in rules.assumed)
     return table
 
 
@@ -593,26 +594,24 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     c.vpn_assertion = _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
     c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
     c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
-    c.connections = {
-        rule_id: _pair_codes(profile, rule_id, assumed)
-        for rule_id, assumed in _connection_rules(profile, rules).items()
-    }
+    c.connections = _connection_rules(profile, rules)
     return c
 
 
 # -- the rule rows ---------------------------------------------------------------
 #
-# Each check reads the compiled form and ``blocks``, the candidate's blocks as
-# ascending int tuples in canonical order (the search passes one block as
-# ``(block,)``), and a whole-candidate check also ``block_of``: block_of[k] is
-# the position of symbol k's block in ``blocks``.  A lower symbol sorts
-# before every upper one, so a block's a is its first symbol when that is
-# lower, and its b its last symbol when that is upper; 0_lo's block is the
-# upper block, the one whose first symbol is 0, and so the first block of a
-# candidate.  A check yields each witness as its text's template and
-# arguments, a block's as its text: the search drops a union at its first
-# witness, and check_partition fills them in.  Under R-DUAL and R-SHIFT the
-# search runs no row that writes a block's text.
+# Each check reads the compiled form and one view of the candidate: a
+# connection row ``block_of``, where block_of[k] is the position of symbol
+# k's block, every other row ``blocks``, the candidate's blocks as ascending
+# int tuples in canonical order (the search passes one block as
+# ``(block,)``).  A lower symbol sorts before every upper one, so a block's
+# a is its first symbol when that is lower, and its b its last symbol when
+# that is upper; 0_lo's block is the upper block, the one whose first
+# symbol is 0, and so the first block of a candidate.  A check yields each
+# witness as its text's template and arguments, a block's as its text: the
+# search drops a union at its first witness, and check_partition fills them
+# in.  Under R-DUAL and R-SHIFT the search runs no row that writes a block's
+# text.
 
 
 def _fmt(c, block) -> str:
@@ -627,15 +626,15 @@ def _split_pairs(c, rule_id, template, block_of):
             yield template, (names[a], names[b])
 
 
-def _check_dual(c, block_of, blocks):
+def _check_dual(c, block_of):
     yield from _split_pairs(c, "R-DUAL", "%s and %s must be co-blocked", block_of)
 
 
-def _check_exc(c, block_of, blocks):
+def _check_exc(c, block_of):
     yield from _split_pairs(c, "R-EXC", "excellent pair %s, %s split", block_of)
 
 
-def _check_vpn(c, block_of, blocks):
+def _check_vpn(c, block_of):
     yield from c.vpn_assertion
     yield from _split_pairs(c, "R-VPN", "%s and %s must be co-blocked", block_of)
 
@@ -657,7 +656,7 @@ def _check_endpoint(c, blocks):
             yield "block {%s}: b = %d, expected %d", (_fmt(c, block), b, expected_b[a])
 
 
-def _check_shift(c, block_of, blocks):
+def _check_shift(c, blocks):
     r, p = c.r, c.pattern
     based = {block[0]: block for block in blocks}  # each block at its first symbol
     for t in range(1, len(p)):
@@ -858,14 +857,11 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
     for position, block in enumerate(blocks):
         for k in block:
             block_of[k] = position
+    views = {"block": blocks, "partition": blocks, "connection": block_of}
     violations = []
     append, new = violations.append, object.__new__
     for rule in c.rows:
-        if rule.scope == "block":
-            found = rule.check(c, blocks)
-        else:
-            found = rule.check(c, block_of, blocks)
-        for template, args in found:
+        for template, args in rule.check(c, views[rule.scope]):
             violation = new(Violation)
             _SET_RULE(violation, rule.id)
             _SET_WITNESS(violation, template % args)
@@ -952,18 +948,19 @@ def _passes(c, checks, block) -> bool:
 
 def _search_table(profile: QuadricProfile, rules, max_r: int):
     """The block search's options: per atom, in block order, (blocks, mask)
-    for each option it opens, or None when no partition can pass.
+    for each option it opens.
 
     The profile and rules are compiled once.  The pairs of the connection
     rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find
     into atoms, so no candidate splits one; an asserted R-VPN that fails its
-    numerology excludes every partition.  Only the unions of atoms that can
-    open a block are formed (see the comments above), and each is judged
-    once, up to its first witness, by the per-block rows and R-UPPER clauses
-    that are not implied; an opener with none of them to run judges none.
-    An option, a base block with its shifts, is listed under its opening
-    atom, with its blocks as code tuples, in the order of its base block.
-    Raises BoundExceeded when r > max_r or the atoms are more than 10.
+    numerology excludes every partition, so then no atom has an option.
+    Only the unions of atoms that can open a block are formed (see the
+    comments above), and each is judged once, up to its first witness, by
+    the per-block rows and R-UPPER clauses that are not implied; an opener
+    with none of them to run judges none.  An option, a base block with
+    its shifts, is listed under its opening atom, with its blocks as code
+    tuples, in the order of its base block.  Raises BoundExceeded when
+    r > max_r or the atoms are more than 10.
     """
     rules = _check_rule_set(rules)
     if profile.r > max_r:
@@ -992,8 +989,9 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     # atoms and hit this early.
     if len(atom_list) > 10:
         raise BoundExceeded("%d unconstrained atoms exceed the search bound" % len(atom_list))
-    if c.vpn_assertion:  # reported on every partition
-        return None
+    opened_by = [[] for _ in atom_list]
+    if c.vpn_assertion:  # reported on every partition: no atom opens a block
+        return opened_by
     shift, dual = "R-SHIFT" in rules.enabled, "R-DUAL" in rules.enabled
     implied = {  # the rows and R-UPPER's clauses not run: see the comments above
         _check_parity: dual, _check_endpoint: dual and shift, _upper_b: dual and shift,
@@ -1009,7 +1007,6 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     atom_of = None  # only the shifts of a base block read it, and a shell of width 1 has none
     if shift and len(p) <= r:
         atom_of = {k: index for index, atom in enumerate(atom_list) for k in atom}
-    opened_by = [[] for _ in atom_list]
     for low, opener in enumerate(atom_list):
         width, a = 1, opener[0]
         if shift and a < r:
@@ -1063,8 +1060,6 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     counts them and builds none.
     """
     opened_by = _search_table(profile, rules, max_r)
-    if opened_by is None:
-        return ()
     symbol = lambda_set(profile).__getitem__  # each option's blocks, named once
     opened_by = [
         [(tuple([tuple(map(symbol, block)) for block in orbit]), mask) for orbit, mask in options]
@@ -1093,8 +1088,6 @@ def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
     completions is memoised on the free-atom mask.
     """
     opened_by = _search_table(profile, rules, max_r)
-    if opened_by is None:
-        return 0
     memo = {0: 1}
 
     def count(free):
@@ -1151,8 +1144,7 @@ def mdt_pfister_neighbour(profile: QuadricProfile, inner=None) -> MdtPartition:
                 "inner partition is over (r=%d, d_X=%d); expected (r=%d, d_X=%d)"
                 % (inner.r, inner.d_x, profile.r - m, profile.d_x - 2 * m)
             )
-        for block in inner.blocks:
-            blocks.append(_shift_block(block, m))
+        blocks += [[sym.shift(m) for sym in block] for block in inner.blocks]
     return MdtPartition.of(profile, blocks)
 
 
@@ -1189,7 +1181,7 @@ def mdt_isotropic_lift(w: int, inner: MdtPartition, inner_profile: QuadricProfil
     d_x = inner_profile.d_x + 2 * w
     blocks = [(lo(i),) for i in range(w)]
     blocks += [(up(d_x - i),) for i in range(w)]
-    blocks += [_shift_block(block, w) for block in inner.blocks]
+    blocks += [[sym.shift(w) for sym in block] for block in inner.blocks]
     return MdtPartition(blocks=tuple(blocks), r=r, d_x=d_x)
 
 

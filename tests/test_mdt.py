@@ -245,7 +245,7 @@ def test_check_arity_mismatch():
         check_partition(other, part)
 
 
-def test_partition_validation():
+def test_partition_validation(monkeypatch):
     with pytest.raises(ArityMismatch):
         blocks(P22, [lo(0), up(3)])  # missing symbols
     with pytest.raises(ArityMismatch):
@@ -254,6 +254,23 @@ def test_partition_validation():
         blocks(P22, [lo(0), lo(2), up(3)], [lo(1), up(4)])  # out of window
     with pytest.raises(ArityMismatch):
         blocks(P22, [lo(0), up(3)], [lo(1), up(4)], [])  # empty block
+    # a few symbols over r = 2^20 are rejected by the windows' bounds, with
+    # no table of Lambda(X)'s 2r symbols
+    def refuse(*args):
+        raise AssertionError("Lambda(X) table built")
+
+    monkeypatch.setattr(mdt, "_lambda", refuse)
+    r = 1 << 20
+    d_x = 2 * r - 2
+    for groups, message in [
+        (((lo(0), up(d_x)),), "blocks do not cover Lambda(X) exactly"),
+        (((lo(0), lo(0)),), "symbol 0_lo appears twice"),
+        (((lo(0), lo(r)),), "%d_lo outside the lo window" % r),
+        (((lo(0), up(d_x - r)),), "%d^up outside the up window" % (d_x - r)),
+    ]:
+        with pytest.raises(ArityMismatch) as exc:
+            MdtPartition(groups, r, d_x)
+        assert str(exc.value) == message
 
 
 def test_partition_rejects_non_symbol_entries():
@@ -506,7 +523,7 @@ def test_check_shift_matches_tuple_reading():
             blocks = _shift_candidate(rng, c)
             block_of = _block_of(blocks, 2 * c.r)
             expected = list(_tuple_shift_witnesses(c, block_of, blocks))
-            assert list(mdt._check_shift(c, block_of, blocks)) == expected, (profile, blocks)
+            assert list(mdt._check_shift(c, blocks)) == expected, (profile, blocks)
             texts = [template % args for template, args in expected]
             seen["no base"] += any("but none at" in text for text in texts)
             for t in range(1, len(c.pattern)):
@@ -828,7 +845,7 @@ def _leaf_pass_enumerate(profile, rules):
 
     def place(free):
         if not free:
-            if passes("partition", block_of, tuple(chosen)):
+            if passes("partition", tuple(chosen)):
                 survivors.append(tuple(chosen))
             return
         low = (free & -free).bit_length() - 1
@@ -1398,6 +1415,7 @@ def test_vpn_assumed_contradicts_pattern():
     p = prof(10, 3, 4, [0, 1, 3])
     rules = RuleSet.proven().enable("R-VPN")
     assert enumerate_mdt(p, rules) == ()
+    assert mdt._count_mdt(p, rules) == 0
     part = enumerate_mdt(p)[0]
     assert any(v.rule == "R-VPN" for v in check_partition(p, part, rules))
     # asserting it where r + s > 2^n is reported, not a crash
