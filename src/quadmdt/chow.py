@@ -213,12 +213,14 @@ _SET_CONTEXT, _SET_SUPPORT = (vars(Cycle)[name].__set__ for name in Cycle.__slot
 
 def identity_cycle(context) -> Cycle:
     """The unit of R_X: the all-h^0 tuple."""
-    return Cycle.of_basis(context, tuple(h(0) for _ in context))
+    context = tuple(context)  # read once: context may be an iterator
+    return Cycle.of_basis(context, (h(0),) * len(context))
 
 
 def point_cycle(context) -> Cycle:
     """Class of a rational point: the all-l_0 tuple."""
-    return Cycle.of_basis(context, tuple(l(0) for _ in context))
+    context = tuple(context)  # read once: context may be an iterator
+    return Cycle.of_basis(context, (l(0),) * len(context))
 
 
 def basis_tuples(context):

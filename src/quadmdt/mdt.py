@@ -66,10 +66,11 @@ R-UPPER clauses that the other enabled rules do not imply (the comments
 beside _search_table say which and why).  R-SHIFT is read whole by the
 checker (_check_shift) and block by block by the search (_search_table),
 which places a base block together with its shifts; no pass runs over
-complete candidates.  The search tries blocks in order, so the survivors
-come out canonically ordered: they are built as MdtPartitions canonical by
-construction, with no re-validation, and the count (_count_mdt, behind
-mdt-solve --count) builds none.
+complete candidates.  The listing and the count (_count_mdt, behind
+mdt-solve --count) are one walk of the search (_walk), memoised on the set
+of atoms not yet placed.  It tries blocks in order, so the survivors come
+out canonically ordered: they are built as MdtPartitions canonical by
+construction, with no re-validation, and the count builds none.
 """
 
 # annotations are never evaluated, so the Callable and Correspondence they
@@ -1045,6 +1046,32 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     return opened_by
 
 
+def _walk(opened_by, leaf, join):
+    """The block search as one fold over its states, memoised: the value of
+    the first state, every atom free.
+
+    A state is the mask of the atoms not yet placed.  The options open at a
+    state depend on it alone (a base block is placed with its whole orbit),
+    so each state's value is computed once: ``join`` of the list of (blocks,
+    value of the state the option leaves) over the options of its lowest
+    free atom that fit, in block order.  The empty state's value is
+    ``leaf``.
+    """
+    memo = {0: leaf}
+
+    def value(free):
+        pairs, outside = [], ~free  # an option fits when no bit of its mask is outside
+        for blocks, mask in opened_by[(free & -free).bit_length() - 1]:
+            if not mask & outside:
+                rest = free ^ mask  # the state this option leaves, valued once
+                pairs.append((blocks, memo[rest] if rest in memo else value(rest)))
+        return memo.setdefault(free, join(pairs))
+
+    top = value((1 << len(opened_by)) - 1)
+    memo.clear()  # value's closure is a reference cycle: free the memo now
+    return top
+
+
 def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     """All partitions of Lambda(X) passing every enabled rule, canonically
     ordered.
@@ -1053,11 +1080,13 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     unplaced atom opens a block, a passing union of it and other unplaced
     atoms, and R-SHIFT is decided as blocks are placed (a base block comes
     with its shifts, and no other block based in a shell of width above 1
-    is opened).  So every complete candidate passes every rule.  The options
-    of each atom are tried in block order, so the survivors come out in
-    canonical order, the order of their sorted blocks, with no sort: they
-    are built canonical by construction, with no re-validation.  _count_mdt
-    counts them and builds none.
+    is opened).  So every complete candidate passes every rule.  The
+    listing and the count (_count_mdt) are one memoised walk (_walk): here
+    each state's value is the list of its completions, each an option's
+    blocks followed by a completion of the state it leaves.  The options
+    are tried in block order, so the survivors come out in canonical order,
+    the order of their sorted blocks, with no sort: they are built
+    canonical by construction, with no re-validation.
     """
     opened_by = _search_table(profile, rules, max_r)
     symbol = lambda_set(profile).__getitem__  # each option's blocks, named once
@@ -1065,43 +1094,19 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
         [(tuple([tuple(map(symbol, block)) for block in orbit]), mask) for orbit, mask in options]
         for options in opened_by
     ]
+    completions = _walk(
+        opened_by, ((),), lambda pairs: [head + tail for head, tails in pairs for tail in tails]
+    )
     canonical, r, d_x = MdtPartition._canonical, profile.r, profile.d_x
-    survivors = []
-
-    def place(free, chosen):
-        if not free:
-            survivors.append(canonical(chosen, r, d_x))
-            return
-        for blocks, mask in opened_by[(free & -free).bit_length() - 1]:
-            if mask & free == mask:
-                place(free ^ mask, chosen + blocks)
-
-    place((1 << len(opened_by)) - 1, ())
-    return tuple(survivors)
+    return tuple([canonical(blocks, r, d_x) for blocks in completions])
 
 
 def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
-    """len(enumerate_mdt(profile, rules, max_r)), building no partition.
-
-    The options open at a search state depend only on the unplaced atoms (a
-    base block is placed with its whole orbit), so the number of
-    completions is memoised on the free-atom mask.
-    """
-    opened_by = _search_table(profile, rules, max_r)
-    memo = {0: 1}
-
-    def count(free):
-        n = memo.get(free)
-        if n is None:
-            n = sum(
-                count(free ^ mask)
-                for _, mask in opened_by[(free & -free).bit_length() - 1]
-                if mask & free == mask
-            )
-            memo[free] = n
-        return n
-
-    return count((1 << len(opened_by)) - 1)
+    """len(enumerate_mdt(profile, rules, max_r)), building no partition:
+    the listing's memoised walk (_walk), each state's value the number of
+    its completions."""
+    counts = operator.itemgetter(1)  # each pair's count
+    return _walk(_search_table(profile, rules, max_r), 1, lambda pairs: sum(map(counts, pairs)))
 
 
 # -- closed-form generators ----------------------------------------------------
@@ -1154,16 +1159,15 @@ def mdt_strongly_excellent(n_list, s: int):
     Returns (profile, partition); the blocks are
     {0_lo, (2^{n_{i+1}-1} - 1)^up}[m_1 + ... + m_i + j].
     """
+    n_list = tuple(int(n) for n in n_list)  # read once: n_list may be an iterator
     prof, _ = strongly_excellent_profile(n_list, s)
-    n_list = tuple(int(n) for n in n_list)
     blocks = []
     # the pattern's steps are the m_i, so its entries are the running offsets
     for n_i, offset, m_i in zip(n_list, prof.pattern, prof.steps):
         top = (1 << (n_i - 1)) - 1
         for j in range(m_i):
             blocks.append((lo(offset + j), up(top + offset + j)))
-    partition = MdtPartition.of(prof, blocks)
-    return prof, partition
+    return prof, MdtPartition.of(prof, blocks)
 
 
 def mdt_isotropic_lift(w: int, inner: MdtPartition, inner_profile: QuadricProfile) -> MdtPartition:

@@ -275,6 +275,14 @@ def test_degree_examples():
     assert degree(mixed) == 1
 
 
+def test_unit_and_point_read_context_once():
+    # a generator context gives what its tuple gives
+    ctx = (P632, P632)
+    assert identity_cycle(iter(ctx)) == identity_cycle(ctx)
+    assert point_cycle(p for p in ctx) == point_cycle(ctx)
+    assert identity_cycle(iter(ctx)).arity == 2
+
+
 # -- external products ----------------------------------------------------------------
 
 

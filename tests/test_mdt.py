@@ -1096,6 +1096,21 @@ def test_survivors_match_validating_constructor(rules):
             assert part.to_json_dict() == validated.to_json_dict()
 
 
+@pytest.mark.parametrize(
+    "profile,max_r",
+    [(profile, 8) for profile in R8_FIXED] + [(prof(21, 9, 3), 9)],  # Bell(9) = 21147
+    ids=["r8-shells", "r8-maximal", "r8-empty", "r9-maximal"],
+)
+def test_listing_order_and_count_above_r7(profile, max_r):
+    # the leaf-pass oracle stops at r = 7: here the listing's canonical order
+    # is pinned as strictly increasing blocks, and its length against the count
+    listed = [part.blocks for part in enumerate_mdt(profile, max_r=max_r)]
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    assert len(listed) == mdt._count_mdt(profile, max_r=max_r)
+    if max_r == 9:
+        assert len(listed) == 21147
+
+
 @pytest.mark.parametrize("rules", ORACLE_RULE_SETS, ids=ORACLE_RULE_IDS)
 def test_count_matches_listing(rules):
     for profile in SWEEP_R7 + R8_FIXED:
@@ -1480,6 +1495,13 @@ def test_mdt_strongly_excellent_example():
     expected = [(lo(i), up(7 + i)) for i in range(5)] + [(lo(5), up(6))]
     assert part == MdtPartition.of(p, expected)
     assert check_partition(p, part) == ()
+
+
+def test_mdt_strongly_excellent_reads_n_list_once():
+    # a generator gives what its list gives: the exponents are read once
+    for n_list, s in [([4, 2], 0), ([4, 2], 1), ([3, 1], 0)]:
+        assert mdt_strongly_excellent(iter(n_list), s) == mdt_strongly_excellent(n_list, s)
+    assert len(mdt_strongly_excellent((n for n in [4, 2]), 0)[1].blocks) == 6
 
 
 def test_mdt_strongly_excellent_pfister():
