@@ -127,7 +127,8 @@ def cmd_pattern_enum(args) -> int:
             "%d patterns exceed the listing bound %d (use --count)"
             % (count, _MAX_PATTERN_LISTING)
         )
-    _emit_json(args, [list(p) for p in _iter_patterns(args.r, args.s, rules)])
+    # json writes the pattern tuples as arrays: no list copy of each
+    _emit_json(args, list(_iter_patterns(args.r, args.s, rules)))
     return 0
 
 

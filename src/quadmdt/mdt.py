@@ -42,18 +42,20 @@ the enumerator merges up front and the rows' checks report when split.
 The rows work on one compiled form per (profile, RuleSet) pair, which
 _compile builds once: Lambda(X) encoded as the integers 0..2r-1 in
 lambda_set order (so integer order is symbol order) with each code's text,
-the profile's shells and expected endpoints (the first, expected_b[0], is
-Izh - 1, the b of the upper block), the upper-block rows' other constants
-(the [j_1, j_2) data, 2^v, and per interior j_t R-KARPENKO's 2-adic
-witnesses), and the pair's rows, R-VPN assertion, R-VISHIK positions and
-connection pairs in scope; so no row recomputes profile data per
-candidate.  Lambda(X) itself, its symbols, their texts and codes, is one
-table per (r, d_X); the connection pairs, the costliest part, are shared
-between rule sets, cached per profile, rule and scope flag.  The checker
-calls each enabled row once per candidate, with the one view of it that
-the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN) reads which
-block each symbol is in, every other row the blocks.  A per-block row
-walks the candidate's blocks itself and yields its witnesses block by block:
+the profile's shells and each lower code's partner (its R-DUAL pair, whose
+upper symbol is the b that R-ENDPOINT requires; the first, partner[0],
+holds (Izh - 1)^up, the b of the upper block), the upper-block rows' other
+constants (the [j_1, j_2) data, 2^v, and per interior j_t R-KARPENKO's
+2-adic witnesses), and the pair's rows, R-VPN assertion, R-VISHIK
+positions and connection pairs in scope; so no row recomputes profile data
+per candidate.  Lambda(X) itself, its symbols, their texts and codes, is
+one table per (r, d_X); the connection pairs, the costliest part, have one
+builder (_pair_codes) and are shared between rule sets, cached per
+profile, rule and scope flag.  The checker calls each enabled row once per
+candidate, with the one view of it that the row's scope reads: a
+connection row (R-DUAL, R-EXC, R-VPN) reads which block each symbol is
+in, every other row the blocks.  A per-block row walks the candidate's
+blocks itself and yields its witnesses block by block:
 R-PARITY and R-ENDPOINT read every block, R-UPPER and R-KARPENKO only the
 first, the upper block (first symbol 0_lo), and R-VISHIK the blocks based
 at some j_{t-1}; R-UPPER runs its four clauses in turn.  Each row's check
@@ -226,10 +228,12 @@ def forced_connections(profile: QuadricProfile) -> tuple:
     (d_X - (j_t - 1 - i))^up.  The range is inclusive of i = i_t - 1:
     stopping one short would leave width-1 shells without connections,
     contradicting the worked low-dimensional cases.  With a = j_{t-1} + i
-    the partner is the b that R-ENDPOINT requires of a block based at a, as
-    _shells states it for the checker and the search.
+    the partner is the b that R-ENDPOINT requires of a block based at a:
+    these are R-DUAL's pairs (_pair_codes), named, which the checker and
+    the search read as the compiled form's ``partner``.
     """
-    return tuple((lo(a), up(b)) for a, b in enumerate(_shells(profile)[1]))
+    symbols = lambda_set(profile)
+    return tuple([(symbols[a], symbols[b]) for a, b in _pair_codes(profile, "R-DUAL", False)])
 
 
 class MdtPartition(_Record):
@@ -416,24 +420,8 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     otherwise the form cannot be a neighbour and its pairs would leave
     Lambda(X).
     """
-    return tuple((lo(a), up(b)) for a, b in _vpn_index_pairs(profile, assumed))
-
-
-def _vpn_index_pairs(profile: QuadricProfile, assumed: bool):
-    """vpn_connections as (lower index, upper index) pairs."""
-    pairs = {}  # (lower index, upper index) -> None: deduped, in order
-    p = profile.pattern
-    for t in range(profile.height):
-        w = p[t]
-        n, m = pfister_split(profile.dim - 2 * w)  # the t-th kernel's dimension
-        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the kernel's
-        # pattern, which is p[t:] shifted down by w
-        forced = p[t + 1] - w == m or m == 1 or (m == 2 and w + 2 in p)
-        if not (forced or (assumed and t == 0 and m <= profile.r)):
-            continue
-        for i in range(m):
-            pairs[(i + w, (1 << n) + i - 1 + w)] = None
-    return pairs.keys()
+    symbols = lambda_set(profile)
+    return tuple([(symbols[a], symbols[b]) for a, b in _pair_codes(profile, "R-VPN", assumed)])
 
 
 def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
@@ -464,11 +452,11 @@ class _Compiled:
     Code k is lambda_set(profile)[k], so integer order is LambdaSymbol
     order: k < r is k_lo, and k >= r is an upper symbol.  _compile sets
     every attribute once.  The names and codes are Lambda(X)'s table
-    (_lambda), and the shells and the connection pairs are the same objects
-    in every compiled form of a profile (_shells, _pair_codes).  The
-    upper-block rows' profile-only data (expected_b[0], interior, karpenko,
-    between) is read by the checker and the search alike, and computed
-    here only.
+    (_lambda), and the connection pairs are the same objects in every
+    compiled form of a profile (_pair_codes); partner is R-DUAL's, whether
+    or not R-DUAL is enabled.  The upper-block rows' profile-only data
+    (partner[0], interior, karpenko, between) is read by the checker and
+    the search alike, and computed here only.
     """
 
     __slots__ = (
@@ -476,7 +464,7 @@ class _Compiled:
         "up_offset",  # symbol i^up is i + up_offset
         "pattern",
         "shell",  # lower index -> its shell t
-        "expected_b",  # lower index a -> the b that R-ENDPOINT requires
+        "partner",  # lower code a -> R-DUAL's [a, code of the b that R-ENDPOINT requires]
         "interior",  # j_t (0 < t < h) -> R-KARPENKO's witnesses when the upper block's least i > 0
         "karpenko",  # (2^v - 1, v), 2^v the least power of 2 >= i_1
         "between",  # (j_1, j_2, witness if i_1 does not divide i_2, indices R-UPPER wants there)
@@ -538,23 +526,6 @@ def _karpenko_bounds(profile: QuadricProfile) -> dict:
     return out
 
 
-# read by every compiled form of a profile and by its R-DUAL pairs: uncached,
-# the two extra calls per profile (about 4 us each at r <= 24) cost
-# check_oneshot, which checks each profile under two rule sets, about 1 % of
-# its op time
-@functools.lru_cache(maxsize=32)
-def _shells(profile: QuadricProfile) -> tuple:
-    """Per lower index a: its shell t, and the b that R-ENDPOINT requires of a
-    block based at a, a + d_X + 1 - j_{t-1} - j_t.  So shell t's b fill
-    (d_X - j_t, d_X - j_{t-1}] in order."""
-    p, top = profile.pattern, profile.d_x + 1
-    shell, expected_b = [], []
-    for t in range(1, len(p)):
-        shell += [t] * (p[t] - p[t - 1])
-        expected_b += range(top - p[t], top - p[t - 1])
-    return tuple(shell), tuple(expected_b)
-
-
 # QuadricProfile and RuleSet are frozen, so one compiled form serves every
 # check of a (profile, rules) pair, and one list of pairs every rule set that
 # puts a connection rule in the same scope: callers check many partitions of
@@ -564,17 +535,31 @@ def _shells(profile: QuadricProfile) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
     """A connection rule's pairs as [lower code, upper code] under its scope
-    flag: forced_connections, excellent_pairs and vpn_connections without
-    building their symbols."""
-    if rule_id == "R-DUAL":
-        pairs = enumerate(_shells(profile)[1])
-    elif rule_id == "R-EXC":
-        pairs = [(p.a, p.b) for p in excellent_pairs(profile)]
-    else:
-        pairs = _vpn_index_pairs(profile, assumed)
+    flag, the one builder of them: forced_connections, excellent_pairs and
+    vpn_connections as codes.  R-DUAL's pair of lower code a is its a-th,
+    so the compiled form reads it as a's partner."""
     # 2-lists: fresh 2-tuples raised the peak memory of check_oneshot, which
     # compiles every profile it checks, by 0.6-0.8 MB (of ~30)
-    up_offset = 2 * profile.r - 1 - profile.d_x
+    p, r, up_offset = profile.pattern, profile.r, 2 * profile.r - 1 - profile.d_x
+    if rule_id == "R-DUAL":
+        # a in shell t pairs with (a + d_X + 1 - j_{t-1} - j_t)^up, code
+        # a + 2r - j_{t-1} - j_t: shell t's partners fill (d_X - j_t, d_X - j_{t-1}]
+        pairs = []
+        for t in range(1, len(p)):
+            shift = 2 * r - p[t - 1] - p[t]
+            pairs += [[a, a + shift] for a in range(p[t - 1], p[t])]
+        return pairs
+    if rule_id == "R-EXC":
+        return [[pair.a, pair.b + up_offset] for pair in excellent_pairs(profile)]
+    pairs = {}  # R-VPN's (lower index, upper index) -> None: deduped, in order
+    for t, w in enumerate(p[:-1]):  # the tower's t-th kernel, of Witt index w
+        n, m = pfister_split(profile.dim - 2 * w)  # its dimension is 2^n + m
+        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the kernel's
+        # pattern, which is p[t:] shifted down by w
+        forced = p[t + 1] - w == m or m == 1 or (m == 2 and w + 2 in p)
+        if forced or (assumed and t == 0 and m <= r):
+            for i in range(m):
+                pairs[(i + w, (1 << n) + i - 1 + w)] = None
     return [[a, b + up_offset] for a, b in pairs]
 
 
@@ -584,7 +569,10 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     c.r = r = profile.r
     c.up_offset = 2 * r - 1 - profile.d_x
     c.pattern = p = profile.pattern
-    c.shell, c.expected_b = _shells(profile)
+    c.shell = shell = []
+    for t in range(1, len(p)):
+        shell += [t] * (p[t] - p[t - 1])
+    c.partner = _pair_codes(profile, "R-DUAL", False)
     c.interior = _karpenko_bounds(profile)
     v = (p[1] - 1).bit_length()
     c.karpenko = (1 << v) - 1, v
@@ -647,14 +635,13 @@ def _check_parity(c, blocks):
 
 
 def _check_endpoint(c, blocks):
-    r, up_offset, expected_b = c.r, c.up_offset, c.expected_b
+    r, off, partner = c.r, c.up_offset, c.partner  # i^up is code i + off
     for block in blocks:
         a, top = block[0], block[-1]
         if a >= r or top < r:
             yield "one-sided block {%s} has no endpoint pair", (_fmt(c, block),)
-        elif top - up_offset != expected_b[a]:
-            b = top - up_offset
-            yield "block {%s}: b = %d, expected %d", (_fmt(c, block), b, expected_b[a])
+        elif top != (expected := partner[a][1]):  # codes; the text reads indices
+            yield "block {%s}: b = %d, expected %d", (_fmt(c, block), top - off, expected - off)
 
 
 def _check_shift(c, blocks):
@@ -706,10 +693,11 @@ _NOT_INTERIOR_JT = "smallest positive lower index %d is not some j_t, t < h"
 # only those that the other enabled rules do not imply (see the comments
 # beside the R-SHIFT block)
 def _upper_b(c, blocks):
-    # R-ENDPOINT's b at a = 0, d_X + 1 - j_1, is Izh - 1 = dim - j_1 - 1
-    b = blocks[0][-1] - c.up_offset if blocks[0][-1] >= c.r else None
-    if b != c.expected_b[0]:
-        yield "upper block has b = %s, expected Izh - 1 = %d", (b, c.expected_b[0])
+    # R-ENDPOINT's b at a = 0, d_X + 1 - j_1, is Izh - 1 = dim - j_1 - 1; compared
+    # as codes, where a one-sided upper block ends below r, so below the partner
+    if (top := blocks[0][-1]) != (expected := c.partner[0][1]):
+        b = top - c.up_offset if top >= c.r else None
+        yield "upper block has b = %s, expected Izh - 1 = %d", (b, expected - c.up_offset)
 
 
 def _upper_size(c, blocks):
@@ -902,9 +890,9 @@ def _passes(c, checks, block) -> bool:
 # atom whose lowest symbol is some j_{t-1} or upper opens a block.
 #
 # The rows the search need not run.  R-DUAL pairs each lower symbol a of
-# shell t with its partner, (d_X + 1 - j_{t-1} - j_t + a)^up = expected_b[a]:
-# shell t's partners fill (d_X - j_t, d_X - j_{t-1}], so over all shells
-# they run through the r upper symbols once each.
+# shell t with its partner, (d_X + 1 - j_{t-1} - j_t + a)^up, the upper
+# symbol of partner[a]: shell t's partners fill (d_X - j_t, d_X - j_{t-1}],
+# so over all shells they run through the r upper symbols once each.
 #   - R-PARITY follows from R-DUAL.  The pairs are a perfect matching of
 #     Lambda(X), so every atom, and every union of atoms, has even size.
 #   - R-ENDPOINT follows from R-DUAL and R-SHIFT.  Every atom holds a pair,
@@ -926,11 +914,11 @@ def _passes(c, checks, block) -> bool:
 # R-UPPER's clauses read the upper block U, the block of 0_lo, which only
 # atom 0 opens; three of the four are implied.
 #   - The b clause is R-ENDPOINT's test on U.  0 lies in shell 1, so
-#     expected_b[0] = d_X + 1 - j_1 = dim - j_1 - 1 = Izh - 1 is the b both
-#     require, and U is one-sided exactly when it has no upper symbol, where
-#     the clause reads b = None.  So the clause fires on U exactly when
-#     R-ENDPOINT does, and it need not run where R-ENDPOINT need not: under
-#     R-DUAL and R-SHIFT.
+#     partner[0] holds (d_X + 1 - j_1)^up, and d_X + 1 - j_1 = dim - j_1 - 1
+#     = Izh - 1 is the b both require; U is one-sided exactly when it has
+#     no upper symbol, where the clause reads b = None.  So the clause fires
+#     on U exactly when R-ENDPOINT does, and it need not run where
+#     R-ENDPOINT need not: under R-DUAL and R-SHIFT.
 #   - "size > 2 needs 2 lower symbols" follows from R-DUAL.  U is a union of
 #     atoms, and each pair matches a lower symbol with an upper one, so
 #     |U| is twice the number of U's lower symbols; |U| != 2 gives |U| >= 4
@@ -1159,7 +1147,7 @@ def mdt_strongly_excellent(n_list, s: int):
     Returns (profile, partition); the blocks are
     {0_lo, (2^{n_{i+1}-1} - 1)^up}[m_1 + ... + m_i + j].
     """
-    n_list = tuple(int(n) for n in n_list)  # read once: n_list may be an iterator
+    n_list = tuple(n_list)  # read once: n_list may be an iterator
     prof, _ = strongly_excellent_profile(n_list, s)
     blocks = []
     # the pattern's steps are the m_i, so its entries are the running offsets

@@ -51,6 +51,8 @@ def _check_i1_args(r: int, s: int, rules) -> frozenset:
         raise ValueError("s must be >= 0")
     if rules is None:
         return DEFAULT_I1_RULES
+    if isinstance(rules, str):  # frozenset would read its letters as rule names
+        raise ValueError("i1 rules must be given as a collection, not one string")
     rules = frozenset(rules)
     unknown = rules - frozenset(I1_RULE_NAMES)
     if unknown:
@@ -458,13 +460,17 @@ def strongly_excellent_profile(n_list, s: int):
 
     Gap conditions: for s >= 1 the last exponent must satisfy
     s < 2^{n_h - 1} (i.e. n_h > log2(s) + 1); for s = 0 and h >= 2 the
-    form tower degenerates unless n_{h-1} > n_h + 1.
+    form tower degenerates unless n_{h-1} > n_h + 1.  The exponents and s
+    must be ints: anything else raises ConstraintViolated.
 
     Returns (profile, kernel_dims) where kernel_dims lists the dimensions
     of the successive anisotropic kernels, ending with the quasilinear
     part of dimension s.
     """
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(n_list)
+    for value in n_list + (s,):
+        if type(value) is not int:
+            raise ConstraintViolated("exponents and s must be ints, got %r" % (value,))
     h = len(n_list)
     if h < 1:
         raise ConstraintViolated("need at least one exponent")
@@ -488,17 +494,13 @@ def strongly_excellent_profile(n_list, s: int):
     for n in reversed(n_list):
         dims.append((1 << n) - dims[-1])
     dims.reverse()
-    m = [dims[i] - (1 << (n_list[i] - 1)) for i in range(h)]
-    if any(x < 1 for x in m) or any(a <= b for a, b in zip(dims, dims[1:])):
-        raise ConstraintViolated("exponent data does not define a valid tower")
+    # m_i = dims[i] - 2^{n_i - 1}, so dims[i] - dims[i + 1] = 2 m_i: the
+    # descending exponents and the gap conditions make every m_i >= 1, so the
+    # dims decrease and r = (dim - s) / 2 = m_1 + ... + m_h ends the pattern
     pattern = [0]
-    for x in m:
-        pattern.append(pattern[-1] + x)
-    dim = dims[0]
-    r = (dim - s) // 2
-    if pattern[-1] != r:
-        raise ConstraintViolated("pattern does not terminate at r")
-    prof = QuadricProfile(dim=dim, r=r, s=s, pattern=tuple(pattern))
+    for i in range(h):
+        pattern.append(pattern[-1] + dims[i] - (1 << (n_list[i] - 1)))
+    prof = QuadricProfile(dim=dims[0], r=pattern[-1], s=s, pattern=tuple(pattern))
     return prof, tuple(dims)
 
 

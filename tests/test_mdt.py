@@ -14,6 +14,7 @@ from quadmdt.corr import compose
 from quadmdt.errors import (
     ArityMismatch,
     BoundExceeded,
+    ConstraintViolated,
     NotHeightOne,
     NotNeighbourEligible,
     OutOfWindow,
@@ -50,6 +51,7 @@ from quadmdt.profile import (
     excellent_pairs,
     mk_profile,
     pattern_enumerate,
+    pfister_split,
     v2,
 )
 
@@ -577,11 +579,33 @@ def _literal_forced_connections(profile):
     ]
 
 
+def _literal_vpn_connections(profile, assumed):
+    """The VPN lemma's pairs, walking the splitting tower: kernel t, of Witt
+    index w = j_t and dimension 2^n + m, is a VPN when forced (maximal
+    splitting, m = 1, or m = 2 with 2 in its pattern) or, for the form
+    itself, when assumed and m <= r; its pairs i_lo -- (2^n + i - 1)^up,
+    0 <= i < m, shifted by w.  Deduped, in order of first appearance."""
+    pairs = []
+    p = profile.pattern
+    for t in range(profile.height):
+        w = p[t]
+        n, m = pfister_split(profile.dim - 2 * w)
+        kernel_pattern = [j - w for j in p[t:]]
+        forced = kernel_pattern[1] == m or m == 1 or (m == 2 and 2 in kernel_pattern)
+        if forced or (assumed and t == 0 and m <= profile.r):
+            for i in range(m):
+                pair = (lo(i + w), up((1 << n) + i - 1 + w))
+                if pair not in pairs:
+                    pairs.append(pair)
+    return pairs
+
+
 def test_connection_pair_codes_match_public_pairs():
     # the compiled form builds each connection rule's pairs as integer codes
-    # without symbols: they must be the codes of the public pair lists, under
-    # both scope flags, on every r <= 8, s <= 8 profile and random r <= 24;
-    # R-EXC is out of the proven set's scope exactly when s >= 2
+    # without symbols, and the public pair lists name them: both must match
+    # the literal statements of the rules, under both scope flags, on every
+    # r <= 8, s <= 8 profile and random r <= 24; R-EXC is out of the proven
+    # set's scope exactly when s >= 2
     rng = random.Random(5)
     profiles = [
         mk_profile(2 * r + s, r, s, pattern)
@@ -603,11 +627,9 @@ def test_connection_pair_codes_match_public_pairs():
         assert list(forced_connections(profile)) == dual
         exc = [(lo(p.a), up(p.b)) for p in excellent_pairs(profile)]
         for rules in in_scope:
-            public = {
-                "R-DUAL": dual,
-                "R-EXC": exc,
-                "R-VPN": vpn_connections(profile, "R-VPN" in rules.assumed),
-            }
+            vpn = _literal_vpn_connections(profile, "R-VPN" in rules.assumed)
+            assert list(vpn_connections(profile, "R-VPN" in rules.assumed)) == vpn
+            public = {"R-DUAL": dual, "R-EXC": exc, "R-VPN": vpn}
             connections = mdt._compile(profile, rules).connections
             assert connections.keys() == public.keys(), profile
             for rule_id, pairs in public.items():
@@ -1120,8 +1142,8 @@ def test_count_matches_listing(rules):
 
 
 def test_check_reports_independent_of_rule_set_order():
-    # the compiled forms of one profile share its shells and each connection
-    # rule's pairs per scope flag: the five rule sets checked forward and in
+    # the compiled forms of one profile share each connection rule's pairs
+    # per scope flag: the five rule sets checked forward and in
     # reverse, from cold caches, must give the same reports
     rng = random.Random(15)
     for profile in SWEEP_R7 + R8_FIXED:
@@ -1137,7 +1159,6 @@ def test_check_reports_independent_of_rule_set_order():
         for order in (ORACLE_RULE_SETS, ORACLE_RULE_SETS[::-1]):
             mdt._compile.cache_clear()
             mdt._pair_codes.cache_clear()
-            mdt._shells.cache_clear()
             reports.append(
                 {rules: [check_partition(profile, part, rules) for part in parts] for rules in order}
             )
@@ -1146,12 +1167,15 @@ def test_check_reports_independent_of_rule_set_order():
 
 def test_rule_sets_share_pair_codes():
     # one list of a connection rule's pairs per profile and scope flag, read
-    # by every rule set that puts the rule in that scope
+    # by every rule set that puts the rule in that scope; R-DUAL's is also
+    # every compiled form's partner table, read by R-ENDPOINT and R-UPPER
     wide = RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK")
     for profile in SWEEP_R7:
         proven = mdt._compile(profile, RuleSet.proven()).connections
         widened = mdt._compile(profile, wide).connections
         assert widened["R-DUAL"] is proven["R-DUAL"], str(profile)
+        for rules in (RuleSet.proven(), wide, RuleSet(enabled=frozenset({"R-ENDPOINT"}))):
+            assert mdt._compile(profile, rules).partner is proven["R-DUAL"], str(profile)
         if profile.s <= 1:
             assert widened["R-EXC"] is proven["R-EXC"], str(profile)
         assert widened["R-VPN"] is not proven["R-VPN"], str(profile)
@@ -1502,6 +1526,13 @@ def test_mdt_strongly_excellent_reads_n_list_once():
     for n_list, s in [([4, 2], 0), ([4, 2], 1), ([3, 1], 0)]:
         assert mdt_strongly_excellent(iter(n_list), s) == mdt_strongly_excellent(n_list, s)
     assert len(mdt_strongly_excellent((n for n in [4, 2]), 0)[1].blocks) == 6
+
+
+def test_mdt_strongly_excellent_rejects_non_int_exponents():
+    # read once and never coerced: (3.7, 1) is not the form of (3, 1)
+    for n_list in ([3.7, 1], ["3", 1], iter([3, True])):
+        with pytest.raises(ConstraintViolated, match="must be ints"):
+            mdt_strongly_excellent(n_list, 0)
 
 
 def test_mdt_strongly_excellent_pfister():

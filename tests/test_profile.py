@@ -146,6 +146,15 @@ def test_i1_admissible_rejects_unknown_rule():
         i1_admissible_set(2, 2, {"base", "mystery"})
 
 
+def test_i1_rules_reject_one_string():
+    # a string is a collection of its letters: "base" must not be read as
+    # the rules a, b, e, s
+    for call in (i1_admissible_set, pattern_enumerate, _count_patterns):
+        with pytest.raises(ValueError, match="collection, not one string"):
+            call(4, 0, "base")
+    assert i1_admissible_set(4, 0, ("base",)) == i1_admissible_set(4, 0, {"base"})
+
+
 def test_one_is_always_admissible():
     for r in range(1, 10):
         for s in range(0, 9):
@@ -344,6 +353,40 @@ def test_strongly_excellent_rejects_bad_input():
         strongly_excellent_profile([2, 3], 0)  # not decreasing
     with pytest.raises(ConstraintViolated):
         strongly_excellent_profile([], 0)
+
+
+@pytest.mark.parametrize(
+    "n_list,s",
+    [([3.7], 0), (["3"], 0), ([True], 0), ([3.0, 1], 0), ([4, 2], 1.0), ([4, 2], "1"), ([3], True)],
+)
+def test_strongly_excellent_rejects_non_int_data(n_list, s):
+    # never coerced: 3.7 and "3" are not the exponent 3, nor True the exponent 1
+    with pytest.raises(ConstraintViolated, match="must be ints"):
+        strongly_excellent_profile(n_list, s)
+    with pytest.raises(ConstraintViolated, match="must be ints"):
+        strongly_excellent_profile(iter(n_list), s)
+
+
+def test_strongly_excellent_only_gap_conditions_refuse():
+    # every strictly decreasing exponent list from 1..11 with h <= 5, and
+    # s < 40: the two gap conditions are the only refusals, and an accepted
+    # list's kernel dimensions are dim - 2 j_t along its pattern, so the
+    # tower is valid and its pattern ends at r
+    gap_messages = ("quasilinear part too large", "last two exponents need a gap > 1")
+    accepted = refused = 0
+    for h in range(1, 6):
+        for combo in itertools.combinations(range(11, 0, -1), h):
+            for s in range(40):
+                try:
+                    prof, dims = strongly_excellent_profile(combo, s)
+                except ConstraintViolated as exc:
+                    assert any(m in str(exc) for m in gap_messages), (combo, s, exc)
+                    refused += 1
+                    continue
+                accepted += 1
+                assert dims == tuple(prof.dim - 2 * j for j in prof.pattern), (combo, s)
+                assert (prof.r, prof.s, prof.height) == (prof.pattern[-1], s, h)
+    assert (accepted, refused) == (5101, 35819)
 
 
 # -- pattern enumeration -----------------------------------------------------------
