@@ -40,7 +40,7 @@ import re
 from collections import Counter, namedtuple
 
 from .errors import BoundExceeded, ContextMismatch
-from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _set, json_int
+from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _per_profile, _set, json_int
 
 H = "h"
 L = "l"
@@ -271,7 +271,7 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
     if not a.context:
         # over the empty product the only basis tuple is the unit ()
         return Cycle._trusted((), a.support & b.support)
-    *rows, last = [_partner_rows(prof) for prof in a.context]
+    *rows, last = [_rows(prof, _partner_row) for prof in a.context]
     memo = {}
 
     def last_level(node_a, node_b):
@@ -342,13 +342,14 @@ class _RowTable(dict):
     """One profile's table: symbol -> row(symbol, profile).
 
     A row is built the first time its symbol is looked up, so a call that
-    touches few symbols of a large profile builds few rows.
+    touches few symbols of a large profile builds few rows.  Each table
+    lives in its profile's memo (_rows) and holds its profile: a reference
+    cycle, which the garbage collector frees with the profile.
     """
 
-    def __init__(self, row, profile: QuadricProfile):
-        super().__init__()
-        self.row = row
+    def __init__(self, profile: QuadricProfile, row):
         self.profile = profile
+        self.row = row
 
     def __missing__(self, sym: FactorSymbol):
         value = self[sym] = self.row(sym, self.profile)
@@ -373,15 +374,8 @@ def _square_row(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
     )
 
 
-# the tables of the 32 profiles used last are kept, as h and l are bounded
-@functools.lru_cache(maxsize=32)
-def _partner_rows(profile: QuadricProfile) -> _RowTable:
-    return _RowTable(_partner_row, profile)
-
-
-@functools.lru_cache(maxsize=32)
-def _square_rows(profile: QuadricProfile) -> _RowTable:
-    return _RowTable(_square_row, profile)
+# _rows(profile, row): the profile's table of that row, built once per profile
+_rows = _per_profile(_RowTable)
 
 
 # The Steenrod walk chains one generator per factor, so a term is summed as
@@ -463,7 +457,7 @@ def steenrod(j: int, c: Cycle) -> Cycle:
         return Cycle._trusted(c.context, frozenset())
     frontier = [(_prefix_tree(c.support), j, ())]
     for prof, rest in zip(c.context, room[1:]):
-        frontier = _square_level(frontier, _square_rows(prof), rest)
+        frontier = _square_level(frontier, _rows(prof, _square_row), rest)
     return Cycle._trusted(c.context, _odd_terms(out for _, _, out in frontier))
 
 

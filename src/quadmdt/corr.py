@@ -17,7 +17,7 @@ are partner tuples of b, and the row of a left a is the sum of the dual
 rows of f's middles under a.  Every sum is a symmetric difference of sets,
 never a union, and no term of f meets a term of g on its own.  The
 partners come from per-profile tables whose rows are built from
-mul_factor, as chow's are.
+mul_factor, kept in the profile's memo as chow's are (chow._rows).
 This makes composition total on mixed-degree cycles.
 
 Isotropic reduction (reduce_f / reduce_g) shifts every index down/up by
@@ -29,7 +29,6 @@ identities hold (derived multiplicatively in the tests).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from operator import getitem
@@ -99,7 +98,7 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     middle is empty); each term a x b of f adds the dual row of b into the
     row of a; and each term a x c of the result is built once, from the
     rows.  The partners of each middle symbol are read from its factor's
-    table, built lazily once per profile.
+    table (chow._rows), built lazily once per profile and kept with it.
     """
     middle = f.right_context
     if middle != g.left_context:
@@ -108,7 +107,7 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     rights = defaultdict(set)
     for eg in g.cycle.support:
         rights[eg[: g.split]].add(eg[g.split :])
-    tables = [_partner_table(prof) for prof in middle]
+    tables = [chow._rows(prof, _partners) for prof in middle]
     # a dual row may be g's own set, so it is never changed in place: a
     # second sum into it makes a new set
     duals = {}
@@ -128,13 +127,6 @@ def _partners(sym: FactorSymbol, profile: QuadricProfile) -> list:
     # indices, so h^i and l_i are the only candidates.
     i = sym.index
     return [b for b in (h(i), l(i)) if chow.mul_factor(sym, b, profile) == l(0)]
-
-
-# symbol -> its partners; the tables of the 32 profiles used last are kept,
-# as chow's are
-@functools.lru_cache(maxsize=32)
-def _partner_table(profile: QuadricProfile) -> chow._RowTable:
-    return chow._RowTable(_partners, profile)
 
 
 def diagonal_class(profile: QuadricProfile) -> Correspondence:

@@ -40,22 +40,24 @@ their scopes are stated once, as a table of symbol pairs per profile that
 the enumerator merges up front and the rows' checks report when split.
 
 The rows work on one compiled form per (profile, RuleSet) pair, which
-_compile builds once: Lambda(X) encoded as the integers 0..2r-1 in
-lambda_set order (so integer order is symbol order) with each code's text,
-the profile's shells and each lower code's partner (its R-DUAL pair, whose
-upper symbol is the b that R-ENDPOINT requires; the first, partner[0],
-holds (Izh - 1)^up, the b of the upper block), the upper-block rows' other
-constants (the [j_1, j_2) data, 2^v, and per interior j_t R-KARPENKO's
-2-adic witnesses), and the pair's rows, R-VPN assertion, R-VISHIK
-positions and connection pairs in scope; so no row recomputes profile data
-per candidate.  Lambda(X) itself, its symbols, their texts and codes, is
-one table per (r, d_X); the connection pairs, the costliest part, have one
-builder (_pair_codes) and are shared between rule sets, cached per
-profile, rule and scope flag.  The checker calls each enabled row once per
-candidate, with the one view of it that the row's scope reads: a
-connection row (R-DUAL, R-EXC, R-VPN) reads which block each symbol is
-in, every other row the blocks.  A per-block row walks the candidate's
-blocks itself and yields its witnesses block by block:
+_compile builds once and keeps in the profile's memo (_per_profile), so
+that it lives exactly as long as the profile: Lambda(X) encoded as the
+integers 0..2r-1 in lambda_set order (so integer order is symbol order)
+with each code's text, the profile's shells and each lower code's partner
+(its R-DUAL pair, whose upper symbol is the b that R-ENDPOINT requires;
+the first, partner[0], holds (Izh - 1)^up, the b of the upper block), the
+upper-block rows' other constants (the [j_1, j_2) data, 2^v, and per
+interior j_t R-KARPENKO's 2-adic witnesses), and the pair's rows, R-VPN
+assertion, R-VISHIK positions and connection pairs in scope; so no row
+recomputes profile data per candidate.  Lambda(X) itself, its symbols,
+their texts and codes, is one table per (r, d_X); the connection pairs,
+the costliest part, are built in one place (_pair_codes) and shared
+between rule sets, kept in the same memo per rule and scope flag.  The checker
+calls each enabled row once per candidate, with the one view of it that
+the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN) reads
+which block each symbol is in, every other row the blocks.  A per-block
+row walks the candidate's blocks itself and yields its witnesses block
+by block:
 R-PARITY and R-ENDPOINT read every block, R-UPPER and R-KARPENKO only the
 first, the upper block (first symbol 0_lo), and R-VISHIK the blocks based
 at some j_{t-1}; R-UPPER runs its four clauses in turn.  Each row's check
@@ -95,6 +97,7 @@ from .profile import (
     QuadricProfile,
     _ENTRY_KEYS,
     _Record,
+    _per_profile,
     _set,
     alternating_2adic,
     check_pattern,
@@ -529,10 +532,9 @@ def _karpenko_bounds(profile: QuadricProfile) -> dict:
 # QuadricProfile and RuleSet are frozen, so one compiled form serves every
 # check of a (profile, rules) pair, and one list of pairs every rule set that
 # puts a connection rule in the same scope: callers check many partitions of
-# one profile, or one partition under several rule sets.  128 entries held
-# more profiles' pairs than that needs and raised check_oneshot's peak memory
-# by about 0.3 MB.
-@functools.lru_cache(maxsize=64)
+# one profile, or one partition under several rule sets.  Both are kept in
+# the profile's memo (_per_profile), so they live as long as the profile.
+@_per_profile
 def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
     """A connection rule's pairs as [lower code, upper code] under its scope
     flag, the one builder of them: forced_connections, excellent_pairs and
@@ -563,7 +565,7 @@ def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
     return [[a, b + up_offset] for a, b in pairs]
 
 
-@functools.lru_cache(maxsize=32)
+@_per_profile
 def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     c = _Compiled()
     c.r = r = profile.r

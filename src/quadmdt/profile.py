@@ -45,10 +45,11 @@ def v2(n: int) -> int:
 
 
 def _check_i1_args(r: int, s: int, rules) -> frozenset:
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    for name, value, least in (("r", r, 1), ("s", s, 0)):
+        if type(value) is not int:  # bool is a subclass of int, so test the exact type
+            raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
+        if value < least:
+            raise ValueError("%s must be >= %d" % (name, least))
     if rules is None:
         return DEFAULT_I1_RULES
     if isinstance(rules, str):  # frozenset would read its letters as rule names
@@ -123,9 +124,14 @@ class _Record:
     kept in a slot; the repr ``Name(field=value, ...)``; AttributeError on
     assignment or deletion; and pickling and copying through the
     constructor, which validates again.
+
+    The second private slot, ``_memo``, holds the tables derived from a
+    record (_per_profile); only QuadricProfile sets it, to an empty dict.
+    It is not a field: equality, hash and repr never read it, and a pickled
+    or copied record starts with an empty memo.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_memo")
 
     def __init_subclass__(cls):
         # the field values in __slots__ order, one tuple gathered in C
@@ -157,6 +163,19 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values(self)
+
+
+def _per_profile(build):
+    """build(profile, *args), kept in the profile's memo under (build, *args):
+    each table is built once per profile and lives exactly as long as it."""
+
+    def cached(profile, *args):
+        memo, key = profile._memo, (build, *args)
+        if (value := memo.get(key)) is None:  # no table is None
+            value = memo[key] = build(profile, *args)
+        return value
+
+    return cached
 
 
 def _i1_bound(dim: int, i: int) -> int:
@@ -191,6 +210,7 @@ class QuadricProfile(_Record):
         _set(self, "r", r)
         _set(self, "s", s)
         _set(self, "pattern", p)
+        _set(self, "_memo", {})
 
     @property
     def d_x(self) -> int:

@@ -11,8 +11,9 @@ from quadmdt import chow
 from quadmdt.chow import (
     Cycle,
     FactorSymbol,
-    _partner_rows,
-    _square_rows,
+    _partner_row,
+    _rows,
+    _square_row,
     basis_tuples,
     binom_mod2,
     cycle_from_text,
@@ -217,7 +218,7 @@ def test_factor_partners_match_mul_factor_scan():
         for sym in basis:
             scan = [(b, mul_factor(sym, b, p)) for b in basis]
             expected = {b: prod for b, prod in scan if prod is not None}
-            assert _partner_rows(p)[sym] == expected, (p, sym)
+            assert _rows(p, _partner_row)[sym] == expected, (p, sym)
 
 
 # -- ring axioms on small instances --------------------------------------------------
@@ -394,7 +395,7 @@ def test_factor_squares_match_steenrod_factor_scan():
         for sym in factor_basis(p):
             scan = [(j, steenrod_factor(j, sym, p)) for j in range(2 * p.dim + 2)]
             expected = tuple((j, res) for j, res in scan if res is not None)
-            assert _square_rows(p)[sym] == expected, (p, sym)
+            assert _rows(p, _square_row)[sym] == expected, (p, sym)
 
 
 def test_steenrod_zero_beyond_part_caps():

@@ -8,10 +8,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from quadmdt.chow import Cycle, FactorSymbol, basis_tuples, h, l, mul_factor
+from quadmdt.chow import Cycle, FactorSymbol, _rows, basis_tuples, h, l, mul_factor
 from quadmdt.corr import (
     Correspondence,
-    _partner_table,
     _partners,
     cap,
     compose,
@@ -114,7 +113,7 @@ def test_partners_match_mul_factor_scan():
                 p = prof(2 * r + s, r, s, pattern)
                 for sym in factor_basis(p):
                     assert _partners(sym, p) == _scan_partners(sym, p), (p, sym)
-                    assert _partner_table(p)[sym] == _scan_partners(sym, p), (p, sym)
+                    assert _rows(p, _partners)[sym] == _scan_partners(sym, p), (p, sym)
 
 
 @given(st.data())

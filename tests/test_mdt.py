@@ -1141,10 +1141,25 @@ def test_count_matches_listing(rules):
         )
 
 
+def test_golden_counts_r9():
+    # the r = 9 row of the golden counts (s <= 8, proven rules); the file
+    # says how its rows for r = 10..12 were counted
+    row = json.loads((GOLDEN / "mdt_counts.json").read_text())["rows"]["9"]
+    counts = [
+        mdt._count_mdt(QuadricProfile(18 + s, 9, s, pattern), None, max_r=9)
+        for s in range(9)
+        for pattern in pattern_enumerate(9, s)
+    ]
+    assert (len(counts), sum(counts), counts.count(0)) == (
+        row["profiles"], row["total"], row["empty"]
+    )
+
+
 def test_check_reports_independent_of_rule_set_order():
     # the compiled forms of one profile share each connection rule's pairs
-    # per scope flag: the five rule sets checked forward and in
-    # reverse, from cold caches, must give the same reports
+    # per scope flag: the five rule sets checked forward and in reverse,
+    # each run on a fresh equal profile whose memo starts empty, must give
+    # the same reports
     rng = random.Random(15)
     for profile in SWEEP_R7 + R8_FIXED:
         parts = []
@@ -1157,10 +1172,9 @@ def test_check_reports_independent_of_rule_set_order():
             parts.append(MdtPartition.of(profile, groups.values()))
         reports = []
         for order in (ORACLE_RULE_SETS, ORACLE_RULE_SETS[::-1]):
-            mdt._compile.cache_clear()
-            mdt._pair_codes.cache_clear()
+            fresh = QuadricProfile(profile.dim, profile.r, profile.s, profile.pattern)
             reports.append(
-                {rules: [check_partition(profile, part, rules) for part in parts] for rules in order}
+                {rules: [check_partition(fresh, part, rules) for part in parts] for rules in order}
             )
         assert reports[0] == reports[1], str(profile)
 
@@ -1223,7 +1237,6 @@ def test_enumerate_formats_no_witness(monkeypatch):
         for rules in ORACLE_RULE_SETS
         for profile in GENERATE_AND_TEST_PROFILES
     }
-    mdt._compile.cache_clear()
 
     def refuse(*args):
         raise AssertionError("witness text formatted during the search")
@@ -1232,7 +1245,9 @@ def test_enumerate_formats_no_witness(monkeypatch):
     # the pass above left every (r, d_X) table of these profiles cached
     monkeypatch.setattr(mdt.LambdaSymbol, "__str__", refuse)
     for (profile, rules), answer in expected.items():
-        assert enumerate_mdt(profile, rules) == answer
+        # a fresh equal profile has an empty memo, so the form compiles again
+        fresh = QuadricProfile(profile.dim, profile.r, profile.s, profile.pattern)
+        assert enumerate_mdt(fresh, rules) == answer
 
 
 def test_enumerate_height_one_unique():

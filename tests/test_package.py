@@ -211,3 +211,37 @@ def test_records_behave_as_frozen_values():
     # equality stays within one class, even over equal fields
     shell_pattern, shell_diagram = records[8][0], records[9][0]
     assert shell_pattern != shell_diagram
+
+
+def test_profile_memo_is_not_a_field():
+    # a profile keeps the tables derived from it in its private memo: filling
+    # the memo changes nothing that equality, hash, repr or the answers see,
+    # and a pickled or copied profile starts with an empty one
+    from quadmdt import chow, corr, mdt
+    from quadmdt.profile import QuadricProfile
+
+    used, unused = QuadricProfile(10, 3, 4, (0, 1, 3)), QuadricProfile(10, 3, 4, (0, 1, 3))
+    listed = mdt.enumerate_mdt(used)
+    full = chow.Cycle.of_basis((used, used), *chow.basis_tuples((used, used)))
+    chow.mul(full, full)
+    chow.steenrod(1, full)
+    corr.compose(corr.diagonal_class(used), corr.Correspondence(full, 1))
+    assert len(used._memo) >= 5 and unused._memo == {}
+    assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
+    for rebuilt in (pickle.loads(pickle.dumps(used)), copy.copy(used)):
+        assert rebuilt == used and rebuilt is not used and rebuilt._memo == {}
+    for name in ("dim", "r", "s", "pattern", "_memo"):
+        with pytest.raises(AttributeError):
+            setattr(used, name, None)
+        with pytest.raises(AttributeError):
+            delattr(used, name)
+    wide = mdt.RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK")
+    parts = listed + (mdt.MdtPartition.of(used, [[x] for x in mdt.lambda_set(used)]),)
+    for rules in (mdt.RuleSet.proven(), wide):
+        assert mdt._compile(used, rules) is mdt._compile(used, rules)
+        # an equal profile built apart compiles its own form, to the same reports
+        assert mdt._compile(unused, rules) is not mdt._compile(used, rules)
+        assert [mdt.check_partition(unused, part, rules) for part in parts] == [
+            mdt.check_partition(used, part, rules) for part in parts
+        ]
+    assert chow._rows(used, chow._partner_row) is chow._rows(used, chow._partner_row)

@@ -155,6 +155,15 @@ def test_i1_rules_reject_one_string():
     assert i1_admissible_set(4, 0, ("base",)) == i1_admissible_set(4, 0, {"base"})
 
 
+def test_i1_args_reject_non_int_types():
+    # r and s must be exact ints: a bool is not read as 0 or 1, and a float
+    # or a string is refused by name, not left to fail inside range or &
+    for call in (i1_admissible_set, pattern_enumerate, _count_patterns, _iter_patterns):
+        for r, s, name in ((True, 0, "r"), (4.0, 0, "r"), ("4", 0, "r"), (4, False, "s"), (2, 1.0, "s")):
+            with pytest.raises(TypeError, match="^%s must be an int, not " % name):
+                call(r, s)
+
+
 def test_one_is_always_admissible():
     for r in range(1, 10):
         for s in range(0, 9):
