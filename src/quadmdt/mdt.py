@@ -39,25 +39,28 @@ enabling it only turns it on.  R-DUAL, R-EXC and R-VPN are connection rules:
 their scopes are stated once, as a table of symbol pairs per profile that
 the enumerator merges up front and the rows' checks report when split.
 
-The rows work on one compiled form per (profile, RuleSet) pair, which
-_compile builds once and keeps in the profile's memo (_per_profile), so
-that it lives exactly as long as the profile: Lambda(X) encoded as the
-integers 0..2r-1 in lambda_set order (so integer order is symbol order)
-with each code's text, the profile's shells and each lower code's partner
-(its R-DUAL pair, whose upper symbol is the b that R-ENDPOINT requires;
-the first, partner[0], holds (Izh - 1)^up, the b of the upper block), the
-upper-block rows' other constants (the [j_1, j_2) data, 2^v, and per
-interior j_t R-KARPENKO's 2-adic witnesses), and the pair's rows, R-VPN
-assertion, R-VISHIK positions and connection pairs in scope; so no row
-recomputes profile data per candidate.  Lambda(X) itself, its symbols,
-their texts and codes, is one table per (r, d_X); the connection pairs,
-the costliest part, are built in one place (_pair_codes) and shared
-between rule sets, kept in the same memo per rule and scope flag.  The checker
-calls each enabled row once per candidate, with the one view of it that
-the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN) reads
-which block each symbol is in, every other row the blocks.  A per-block
-row walks the candidate's blocks itself and yields its witnesses block
-by block:
+The rows work on one compiled form per profile, which _compile builds
+once and keeps in the profile's memo (_per_profile), so that it lives
+exactly as long as the profile and serves every rule set: Lambda(X)
+encoded as the integers 0..2r-1 in lambda_set order (so integer order is
+symbol order) with each code's symbol and text, the profile's shells and
+each lower code's partner (its R-DUAL pair, whose upper symbol is the b
+that R-ENDPOINT requires; the first, partner[0], holds (Izh - 1)^up, the
+b of the upper block), the upper-block rows' other constants (the
+[j_1, j_2) data, 2^v, and per interior j_t R-KARPENKO's 2-adic
+witnesses), and R-VISHIK's positions; so no row recomputes profile data
+per candidate.  What a rule set decides is one small entry per (profile,
+RuleSet) pair in the same memo (_scope): the enabled rows, and per
+connection rule in scope its pairs and the witnesses it reports on every
+partition (an asserted R-VPN's numerology).  Lambda(X) itself, its
+symbols, their texts and codes, is one table per (r, d_X); the connection
+pairs, the costliest part, are built in one place (_pair_codes) and
+shared between rule sets, kept in the same memo per rule and scope flag.
+The checker calls each enabled row once per candidate, with the one view
+of it that the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN)
+reads which block each symbol is in and the rule set's connection table,
+every other row the blocks.  A per-block row walks the candidate's blocks
+itself and yields its witnesses block by block:
 R-PARITY and R-ENDPOINT read every block, R-UPPER and R-KARPENKO only the
 first, the upper block (first symbol 0_lo), and R-VISHIK the blocks based
 at some j_{t-1}; R-UPPER runs its four clauses in turn.  Each row's check
@@ -118,8 +121,8 @@ class Rule(_Record):
 
     ``check`` yields the witness of every way a candidate breaks the rule,
     as a (template, arguments) pair that check_partition formats, reading
-    ``compiled``, the one compiled form of the profile and rules over
-    integer symbols (_Compiled).  What else it reads depends on ``scope``:
+    ``compiled``, the one compiled form of the profile over integer symbols
+    (_Compiled).  What else it reads depends on ``scope``:
 
     - "block": ``check(compiled, blocks)`` reads the candidate's blocks,
       ascending int tuples in canonical order, and yields its witnesses
@@ -131,10 +134,12 @@ class Rule(_Record):
       blocks.  The one such rule, R-SHIFT, is read whole by the checker and
       block by block by the enumerator, which places a base block with its
       shifts (_search_table);
-    - "connection": ``check(compiled, block_of)`` reads each symbol's block
-      position, block_of[k], for a rule whose symbol pairs the enumerator
-      merges into atoms before it places any block; the pairs in scope are
-      ``compiled.connections[id]`` (_connection_rules).
+    - "connection": ``check(compiled, (block_of, connections))`` reads each
+      symbol's block position, block_of[k], for a rule whose symbol pairs
+      the enumerator merges into atoms before it places any block;
+      ``connections[id]``, the rule set's entry for a rule in scope
+      (_scope), holds the witnesses it reports on every partition and its
+      pairs.
 
     ``provenance`` is "proven", "conjectural" or "interpretation-sensitive".
     """
@@ -427,37 +432,18 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     return tuple([(symbols[a], symbols[b]) for a, b in _pair_codes(profile, "R-VPN", assumed)])
 
 
-def _connection_rules(profile: QuadricProfile, rules: RuleSet) -> dict:
-    """Connection rule id in scope -> its pairs as [a, b] int codes
-    (_pair_codes).
-
-    The one statement of the scopes of R-DUAL, R-EXC and R-VPN: the
-    enumerator merges every pair of these rules, the checker reports every
-    split pair.  R-VPN's pairs follow its assumed scope; R-EXC's scope
-    decides only whether it applies, not its pairs.
-    """
-    table = {}
-    if "R-DUAL" in rules.enabled:
-        table["R-DUAL"] = _pair_codes(profile, "R-DUAL", False)
-    if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
-        table["R-EXC"] = _pair_codes(profile, "R-EXC", False)
-    if "R-VPN" in rules.enabled:
-        table["R-VPN"] = _pair_codes(profile, "R-VPN", "R-VPN" in rules.assumed)
-    return table
-
-
 # -- the compiled form -----------------------------------------------------------
 
 
 class _Compiled:
-    """A profile and a RuleSet over the integer symbols 0..2r-1.
+    """A profile over the integer symbols 0..2r-1, shared by every rule set.
 
     Code k is lambda_set(profile)[k], so integer order is LambdaSymbol
     order: k < r is k_lo, and k >= r is an upper symbol.  _compile sets
-    every attribute once.  The names and codes are Lambda(X)'s table
-    (_lambda), and the connection pairs are the same objects in every
-    compiled form of a profile (_pair_codes); partner is R-DUAL's, whether
-    or not R-DUAL is enabled.  The upper-block rows' profile-only data
+    every attribute once, and no attribute depends on a rule set: that
+    part is _scope's.  The symbols, names and codes are Lambda(X)'s table
+    (_lambda); partner is R-DUAL's pairs (_pair_codes), the same object as
+    the rule's connection pairs.  The upper-block rows' profile-only data
     (partner[0], interior, karpenko, between) is read by the checker and
     the search alike, and computed here only.
     """
@@ -471,10 +457,8 @@ class _Compiled:
         "interior",  # j_t (0 < t < h) -> R-KARPENKO's witnesses when the upper block's least i > 0
         "karpenko",  # (2^v - 1, v), 2^v the least power of 2 >= i_1
         "between",  # (j_1, j_2, witness if i_1 does not divide i_2, indices R-UPPER wants there)
-        "vpn_assertion",  # what an asserted R-VPN reports on every partition
-        "connections",  # connection rule id in scope -> its [a, b] int pairs
         "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
-        "rows",  # the enabled RULES rows, in table order
+        "symbols",  # code -> its LambdaSymbol
         "names",  # code -> its symbol's text
         "codes",  # LambdaSymbol -> its code
     )
@@ -530,10 +514,11 @@ def _karpenko_bounds(profile: QuadricProfile) -> dict:
 
 
 # QuadricProfile and RuleSet are frozen, so one compiled form serves every
-# check of a (profile, rules) pair, and one list of pairs every rule set that
-# puts a connection rule in the same scope: callers check many partitions of
-# one profile, or one partition under several rule sets.  Both are kept in
-# the profile's memo (_per_profile), so they live as long as the profile.
+# check of a profile under any rule set, one scope entry every check of a
+# (profile, rules) pair, and one list of pairs every rule set that puts a
+# connection rule in the same scope: callers check many partitions of one
+# profile, or one partition under several rule sets.  All are kept in the
+# profile's memo (_per_profile), so they live as long as the profile.
 @_per_profile
 def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
     """A connection rule's pairs as [lower code, upper code] under its scope
@@ -566,7 +551,7 @@ def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
 
 
 @_per_profile
-def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
+def _compile(profile: QuadricProfile) -> _Compiled:
     c = _Compiled()
     c.r = r = profile.r
     c.up_offset = 2 * r - 1 - profile.d_x
@@ -581,19 +566,40 @@ def _compile(profile: QuadricProfile, rules: RuleSet) -> _Compiled:
     j1, j2 = p[1], p[min(2, len(p) - 1)]  # at h = 1 the window [j_1, j_1) is empty
     indivisible = (("i_1 = %d does not divide i_2 = %d", (j1, j2 - j1)),) if (j2 - j1) % j1 else ()
     c.between = j1, j2, indivisible, list(range(j1, j2 - j1 + 1, j1))
-    _, _, c.names, c.codes = _lambda(r, profile.d_x)
-    c.vpn_assertion = _vpn_assertion(profile) if "R-VPN" in rules.enabled & rules.assumed else ()
-    c.vishik = _vishik_positions(profile) if "R-VISHIK" in rules.enabled else {}
-    c.rows = tuple(rule for rule in RULES.values() if rule.id in rules.enabled)
-    c.connections = _connection_rules(profile, rules)
+    c.symbols, _, c.names, c.codes = _lambda(r, profile.d_x)
+    c.vishik = _vishik_positions(profile)
     return c
+
+
+@_per_profile
+def _scope(profile: QuadricProfile, rules: RuleSet) -> tuple:
+    """What ``rules`` decides for the profile: (the enabled RULES rows in
+    table order, connection rule id in scope -> (the witnesses it reports on
+    every partition, its pairs as [a, b] int codes)).
+
+    The one statement of the scopes of R-DUAL, R-EXC and R-VPN: the
+    enumerator merges every pair of these rules, the checker reports every
+    split pair.  R-VPN's pairs follow its assumed scope, and only asserted
+    R-VPN has witnesses (_vpn_assertion); R-EXC's scope decides only whether
+    it applies, not its pairs.
+    """
+    table = {}
+    if "R-DUAL" in rules.enabled:
+        table["R-DUAL"] = (), _pair_codes(profile, "R-DUAL", False)
+    if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
+        table["R-EXC"] = (), _pair_codes(profile, "R-EXC", False)
+    if "R-VPN" in rules.enabled:
+        vpn = "R-VPN" in rules.assumed
+        table["R-VPN"] = _vpn_assertion(profile) if vpn else (), _pair_codes(profile, "R-VPN", vpn)
+    return tuple(rule for rule in RULES.values() if rule.id in rules.enabled), table
 
 
 # -- the rule rows ---------------------------------------------------------------
 #
 # Each check reads the compiled form and one view of the candidate: a
-# connection row ``block_of``, where block_of[k] is the position of symbol
-# k's block, every other row ``blocks``, the candidate's blocks as ascending
+# connection row ``(block_of, connections)``, where block_of[k] is the
+# position of symbol k's block and connections the rule set's table
+# (_scope), every other row ``blocks``, the candidate's blocks as ascending
 # int tuples in canonical order (the search passes one block as
 # ``(block,)``).  A lower symbol sorts before every upper one, so a block's
 # a is its first symbol when that is lower, and its b its last symbol when
@@ -609,25 +615,27 @@ def _fmt(c, block) -> str:
     return ", ".join(map(c.names.__getitem__, block))
 
 
-def _split_pairs(c, rule_id, template, block_of):
-    """Witnesses of a connection rule: one per pair the candidate splits."""
-    names = c.names
-    for a, b in c.connections.get(rule_id, ()):
+def _split_pairs(c, rule_id, template, view):
+    """Witnesses of a connection rule: those it reports on every partition,
+    then one per pair the candidate splits; none out of scope."""
+    (block_of, connections), names = view, c.names
+    witnesses, pairs = connections.get(rule_id, ((), ()))
+    yield from witnesses
+    for a, b in pairs:
         if block_of[a] != block_of[b]:
             yield template, (names[a], names[b])
 
 
-def _check_dual(c, block_of):
-    yield from _split_pairs(c, "R-DUAL", "%s and %s must be co-blocked", block_of)
+def _check_dual(c, view):
+    yield from _split_pairs(c, "R-DUAL", "%s and %s must be co-blocked", view)
 
 
-def _check_exc(c, block_of):
-    yield from _split_pairs(c, "R-EXC", "excellent pair %s, %s split", block_of)
+def _check_exc(c, view):
+    yield from _split_pairs(c, "R-EXC", "excellent pair %s, %s split", view)
 
 
-def _check_vpn(c, block_of):
-    yield from c.vpn_assertion
-    yield from _split_pairs(c, "R-VPN", "%s and %s must be co-blocked", block_of)
+def _check_vpn(c, view):
+    yield from _split_pairs(c, "R-VPN", "%s and %s must be co-blocked", view)
 
 
 def _check_parity(c, blocks):
@@ -841,17 +849,17 @@ def check_partition(profile: QuadricProfile, partition: MdtPartition, rules=None
             "partition is over (r=%d, d_X=%d), profile needs (r=%d, d_X=%d)"
             % (partition.r, partition.d_x, profile.r, profile.d_x)
         )
-    c = _compile(profile, rules)
+    c, (rows, connections) = _compile(profile), _scope(profile, rules)
     codes = c.codes
     blocks = tuple([tuple(map(codes.__getitem__, block)) for block in partition.blocks])
     block_of = [0] * (2 * profile.r)
     for position, block in enumerate(blocks):
         for k in block:
             block_of[k] = position
-    views = {"block": blocks, "partition": blocks, "connection": block_of}
+    views = {"block": blocks, "partition": blocks, "connection": (block_of, connections)}
     violations = []
     append, new = violations.append, object.__new__
-    for rule in c.rows:
+    for rule in rows:
         for template, args in rule.check(c, views[rule.scope]):
             violation = new(Violation)
             _SET_RULE(violation, rule.id)
@@ -941,26 +949,31 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     """The block search's options: per atom, in block order, (blocks, mask)
     for each option it opens.
 
-    The profile and rules are compiled once.  The pairs of the connection
-    rules (R-DUAL, scoped R-EXC/R-VPN) are merged up front by union-find
-    into atoms, so no candidate splits one; an asserted R-VPN that fails its
-    numerology excludes every partition, so then no atom has an option.
+    The profile is compiled once (_compile), and its scope under the rules
+    once per rule set (_scope).  The pairs of the connection rules (R-DUAL,
+    scoped R-EXC/R-VPN) are merged up front by union-find into atoms, so no
+    candidate splits one; a connection rule that reports witnesses on every
+    partition (an asserted R-VPN that fails its numerology) excludes every
+    partition, so then no atom has an option.
     Only the unions of atoms that can open a block are formed (see the
     comments above), and each is judged once, up to its first witness, by
     the per-block rows and R-UPPER clauses that are not implied; an opener
     with none of them to run judges none.  An option, a base block with
     its shifts, is listed under its opening atom, with its blocks as code
-    tuples, in the order of its base block.  Raises BoundExceeded when
-    r > max_r or the atoms are more than 10.
+    tuples, in the order of its base block.  Raises TypeError when max_r
+    is not an int, and BoundExceeded when r > max_r or the atoms are more
+    than 10.
     """
     rules = _check_rule_set(rules)
+    if type(max_r) is not int:  # bool is a subclass of int, so test the exact type
+        raise TypeError("max_r must be an int, not %s" % type(max_r).__name__)
     if profile.r > max_r:
         raise BoundExceeded("r = %d exceeds the enumeration bound %d" % (profile.r, max_r))
-    c = _compile(profile, rules)
+    c, (rows, connections) = _compile(profile), _scope(profile, rules)
     n = 2 * profile.r
     r, p, shell = c.r, c.pattern, c.shell
     parent = list(range(n))  # union-find: a code's root is the least code of its atom
-    for pairs in c.connections.values():
+    for _, pairs in connections.values():
         for a, b in pairs:
             while a != parent[a]:
                 a = parent[a]
@@ -981,7 +994,8 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     if len(atom_list) > 10:
         raise BoundExceeded("%d unconstrained atoms exceed the search bound" % len(atom_list))
     opened_by = [[] for _ in atom_list]
-    if c.vpn_assertion:  # reported on every partition: no atom opens a block
+    # witnesses reported on every partition: no atom opens a block
+    if any(witnesses for witnesses, _ in connections.values()):
         return opened_by
     shift, dual = "R-SHIFT" in rules.enabled, "R-DUAL" in rules.enabled
     implied = {  # the rows and R-UPPER's clauses not run: see the comments above
@@ -989,7 +1003,7 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
         _upper_size: dual, _upper_interior: "R-KARPENKO" in rules.enabled,
     }
     upper_checks = [  # the per-block rows' checks, R-UPPER's clause by clause
-        check for rule in c.rows if rule.scope == "block"
+        check for rule in rows if rule.scope == "block"
         for check in (_UPPER_CLAUSES if rule.check is _check_upper else (rule.check,))
         if not implied.get(check)
     ]
@@ -1079,7 +1093,7 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     canonical by construction, with no re-validation.
     """
     opened_by = _search_table(profile, rules, max_r)
-    symbol = lambda_set(profile).__getitem__  # each option's blocks, named once
+    symbol = _compile(profile).symbols.__getitem__  # each option's blocks, named once
     opened_by = [
         [(tuple([tuple(map(symbol, block)) for block in orbit]), mask) for orbit, mask in options]
         for options in opened_by

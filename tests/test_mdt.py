@@ -520,7 +520,7 @@ def test_check_shift_matches_tuple_reading():
     profiles += [_random_profile(rng, rng.randrange(1, 25)) for _ in range(300)]
     seen = {"orbit": 0, "leaves": 0, "no base": 0, "width": 0}
     for profile in profiles:
-        c = mdt._compile(profile, RuleSet.proven())
+        c = mdt._compile(profile)
         for _ in range(4):
             blocks = _shift_candidate(rng, c)
             block_of = _block_of(blocks, 2 * c.r)
@@ -545,7 +545,6 @@ def test_block_rows_walk_the_blocks():
     # a per-block row called once over all the blocks yields the witnesses
     # of its calls over each block alone, in block order
     rng = random.Random(3)
-    rules = RuleSet.proven().enable("R-VISHIK")
     rows = [rule for rule in mdt.RULES.values() if rule.scope == "block"]
     assert {rule.id for rule in rows} == {
         "R-PARITY", "R-ENDPOINT", "R-UPPER", "R-KARPENKO", "R-VISHIK"
@@ -553,7 +552,7 @@ def test_block_rows_walk_the_blocks():
     profiles = SWEEP_R7 + [_random_profile(rng, rng.randrange(8, 25)) for _ in range(60)]
     witnesses = 0
     for profile in profiles:
-        c = mdt._compile(profile, rules)
+        c = mdt._compile(profile)  # R-VISHIK's positions too, whatever the rule set
         for _ in range(3):
             blocks = _shift_candidate(rng, c)
             for rule in rows:
@@ -600,6 +599,12 @@ def _literal_vpn_connections(profile, assumed):
     return pairs
 
 
+def _scope_pairs(profile, rules):
+    """Connection rule id in scope -> its pairs, as the rule set's entry
+    holds them."""
+    return {rule_id: pairs for rule_id, (_, pairs) in mdt._scope(profile, rules)[1].items()}
+
+
 def test_connection_pair_codes_match_public_pairs():
     # the compiled form builds each connection rule's pairs as integer codes
     # without symbols, and the public pair lists name them: both must match
@@ -621,7 +626,7 @@ def test_connection_pair_codes_match_public_pairs():
     pairs_seen = {rule_id: 0 for rule_id in ("R-DUAL", "R-EXC", "R-VPN")}
     for profile in profiles:
         code = {sym: k for k, sym in enumerate(lambda_set(profile))}
-        proven = mdt._compile(profile, RuleSet.proven()).connections
+        proven = _scope_pairs(profile, RuleSet.proven())
         assert ("R-EXC" in proven) == (profile.s <= 1), profile
         dual = _literal_forced_connections(profile)
         assert list(forced_connections(profile)) == dual
@@ -630,7 +635,7 @@ def test_connection_pair_codes_match_public_pairs():
             vpn = _literal_vpn_connections(profile, "R-VPN" in rules.assumed)
             assert list(vpn_connections(profile, "R-VPN" in rules.assumed)) == vpn
             public = {"R-DUAL": dual, "R-EXC": exc, "R-VPN": vpn}
-            connections = mdt._compile(profile, rules).connections
+            connections = _scope_pairs(profile, rules)
             assert connections.keys() == public.keys(), profile
             for rule_id, pairs in public.items():
                 expected = [[code[a], code[b]] for a, b in pairs]
@@ -822,7 +827,7 @@ def _leaf_pass_enumerate(profile, rules):
     at j_{t-1} shifted by d; every complete candidate then runs the whole
     R-SHIFT row, and the survivors are sorted at the end.
     """
-    c = mdt._compile(profile, rules)
+    c, (rows, connections) = mdt._compile(profile), mdt._scope(profile, rules)
     parent = list(range(2 * profile.r))
 
     def find(x):
@@ -830,20 +835,20 @@ def _leaf_pass_enumerate(profile, rules):
             x = parent[x]
         return x
 
-    for pairs in c.connections.values():
+    for _, pairs in connections.values():
         for a, b in pairs:
             parent[find(a)] = find(b)
     atoms = {}
     for k in range(2 * profile.r):
         atoms.setdefault(find(k), []).append(k)
     atom_list = sorted(map(tuple, atoms.values()))
-    if c.vpn_assertion:
+    if any(witnesses for witnesses, _ in connections.values()):
         return ()
 
     def passes(scope, *candidate):
         return not any(
             any(True for _ in rule.check(c, *candidate))
-            for rule in c.rows
+            for rule in rows
             if rule.scope == scope
         )
 
@@ -1182,14 +1187,17 @@ def test_check_reports_independent_of_rule_set_order():
 def test_rule_sets_share_pair_codes():
     # one list of a connection rule's pairs per profile and scope flag, read
     # by every rule set that puts the rule in that scope; R-DUAL's is also
-    # every compiled form's partner table, read by R-ENDPOINT and R-UPPER
+    # the compiled form's partner table, read by R-ENDPOINT and R-UPPER under
+    # every rule set, with or without R-DUAL
     wide = RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK")
     for profile in SWEEP_R7:
-        proven = mdt._compile(profile, RuleSet.proven()).connections
-        widened = mdt._compile(profile, wide).connections
+        proven = _scope_pairs(profile, RuleSet.proven())
+        widened = _scope_pairs(profile, wide)
         assert widened["R-DUAL"] is proven["R-DUAL"], str(profile)
+        singles = MdtPartition.of(profile, [[x] for x in lambda_set(profile)])
         for rules in (RuleSet.proven(), wide, RuleSet(enabled=frozenset({"R-ENDPOINT"}))):
-            assert mdt._compile(profile, rules).partner is proven["R-DUAL"], str(profile)
+            check_partition(profile, singles, rules)
+            assert mdt._compile(profile).partner is proven["R-DUAL"], str(profile)
         if profile.s <= 1:
             assert widened["R-EXC"] is proven["R-EXC"], str(profile)
         assert widened["R-VPN"] is not proven["R-VPN"], str(profile)
@@ -1322,6 +1330,57 @@ def test_count_bound_exceeded():
         mdt._count_mdt(prof(25, 11, 3), max_r=11)
 
 
+@pytest.mark.parametrize("max_r", [None, 8.5, True, "8"], ids=["None", "float", "bool", "str"])
+@pytest.mark.parametrize("search", [enumerate_mdt, mdt._count_mdt], ids=["listing", "count"])
+def test_max_r_must_be_an_int(search, max_r):
+    # 8.5 used to run as a bound and True as 1; None and "8" failed in ">"
+    with pytest.raises(TypeError) as exc:
+        search(P22, None, max_r)
+    assert str(exc.value) == "max_r must be an int, not %s" % type(max_r).__name__
+
+
+def test_one_compiled_form_per_profile():
+    # checks and listings under five rule sets share the profile's one
+    # compiled form; what each rule set decides is its own memoised entry
+    profile = QuadricProfile(13, 4, 5, (0, 1, 2, 3, 4))
+    part = MdtPartition.of(profile, [[x] for x in lambda_set(profile)])
+    for rules in NOT_RULE_SETS:  # refused before the memo is touched
+        with pytest.raises(TypeError):
+            check_partition(profile, part, rules)
+        with pytest.raises(TypeError):
+            enumerate_mdt(profile, rules)
+    assert profile._memo == {}
+    scopes = []
+    for rules in ORACLE_RULE_SETS:
+        check_partition(profile, part, rules)
+        enumerate_mdt(profile, rules)
+        scopes.append(mdt._scope(profile, rules))
+    memo = profile._memo
+    assert [value for value in memo.values() if type(value) is mdt._Compiled] == [
+        mdt._compile(profile)
+    ]
+    keyed = [key[1] for key in memo if len(key) == 2 and type(key[1]) is RuleSet]
+    assert sorted(keyed, key=repr) == sorted(ORACLE_RULE_SETS, key=repr)
+    for rules, scope in zip(ORACLE_RULE_SETS, scopes):
+        assert mdt._scope(profile, rules) is scope
+    # asserted R-VPN fails its numerology here (r + s = 9 > 8): its entry
+    # reports that on every partition, and the search opens no block
+    witnesses, _ = mdt._scope(profile, RuleSet.proven().enable("R-VPN"))[1]["R-VPN"]
+    assert [template % args for template, args in witnesses] == ["r + s = 9 exceeds 2^n = 8"]
+    assert enumerate_mdt(profile, RuleSet.proven().enable("R-VPN")) == ()
+
+
+def test_listing_again_reads_no_lambda_table():
+    # the compiled form names the options, so a second listing of the same
+    # profile object builds or looks up no Lambda(X) table
+    profile = QuadricProfile(19, 8, 3, (0, 1, 2, 3, 4, 7, 8))
+    listed = enumerate_mdt(profile)
+    before = mdt._lambda.cache_info()
+    assert enumerate_mdt(profile) == listed
+    after = mdt._lambda.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_rule_set_unknown_id():
     with pytest.raises(ValueError):
         RuleSet.proven().enable("R-NOPE")
@@ -1330,8 +1389,8 @@ def test_rule_set_unknown_id():
 
 
 def test_rule_set_normalises_fields():
-    # any collection of ids is stored as a frozenset, so the lru caches keyed
-    # on the rule set can hash it, and equal selections compare equal
+    # any collection of ids is stored as a frozenset, so the memo entries
+    # keyed on the rule set can hash it, and equal selections compare equal
     p = prof(6, 2, 2, [0, 2])
     for enabled in ({"R-DUAL", "R-SHIFT"}, ["R-DUAL", "R-SHIFT"], ("R-SHIFT", "R-DUAL")):
         rules = RuleSet(enabled=enabled)
@@ -1350,7 +1409,7 @@ def test_rule_set_rejects_malformed_fields():
         with pytest.raises(ValueError, match="not one string"):
             RuleSet(enabled, assumed)
     # only an enabled R-EXC / R-VPN can be assumed: anything else would act as
-    # the rule set without it but compare unequal to it and compile apart
+    # the rule set without it but compare unequal to it and get its own entry
     for enabled, assumed in (
         ({"R-DUAL"}, {"R-EXC"}),
         ({"R-DUAL", "R-VPN"}, {"R-EXC"}),

@@ -238,9 +238,11 @@ def test_profile_memo_is_not_a_field():
     wide = mdt.RuleSet.proven().enable("R-EXC", "R-VPN", "R-VISHIK")
     parts = listed + (mdt.MdtPartition.of(used, [[x] for x in mdt.lambda_set(used)]),)
     for rules in (mdt.RuleSet.proven(), wide):
-        assert mdt._compile(used, rules) is mdt._compile(used, rules)
+        assert mdt._compile(used) is mdt._compile(used)
+        assert mdt._scope(used, rules) is mdt._scope(used, rules)
         # an equal profile built apart compiles its own form, to the same reports
-        assert mdt._compile(unused, rules) is not mdt._compile(used, rules)
+        assert mdt._compile(unused) is not mdt._compile(used)
+        assert mdt._scope(unused, rules) is not mdt._scope(used, rules)
         assert [mdt.check_partition(unused, part, rules) for part in parts] == [
             mdt.check_partition(used, part, rules) for part in parts
         ]
