@@ -40,7 +40,7 @@ import re
 from collections import Counter, namedtuple
 
 from .errors import BoundExceeded, ContextMismatch
-from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _per_profile, _set, json_int
+from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _per_profile, json_int
 
 H = "h"
 L = "l"
@@ -110,8 +110,7 @@ class Cycle(_Record):
                     raise ContextMismatch(
                         "symbol %s outside index range [0, %d)" % (sym, prof.r)
                     )
-        _set(self, "context", context)
-        _set(self, "support", support)
+        super().__init__(context, support)
 
     @classmethod
     def _trusted(cls, context: tuple, support: frozenset) -> "Cycle":
@@ -208,7 +207,7 @@ class Cycle(_Record):
 _CYCLE_KEYS = frozenset(("context", "support"))  # the top-level keys of cycle JSON
 
 # The slots' own setters, for _trusted
-_SET_CONTEXT, _SET_SUPPORT = (vars(Cycle)[name].__set__ for name in Cycle.__slots__)
+_SET_CONTEXT, _SET_SUPPORT = Cycle._setters
 
 
 def identity_cycle(context) -> Cycle:

@@ -36,7 +36,7 @@ from operator import getitem
 from . import chow
 from .chow import Cycle, FactorSymbol, h, l
 from .errors import ContextMismatch, DegreeUnderflow, InvalidLevel
-from .profile import QuadricProfile, _Record, _set, json_int
+from .profile import QuadricProfile, _Record, json_int
 
 _CORRESPONDENCE_KEYS = frozenset(("context", "support", "split"))  # its JSON's top-level keys
 
@@ -49,8 +49,7 @@ class Correspondence(_Record):
     def __init__(self, cycle: Cycle, split: int):
         if not 0 <= split <= cycle.arity:
             raise ContextMismatch("split %d outside [0, %d]" % (split, cycle.arity))
-        _set(self, "cycle", cycle)
-        _set(self, "split", split)
+        super().__init__(cycle, split)
 
     @property
     def left_context(self) -> tuple:

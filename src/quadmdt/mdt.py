@@ -80,8 +80,8 @@ out canonically ordered: they are built as MdtPartitions canonical by
 construction, with no re-validation, and the count builds none.
 """
 
-# annotations are never evaluated, so the Callable and Correspondence they
-# name are not imported: loading typing costs a CLI request about 3 ms
+# annotations are never evaluated, so the Correspondence that alpha_cycle
+# returns is imported only when it is called
 from __future__ import annotations
 
 import functools
@@ -100,8 +100,8 @@ from .profile import (
     QuadricProfile,
     _ENTRY_KEYS,
     _Record,
+    _check_int,
     _per_profile,
-    _set,
     alternating_2adic,
     check_pattern,
     excellent_pairs,
@@ -145,13 +145,6 @@ class Rule(_Record):
     """
 
     __slots__ = ("id", "provenance", "summary", "check", "scope")
-
-    def __init__(self, id: str, provenance: str, summary: str, check: Callable, scope: str):
-        _set(self, "id", id)
-        _set(self, "provenance", provenance)
-        _set(self, "summary", summary)
-        _set(self, "check", check)
-        _set(self, "scope", scope)
 
 
 SEMANTICS_NOTE = (
@@ -260,9 +253,7 @@ class MdtPartition(_Record):
                 raise ArityMismatch("block entry %r is not a LambdaSymbol" % (sym,))
         # by first symbol only: blocks sharing one keep their order for _reject
         blocks = tuple(sorted(map(tuple, map(sorted, blocks)), key=operator.itemgetter(0)))
-        _set(self, "blocks", blocks)
-        _set(self, "r", r)
-        _set(self, "d_x", d_x)
+        super().__init__(blocks, r, d_x)
         # 2r distinct symbols inside both windows are exactly Lambda(X)
         if len(symbols) != 2 * r or set(symbols) != _lambda(r, d_x).window:
             self._reject(blocks)
@@ -353,9 +344,7 @@ def _json_symbol(entry) -> LambdaSymbol:
 
 # The slots' own setters, for _canonical: one survivor costs about 0.1 us
 # less than through _set, which first checks the class's __setattr__ chain.
-_SET_BLOCKS, _SET_R, _SET_D_X = (
-    vars(MdtPartition)[name].__set__ for name in MdtPartition.__slots__
-)
+_SET_BLOCKS, _SET_R, _SET_D_X = MdtPartition._setters
 
 
 # -- rule set ------------------------------------------------------------------
@@ -386,8 +375,7 @@ class RuleSet(_Record):
             raise ValueError(
                 "assumed %s: only enabled R-EXC / R-VPN can be assumed" % sorted(assumed)
             )
-        _set(self, "enabled", enabled)
-        _set(self, "assumed", assumed)
+        super().__init__(enabled, assumed)
 
     @classmethod
     def proven(cls) -> "RuleSet":
@@ -405,17 +393,13 @@ class RuleSet(_Record):
 class Violation(_Record):
     __slots__ = ("rule", "witness")
 
-    def __init__(self, rule: str, witness: str):
-        _set(self, "rule", rule)
-        _set(self, "witness", witness)
-
     def to_json_dict(self) -> dict:
         return {"rule": self.rule, "witness": self.witness}
 
 
 # The slots' own setters, for check_partition, which reports many violations
 # per call
-_SET_RULE, _SET_WITNESS = (vars(Violation)[name].__set__ for name in Violation.__slots__)
+_SET_RULE, _SET_WITNESS = Violation._setters
 
 
 def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
@@ -965,9 +949,7 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     than 10.
     """
     rules = _check_rule_set(rules)
-    if type(max_r) is not int:  # bool is a subclass of int, so test the exact type
-        raise TypeError("max_r must be an int, not %s" % type(max_r).__name__)
-    if profile.r > max_r:
+    if profile.r > _check_int("max_r", max_r):
         raise BoundExceeded("r = %d exceeds the enumeration bound %d" % (profile.r, max_r))
     c, (rows, connections) = _compile(profile), _scope(profile, rules)
     n = 2 * profile.r
@@ -1210,16 +1192,11 @@ class ShellPattern(_Record):
     def __init__(self, r: int, pattern: tuple):
         pattern = tuple(pattern)
         check_pattern(r, pattern)
-        _set(self, "r", r)
-        _set(self, "pattern", pattern)
+        super().__init__(r, pattern)
 
 
 class ShellDiagram(_Record):
     __slots__ = ("r", "pattern")
-
-    def __init__(self, r: int, pattern: tuple):
-        _set(self, "r", r)
-        _set(self, "pattern", pattern)
 
     @property
     def max_row(self) -> int:

@@ -46,9 +46,7 @@ def v2(n: int) -> int:
 
 def _check_i1_args(r: int, s: int, rules) -> frozenset:
     for name, value, least in (("r", r, 1), ("s", s, 0)):
-        if type(value) is not int:  # bool is a subclass of int, so test the exact type
-            raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
-        if value < least:
+        if _check_int(name, value) < least:
             raise ValueError("%s must be >= %d" % (name, least))
     if rules is None:
         return DEFAULT_I1_RULES
@@ -62,7 +60,11 @@ def _check_i1_args(r: int, s: int, rules) -> frozenset:
 
 
 def check_pattern(r: int, pattern: tuple) -> None:
-    """Raise PatternInvalid unless 0 = j_0 < j_1 < ... < j_h = r with h >= 1."""
+    """Raise PatternInvalid unless 0 = j_0 < j_1 < ... < j_h = r with h >= 1,
+    and TypeError first when r or an entry is not an exact int."""
+    _check_int("r", r)
+    for j in pattern:
+        _check_int("pattern entry", j)
     if len(pattern) < 2 or pattern[0] != 0 or pattern[-1] != r:
         raise PatternInvalid("pattern must run from 0 to r, got %r" % (pattern,))
     if any(a >= b for a, b in zip(pattern, pattern[1:])):
@@ -84,6 +86,14 @@ def json_int(value) -> int:
     # bool is a subclass of int, so test the exact type
     if type(value) is not int:
         raise TypeError("%r is not an integer" % (value,))
+    return value
+
+
+def _check_int(name: str, value) -> int:
+    """value, when it is an exact int; anything else (1.0, True, "1") raises
+    TypeError naming the argument."""
+    if type(value) is not int:  # bool is a subclass of int, so test the exact type
+        raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
     return value
 
 
@@ -117,8 +127,12 @@ _set = object.__setattr__
 class _Record:
     """Base of the immutable value classes of every layer.
 
-    A subclass lists its fields in ``__slots__`` (two or more) and sets each
-    once in its own ``__init__`` through ``_set``.  The base gives the
+    A subclass lists its fields in ``__slots__`` (two or more).  The base
+    constructor takes them by position or name, in ``__slots__`` order, and
+    sets each once through its slot's own setter (``_setters``); a missing,
+    extra, unknown or doubled field raises TypeError.  A plain record needs
+    no ``__init__``; one that validates its fields checks them in its own
+    ``__init__``, then passes them to the base's.  The base gives the
     record behaviour: equality only between instances of the same class,
     field by field; a hash of the field tuple, computed on first use and
     kept in a slot; the repr ``Name(field=value, ...)``; AttributeError on
@@ -136,6 +150,21 @@ class _Record:
     def __init_subclass__(cls):
         # the field values in __slots__ order, one tuple gathered in C
         cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
+        # each field's slot setter, in the same order
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):  # names are bound off the hot positional path
+            fields = self.__slots__
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+            if named or len(values) != len(fields):
+                raise TypeError(
+                    "%s takes the fields %s, by position or name"
+                    % (type(self).__qualname__, ", ".join(fields))
+                )
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -189,6 +218,9 @@ class QuadricProfile(_Record):
     __slots__ = ("dim", "r", "s", "pattern")
 
     def __init__(self, dim: int, r: int, s: int, pattern: tuple):
+        # before any comparison, which a str would fail without naming it
+        for name, value in (("dim", dim), ("r", r), ("s", s)):
+            _check_int(name, value)
         p = tuple(pattern)
         if r < 1 or s < 0 or dim != 2 * r + s:
             raise DimMismatch(
@@ -206,10 +238,7 @@ class QuadricProfile(_Record):
                     "step i_%d = %d exceeds bound %d for kernel dimension %d"
                     % (t, step, bound, kernel_dim)
                 )
-        _set(self, "dim", dim)
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "pattern", p)
+        super().__init__(dim, r, s, p)
         _set(self, "_memo", {})
 
     @property
@@ -233,7 +262,7 @@ class QuadricProfile(_Record):
 
     def kernel(self, t: int) -> "QuadricProfile":
         """Profile of the t-th anisotropic kernel form, 0 <= t < height."""
-        if not 0 <= t < self.height:
+        if not 0 <= _check_int("t", t) < self.height:
             raise ValueError("kernel level %d out of range [0, %d)" % (t, self.height))
         w = self.pattern[t]
         return QuadricProfile(
@@ -245,7 +274,7 @@ class QuadricProfile(_Record):
 
     def shell_of(self, i: int) -> int:
         """1-based shell index t with j_{t-1} <= i < j_t, for 0 <= i < r."""
-        if not 0 <= i < self.r:
+        if not 0 <= _check_int("i", i) < self.r:
             raise ValueError("index %d outside [0, r)" % i)
         for t in range(1, len(self.pattern)):
             if i < self.pattern[t]:
@@ -405,13 +434,6 @@ class AlternatingExpansion(_Record):
 
     __slots__ = ("value", "n", "m", "j", "j_prime")
 
-    def __init__(self, value: int, n: tuple, m: tuple, j: int, j_prime: int):
-        _set(self, "value", value)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "j", j)
-        _set(self, "j_prime", j_prime)
-
 
 def alternating_2adic(value: int) -> AlternatingExpansion:
     """Compute the alternating 2-adic expansion of a positive integer.
@@ -431,18 +453,13 @@ def alternating_2adic(value: int) -> AlternatingExpansion:
         rem = (1 << k) - rem
         if k:  # n_k = 0 only ends an odd value, whose m_j is not stored
             m.append((1 << (k - 1)) - rem)
-    return AlternatingExpansion(value=value, n=tuple(n), m=tuple(m), j=len(n), j_prime=len(m))
+    return AlternatingExpansion(value, tuple(n), tuple(m), len(n), len(m))
 
 
 class ExcellentPair(_Record):
     """Index pair (a, b) excellent for the profile, witnessed by k."""
 
     __slots__ = ("a", "b", "k")
-
-    def __init__(self, a: int, b: int, k: int):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "k", k)
 
 
 def excellent_pairs(profile: QuadricProfile) -> tuple:
@@ -460,11 +477,11 @@ def excellent_pairs(profile: QuadricProfile) -> tuple:
     for k in range(1, exp.j_prime + 1):
         m_k = exp.m[k - 1]
         width = (1 << (exp.n[k - 1] - 1)) - 1
-        for a in range(max(prefix, 0), min(prefix + m_k, r)):
+        for a in range(prefix, min(prefix + m_k, r)):
             b = a + width
             cob = d_x - b
             if 0 <= cob < r and prefix <= cob < prefix + m_k:
-                pairs.append(ExcellentPair(a=a, b=b, k=k))
+                pairs.append(ExcellentPair(a, b, k))
         prefix += m_k
     # already sorted: every m_k >= 1, so the windows ascend and are disjoint,
     # and each a has at most one b
@@ -526,12 +543,6 @@ def strongly_excellent_profile(n_list, s: int):
 
 class PfisterNeighbourInvariants(_Record):
     __slots__ = ("n", "m", "complementary_dim", "close_neighbour")
-
-    def __init__(self, n: int, m: int, complementary_dim: int, close_neighbour: bool):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "complementary_dim", complementary_dim)
-        _set(self, "close_neighbour", close_neighbour)
 
 
 def pfister_neighbour_invariants(dim: int, s: int) -> PfisterNeighbourInvariants:

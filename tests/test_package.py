@@ -208,6 +208,23 @@ def test_records_behave_as_frozen_values():
                 delattr(record, name)
         with pytest.raises(AttributeError):
             record.extra = None
+        # the constructor takes the fields by position or by name
+        cls, names = type(record), type(record).__slots__
+        named = dict(zip(names, fields))
+        assert cls(**named) == cls(*fields) == record
+        bad = [(fields + (None,), {}), (fields, {"extra": None}), (fields[:1], named)]
+        if cls.__name__ != "RuleSet":  # whose fields have defaults
+            bad.append((fields[:-1], {}))
+        # a plain record's error, from the base constructor, names its fields
+        message = None if "__init__" in vars(cls) else ", ".join(names)
+        for args, kwargs in bad:  # extra, unknown, doubled, missing
+            with pytest.raises(TypeError, match=message):
+                cls(*args, **kwargs)
+    # only the records that validate their fields write their own constructor
+    own = {type(record).__name__ for record, _, _ in records if "__init__" in vars(type(record))}
+    assert own == {
+        "QuadricProfile", "MdtPartition", "RuleSet", "ShellPattern", "Cycle", "Correspondence",
+    }
     # equality stays within one class, even over equal fields
     shell_pattern, shell_diagram = records[8][0], records[9][0]
     assert shell_pattern != shell_diagram

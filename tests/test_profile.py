@@ -164,6 +164,27 @@ def test_i1_args_reject_non_int_types():
                 call(r, s)
 
 
+def test_profile_fields_and_indices_reject_non_int_types():
+    # a float or bool field is refused by name, not accepted as an equal int
+    # nor left to fail inside &; ShellPattern shares the pattern check
+    from quadmdt.mdt import ShellPattern
+
+    profile = QuadricProfile(8, 4, 0, (0, 2, 4))
+    for call, name, kind in (
+        (lambda: QuadricProfile(6, 2.0, 2, (0, 2)), "r", "float"),
+        (lambda: QuadricProfile(3, 1, 1, (0, True)), "pattern entry", "bool"),
+        (lambda: QuadricProfile(6, 2, "2", (0, 2)), "s", "str"),
+        (lambda: mk_profile(6.0, 2, 2, [0, 2]), "dim", "float"),
+        (lambda: ShellPattern(4.0, (0, 2, 4.0)), "r", "float"),
+        (lambda: ShellPattern(4, (0, 2, 4.0)), "pattern entry", "float"),
+        (lambda: profile.shell_of(1.0), "i", "float"),
+        (lambda: profile.kernel(True), "t", "bool"),
+    ):
+        with pytest.raises(TypeError, match="^%s must be an int, not %s$" % (name, kind)):
+            call()
+    assert profile.shell_of(1) == 1 and profile.kernel(1) == QuadricProfile(4, 2, 0, (0, 2))
+
+
 def test_one_is_always_admissible():
     for r in range(1, 10):
         for s in range(0, 9):
