@@ -40,7 +40,7 @@ import re
 from collections import Counter, namedtuple
 
 from .errors import BoundExceeded, ContextMismatch
-from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _per_profile, json_int
+from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _check_int, _per_profile, json_int
 
 H = "h"
 L = "l"
@@ -446,7 +446,7 @@ def steenrod(j: int, c: Cycle) -> Cycle:
     Raises BoundExceeded when a level of the walk passes _MAX_FRONTIER
     entries.
     """
-    if j < 0:
+    if _check_int("j", j) < 0:
         raise ValueError("j must be >= 0")
     # room[t]: the caps of factors t, t + 1, ... summed
     room = [0] * (c.arity + 1)

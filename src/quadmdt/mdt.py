@@ -52,10 +52,16 @@ witnesses), and R-VISHIK's positions; so no row recomputes profile data
 per candidate.  What a rule set decides is one small entry per (profile,
 RuleSet) pair in the same memo (_scope): the enabled rows, and per
 connection rule in scope its pairs and the witnesses it reports on every
-partition (an asserted R-VPN's numerology).  Lambda(X) itself, its
-symbols, their texts and codes, is one table per (r, d_X); the connection
-pairs, the costliest part, are built in one place (_pair_codes) and
-shared between rule sets, kept in the same memo per rule and scope flag.
+partition (an asserted R-VPN's numerology).  The search's options are
+two more entries per (profile, RuleSet) pair in the same memo: the table
+of options over the codes (_code_table), which the count reads, and the
+same options with their blocks named (_named_table), which the listing
+reads; a search of the profile object again under the same rules builds
+neither, and only the walk and the survivors are made on every call.
+Lambda(X) itself, its symbols, their texts and codes, is one table per
+(r, d_X); the connection pairs, the costliest part, are built in one place
+(_pair_codes) and shared between rule sets, kept in the same memo per rule
+and scope flag.
 The checker calls each enabled row once per candidate, with the one view
 of it that the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN)
 reads which block each symbol is in and the rule set's connection table,
@@ -70,8 +76,8 @@ by block instead of testing whole candidates: a block is complete when it
 is chosen, so it forms only the unions of atoms that can open a block,
 each judged once, up to its first witness, by the per-block rows and
 R-UPPER clauses that the other enabled rules do not imply (the comments
-beside _search_table say which and why).  R-SHIFT is read whole by the
-checker (_check_shift) and block by block by the search (_search_table),
+beside _code_table say which and why).  R-SHIFT is read whole by the
+checker (_check_shift) and block by block by the search (_code_table),
 which places a base block together with its shifts; no pass runs over
 complete candidates.  The listing and the count (_count_mdt, behind
 mdt-solve --count) are one walk of the search (_walk), memoised on the set
@@ -133,7 +139,7 @@ class Rule(_Record):
     - "partition": ``check(compiled, blocks)`` reads the whole candidate's
       blocks.  The one such rule, R-SHIFT, is read whole by the checker and
       block by block by the enumerator, which places a base block with its
-      shifts (_search_table);
+      shifts (_code_table);
     - "connection": ``check(compiled, (block_of, connections))`` reads each
       symbol's block position, block_of[k], for a rule whose symbol pairs
       the enumerator merges into atoms before it places any block;
@@ -929,9 +935,10 @@ def _passes(c, checks, block) -> bool:
 # The checker runs every row and every clause.
 
 
-def _search_table(profile: QuadricProfile, rules, max_r: int):
-    """The block search's options: per atom, in block order, (blocks, mask)
-    for each option it opens.
+@_per_profile
+def _code_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
+    """The block search's options, kept in the profile's memo per rule set:
+    per atom, in block order, (blocks, mask) for each option it opens.
 
     The profile is compiled once (_compile), and its scope under the rules
     once per rule set (_scope).  The pairs of the connection rules (R-DUAL,
@@ -944,13 +951,11 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     the per-block rows and R-UPPER clauses that are not implied; an opener
     with none of them to run judges none.  An option, a base block with
     its shifts, is listed under its opening atom, with its blocks as code
-    tuples, in the order of its base block.  Raises TypeError when max_r
-    is not an int, and BoundExceeded when r > max_r or the atoms are more
-    than 10.
+    tuples, in the order of its base block.  Raises BoundExceeded, before
+    it forms any union, when the atoms are more than 10, and then the memo
+    keeps nothing.  The table is all tuples, as every search of the profile
+    under the rules reads the one object.
     """
-    rules = _check_rule_set(rules)
-    if profile.r > _check_int("max_r", max_r):
-        raise BoundExceeded("r = %d exceeds the enumeration bound %d" % (profile.r, max_r))
     c, (rows, connections) = _compile(profile), _scope(profile, rules)
     n = 2 * profile.r
     r, p, shell = c.r, c.pattern, c.shell
@@ -975,10 +980,10 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
     # atoms and hit this early.
     if len(atom_list) > 10:
         raise BoundExceeded("%d unconstrained atoms exceed the search bound" % len(atom_list))
-    opened_by = [[] for _ in atom_list]
     # witnesses reported on every partition: no atom opens a block
     if any(witnesses for witnesses, _ in connections.values()):
-        return opened_by
+        return ((),) * len(atom_list)
+    opened_by = [[] for _ in atom_list]
     shift, dual = "R-SHIFT" in rules.enabled, "R-DUAL" in rules.enabled
     implied = {  # the rows and R-UPPER's clauses not run: see the comments above
         _check_parity: dual, _check_endpoint: dual and shift, _upper_b: dual and shift,
@@ -1029,7 +1034,36 @@ def _search_table(profile: QuadricProfile, rules, max_r: int):
             else:
                 options.append((orbit, mask))
         options.sort()  # by base block, which no two options share
-    return opened_by
+    return tuple(map(tuple, opened_by))
+
+
+@_per_profile
+def _named_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
+    """_code_table's options with each block named as LambdaSymbols: the
+    listing's table, kept beside it in the profile's memo."""
+    symbol = _compile(profile).symbols.__getitem__
+    return tuple([
+        tuple([
+            (tuple([tuple(map(symbol, block)) for block in orbit]), mask)
+            for orbit, mask in options
+        ])
+        for options in _code_table(profile, rules)
+    ])
+
+
+def _search_table(profile: QuadricProfile, rules, max_r: int, table=_code_table) -> tuple:
+    """The block search's options for the profile under the rules, read from
+    its memo: ``table`` is _code_table, which the count reads, or the
+    listing's _named_table.  Each is built once per profile object and
+    normalised RuleSet, with None read as RuleSet.proven(); max_r is no part
+    of the key.  The checks run on every call, before the memo is read:
+    TypeError when the rules are not a RuleSet or max_r is not an int, and
+    BoundExceeded when r > max_r.
+    """
+    rules = _check_rule_set(rules)
+    if profile.r > _check_int("max_r", max_r):
+        raise BoundExceeded("r = %d exceeds the enumeration bound %d" % (profile.r, max_r))
+    return table(profile, rules)
 
 
 def _walk(opened_by, leaf, join):
@@ -1067,21 +1101,20 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     atoms, and R-SHIFT is decided as blocks are placed (a base block comes
     with its shifts, and no other block based in a shell of width above 1
     is opened).  So every complete candidate passes every rule.  The
-    listing and the count (_count_mdt) are one memoised walk (_walk): here
-    each state's value is the list of its completions, each an option's
-    blocks followed by a completion of the state it leaves.  The options
-    are tried in block order, so the survivors come out in canonical order,
-    the order of their sorted blocks, with no sort: they are built
-    canonical by construction, with no re-validation.
+    options, with their blocks named, are the profile's memo entry for the
+    rules (_named_table), built on the first listing of the profile object
+    under them and read by every later one.  The listing and the count
+    (_count_mdt) are one memoised walk (_walk), run afresh on every call:
+    here each state's value is the list of its completions, each an
+    option's blocks followed by a completion of the state it leaves.  The
+    options are tried in block order, so the survivors come out in
+    canonical order, the order of their sorted blocks, with no sort: they
+    are built canonical by construction, with no re-validation.
     """
-    opened_by = _search_table(profile, rules, max_r)
-    symbol = _compile(profile).symbols.__getitem__  # each option's blocks, named once
-    opened_by = [
-        [(tuple([tuple(map(symbol, block)) for block in orbit]), mask) for orbit, mask in options]
-        for options in opened_by
-    ]
     completions = _walk(
-        opened_by, ((),), lambda pairs: [head + tail for head, tails in pairs for tail in tails]
+        _search_table(profile, rules, max_r, _named_table),
+        ((),),
+        lambda pairs: [head + tail for head, tails in pairs for tail in tails],
     )
     canonical, r, d_x = MdtPartition._canonical, profile.r, profile.d_x
     return tuple([canonical(blocks, r, d_x) for blocks in completions])
@@ -1089,7 +1122,8 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
 
 def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
     """len(enumerate_mdt(profile, rules, max_r)), building no partition:
-    the listing's memoised walk (_walk), each state's value the number of
+    the listing's memoised walk (_walk) over the memo's code table
+    (_code_table), which names no symbol, each state's value the number of
     its completions."""
     counts = operator.itemgetter(1)  # each pair's count
     return _walk(_search_table(profile, rules, max_r), 1, lambda pairs: sum(map(counts, pairs)))
@@ -1163,7 +1197,7 @@ def mdt_isotropic_lift(w: int, inner: MdtPartition, inner_profile: QuadricProfil
     The result lives over the lifted symbol set (r + w, d_X + 2w); it is
     not a QuadricProfile partition since profiles model anisotropic forms.
     """
-    if w < 1:
+    if _check_int("w", w) < 1:
         raise ValueError("Witt index w must be >= 1")
     if inner.r != inner_profile.r or inner.d_x != inner_profile.d_x:
         raise ArityMismatch("inner partition does not match the inner profile")

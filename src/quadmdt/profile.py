@@ -306,7 +306,7 @@ def i1_max_by_theorem(dim: int) -> int:
     """Largest i < dim with i <= 2^{v2(dim - i)}: the m of dim = 2^n + m,
     1 <= m <= 2^n.  i = m passes, as dim - m = 2^n; an i > m fails, as
     2^{v2(dim - i)} = 2^{v2(i - m)} <= i - m."""
-    if dim < 2:
+    if _check_int("dim", dim) < 2:
         raise ValueError("dim must be >= 2")
     return pfister_split(dim)[1]
 
@@ -442,7 +442,7 @@ def alternating_2adic(value: int) -> AlternatingExpansion:
     where n_k is the smallest exponent with 2^{n_k} >= T_k, and reads
     m_k = 2^{n_k - 1} - T_{k+1} off them.
     """
-    if value < 1:
+    if _check_int("value", value) < 1:
         raise ValueError("value must be >= 1")
     n = []
     m = []
@@ -552,9 +552,9 @@ def pfister_neighbour_invariants(dim: int, s: int) -> PfisterNeighbourInvariants
     r + s <= 2^n, else NotNeighbourEligible.  The neighbour is close
     (nondefective height 1) exactly when dim = 2^{n+1} - s.
     """
-    if dim < 2:
+    if _check_int("dim", dim) < 2:
         raise ValueError("dim must be >= 2")
-    if s < 0 or (dim - s) % 2 or dim - s < 2:
+    if _check_int("s", s) < 0 or (dim - s) % 2 or dim - s < 2:
         raise ValueError("no type (r, s) with r >= 1 matches dim=%d s=%d" % (dim, s))
     r = (dim - s) // 2
     n, m = pfister_split(dim)

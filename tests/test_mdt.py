@@ -1,5 +1,6 @@
 """Tests for lambda symbols, the rule checker, the enumerator and generators."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -1094,6 +1095,9 @@ def test_implied_rows_run_without_their_premise(monkeypatch, rules, row, profile
     else:  # the checker and the search read R-UPPER's clauses from one tuple
         clauses = tuple(clause for clause in mdt._UPPER_CLAUSES if clause.__name__ != row)
         monkeypatch.setattr(mdt, "_UPPER_CLAUSES", clauses)
+        # the search's table stays in the memo of the profile object it was
+        # built for: a fresh equal profile builds it again without the clause
+        profile = QuadricProfile(profile.dim, profile.r, profile.s, profile.pattern)
     assert [len(enumerate_(profile, rules)) for enumerate_ in enumerators] == [counts[1]] * 2
 
 
@@ -1157,6 +1161,23 @@ def test_golden_counts_r9():
     ]
     assert (len(counts), sum(counts), counts.count(0)) == (
         row["profiles"], row["total"], row["empty"]
+    )
+
+
+def test_golden_headline_listing():
+    # the headline sweep (r <= 8, s <= 8, proven rules) listed on fresh
+    # profile objects, against the golden file's counts and digest
+    row = json.loads((GOLDEN / "mdt_counts.json").read_text())["rows"]["<=8"]
+    digest, sizes = hashlib.sha256(), []
+    for r in range(1, 9):
+        for s in range(9):
+            for pattern in pattern_enumerate(r, s):
+                listing = enumerate_mdt(QuadricProfile(2 * r + s, r, s, pattern))
+                text = json.dumps([part.to_json_dict() for part in listing], separators=(",", ":"))
+                digest.update(text.encode() + b"\n")
+                sizes.append(len(listing))
+    assert (len(sizes), sum(sizes), sizes.count(0), digest.hexdigest()) == (
+        row["profiles"], row["total"], row["empty"], row["listing_sha256"]
     )
 
 
@@ -1312,11 +1333,23 @@ def test_enumerate_results_pass_checker():
                 assert check_partition(p, part) == ()
 
 
+# the memo entries of the search's options, keyed on the profile and rule set
+SEARCH_TABLES = ("_code_table", "_named_table")
+
+
 def test_enumerate_bound_exceeded():
     p = prof(18, 9, 0, [0] + list(range(1, 10)))
     with pytest.raises(BoundExceeded):
         enumerate_mdt(p)
     assert enumerate_mdt(p, max_r=9)  # raising the bound works
+    # max_r is checked on every call, not kept with the memo's table
+    with pytest.raises(BoundExceeded):
+        enumerate_mdt(p)
+    # more than 10 atoms: the build raises and leaves no table in the memo
+    wide = prof(25, 11, 3)
+    with pytest.raises(BoundExceeded):
+        enumerate_mdt(wide, max_r=11)
+    assert not [key for key in wide._memo if key[0].__name__ in SEARCH_TABLES]
 
 
 def test_count_bound_exceeded():
@@ -1326,8 +1359,29 @@ def test_count_bound_exceeded():
     with pytest.raises(BoundExceeded):
         mdt._count_mdt(p)
     assert mdt._count_mdt(p, max_r=9) == 21147  # Bell(9)
+    with pytest.raises(BoundExceeded):  # max_r is checked again
+        mdt._count_mdt(p)
+    wide = prof(25, 11, 3)
     with pytest.raises(BoundExceeded):
-        mdt._count_mdt(prof(25, 11, 3), max_r=11)
+        mdt._count_mdt(wide, max_r=11)
+    assert not [key for key in wide._memo if key[0].__name__ in SEARCH_TABLES]
+
+
+def test_search_table_read_from_the_memo(monkeypatch):
+    # once listed, a profile object's search table is read from its memo:
+    # listing and counting it again judge no union, and a fresh equal
+    # profile, whose memo is empty, builds its own
+    p = prof(10, 4, 2, [0, 1, 2, 4])
+    listed = enumerate_mdt(p, RuleSet.proven())
+
+    def refuse(*args):
+        raise AssertionError("a union judged again")
+
+    monkeypatch.setattr(mdt, "_passes", refuse)
+    assert enumerate_mdt(p) == listed  # None reads the proven rules' entry
+    assert mdt._count_mdt(p, RuleSet.proven()) == len(listed) == 2
+    with pytest.raises(AssertionError, match="judged again"):
+        enumerate_mdt(QuadricProfile(p.dim, p.r, p.s, p.pattern))
 
 
 @pytest.mark.parametrize("max_r", [None, 8.5, True, "8"], ids=["None", "float", "bool", "str"])
@@ -1359,8 +1413,12 @@ def test_one_compiled_form_per_profile():
     assert [value for value in memo.values() if type(value) is mdt._Compiled] == [
         mdt._compile(profile)
     ]
-    keyed = [key[1] for key in memo if len(key) == 2 and type(key[1]) is RuleSet]
-    assert sorted(keyed, key=repr) == sorted(ORACLE_RULE_SETS, key=repr)
+    # per rule set: its scope, and the search's code table and named table
+    for build in ("_scope",) + SEARCH_TABLES:
+        keyed = {key[1]: value for key, value in memo.items() if key[0].__name__ == build}
+        assert sorted(keyed, key=repr) == sorted(ORACLE_RULE_SETS, key=repr), build
+        for rules in ORACLE_RULE_SETS:
+            assert getattr(mdt, build)(profile, rules) is keyed[rules], build
     for rules, scope in zip(ORACLE_RULE_SETS, scopes):
         assert mdt._scope(profile, rules) is scope
     # asserted R-VPN fails its numerology here (r + s = 9 > 8): its entry

@@ -185,6 +185,29 @@ def test_profile_fields_and_indices_reject_non_int_types():
     assert profile.shell_of(1) == 1 and profile.kernel(1) == QuadricProfile(4, 2, 0, (0, 2))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_int_parameters_reject_non_int_types(bad):
+    # each answered, read True as 1, or failed bare inside < or range
+    from quadmdt.chow import Cycle, h, steenrod
+    from quadmdt.mdt import mdt_height_one, mdt_isotropic_lift
+
+    profile, tower = QuadricProfile(6, 2, 2, (0, 2)), QuadricProfile(8, 3, 2, (0, 1, 2, 3))
+    cycle, inner = Cycle.of_basis((tower,), (h(1),)), mdt_height_one(profile)
+    kind = type(bad).__name__
+    for call, name in (
+        (lambda: alternating_2adic(bad), "value"),
+        (lambda: pfister_neighbour_invariants(bad, 0), "dim"),
+        (lambda: pfister_neighbour_invariants(8, bad), "s"),
+        (lambda: i1_max_by_theorem(bad), "dim"),
+        (lambda: mdt_isotropic_lift(bad, inner, profile), "w"),
+        (lambda: steenrod(bad, cycle), "j"),
+    ):
+        with pytest.raises(TypeError, match="^%s must be an int, not %s$" % (name, kind)):
+            call()
+    assert steenrod(1, cycle) == Cycle.of_basis((tower,), (h(2),))
+    assert mdt_isotropic_lift(1, inner, profile).r == 3
+
+
 def test_one_is_always_admissible():
     for r in range(1, 10):
         for s in range(0, 9):
