@@ -61,7 +61,7 @@ class FactorSymbol(namedtuple("FactorSymbol", "kind index")):
     def __new__(cls, kind: str, index: int):
         if kind not in (H, L):
             raise ValueError("kind must be 'h' or 'l', got %r" % (kind,))
-        if index < 0:
+        if _check_int("index", index) < 0:
             raise ValueError("index must be >= 0")
         return super().__new__(cls, kind, index)
 

@@ -36,7 +36,7 @@ from operator import getitem
 from . import chow
 from .chow import Cycle, FactorSymbol, h, l
 from .errors import ContextMismatch, DegreeUnderflow, InvalidLevel
-from .profile import QuadricProfile, _Record, json_int
+from .profile import QuadricProfile, _Record, _check_int, json_int
 
 _CORRESPONDENCE_KEYS = frozenset(("context", "support", "split"))  # its JSON's top-level keys
 
@@ -160,7 +160,7 @@ def derivative(k1: int, k2: int, f: Correspondence) -> Correspondence:
 
     The input must live over X^2 in dimension d_X + j with k1 + k2 <= j.
     """
-    if k1 < 0 or k2 < 0:
+    if min(_check_int("k1", k1), _check_int("k2", k2)) < 0:
         raise ValueError("derivative orders must be >= 0")
     if f.cycle.arity != 2 or f.cycle.context[0] != f.cycle.context[1]:
         raise ContextMismatch("derivative expects a correspondence over X^2")
@@ -229,7 +229,7 @@ def diagonal_mult(c: Cycle) -> Cycle:
 
 
 def _check_level(profile: QuadricProfile, t: int):
-    if not 0 <= t < profile.height:
+    if not 0 <= _check_int("t", t) < profile.height:
         raise InvalidLevel(
             "tower level %d outside [0, %d)" % (t, profile.height)
         )

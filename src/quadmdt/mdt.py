@@ -52,12 +52,13 @@ witnesses), and R-VISHIK's positions; so no row recomputes profile data
 per candidate.  What a rule set decides is one small entry per (profile,
 RuleSet) pair in the same memo (_scope): the enabled rows, and per
 connection rule in scope its pairs and the witnesses it reports on every
-partition (an asserted R-VPN's numerology).  The search's options are
-two more entries per (profile, RuleSet) pair in the same memo: the table
-of options over the codes (_code_table), which the count reads, and the
-same options with their blocks named (_named_table), which the listing
-reads; a search of the profile object again under the same rules builds
-neither, and only the walk and the survivors are made on every call.
+partition (an asserted R-VPN's numerology).  The listing's options, with
+their blocks named (_named_table), are one more entry per (profile,
+RuleSet) pair in the same memo, so a listing of the profile object again
+under the same rules builds no table, and only the walk and the survivors
+are made on every call.  They are named from a table of the same options
+over the codes (_code_table), which is kept nowhere: the count builds one
+on every call and names no symbol.
 Lambda(X) itself, its symbols, their texts and codes, is one table per
 (r, d_X); the connection pairs, the costliest part, are built in one place
 (_pair_codes) and shared between rule sets, kept in the same memo per rule
@@ -167,6 +168,7 @@ class LambdaSymbol(namedtuple("LambdaSymbol", "kind index")):
     def __new__(cls, kind: str, index: int):
         if kind not in (LO, UP):
             raise ValueError("kind must be 'lo' or 'up'")
+        _check_int("index", index)
         return super().__new__(cls, kind, index)
 
     def shift(self, j: int) -> "LambdaSymbol":
@@ -935,9 +937,8 @@ def _passes(c, checks, block) -> bool:
 # The checker runs every row and every clause.
 
 
-@_per_profile
-def _code_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
-    """The block search's options, kept in the profile's memo per rule set:
+def _code_table(profile: QuadricProfile, rules: RuleSet) -> list:
+    """The block search's options under the rules, built afresh on each call:
     per atom, in block order, (blocks, mask) for each option it opens.
 
     The profile is compiled once (_compile), and its scope under the rules
@@ -952,9 +953,7 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
     with none of them to run judges none.  An option, a base block with
     its shifts, is listed under its opening atom, with its blocks as code
     tuples, in the order of its base block.  Raises BoundExceeded, before
-    it forms any union, when the atoms are more than 10, and then the memo
-    keeps nothing.  The table is all tuples, as every search of the profile
-    under the rules reads the one object.
+    it forms any union, when the atoms are more than 10.
     """
     c, (rows, connections) = _compile(profile), _scope(profile, rules)
     n = 2 * profile.r
@@ -1034,13 +1033,15 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
             else:
                 options.append((orbit, mask))
         options.sort()  # by base block, which no two options share
-    return tuple(map(tuple, opened_by))
+    return opened_by
 
 
 @_per_profile
 def _named_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
     """_code_table's options with each block named as LambdaSymbols: the
-    listing's table, kept beside it in the profile's memo."""
+    listing's table, the one search table kept in the profile's memo per
+    rule set, and all tuples, as every listing of the profile object under
+    the rules reads the one object.  A build that raises keeps nothing."""
     symbol = _compile(profile).symbols.__getitem__
     return tuple([
         tuple([
@@ -1051,19 +1052,15 @@ def _named_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
     ])
 
 
-def _search_table(profile: QuadricProfile, rules, max_r: int, table=_code_table) -> tuple:
-    """The block search's options for the profile under the rules, read from
-    its memo: ``table`` is _code_table, which the count reads, or the
-    listing's _named_table.  Each is built once per profile object and
-    normalised RuleSet, with None read as RuleSet.proven(); max_r is no part
-    of the key.  The checks run on every call, before the memo is read:
-    TypeError when the rules are not a RuleSet or max_r is not an int, and
-    BoundExceeded when r > max_r.
-    """
+def _search_rules(profile: QuadricProfile, rules, max_r: int) -> RuleSet:
+    """The normalised RuleSet a search of the profile runs under, with None
+    read as RuleSet.proven(), checked on every call before any table is read
+    or built: TypeError when the rules are not a RuleSet or max_r is not an
+    int, and BoundExceeded when r > max_r."""
     rules = _check_rule_set(rules)
     if profile.r > _check_int("max_r", max_r):
         raise BoundExceeded("r = %d exceeds the enumeration bound %d" % (profile.r, max_r))
-    return table(profile, rules)
+    return rules
 
 
 def _walk(opened_by, leaf, join):
@@ -1096,23 +1093,24 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     """All partitions of Lambda(X) passing every enabled rule, canonically
     ordered.
 
-    The search places whole blocks from _search_table's options: the lowest
-    unplaced atom opens a block, a passing union of it and other unplaced
-    atoms, and R-SHIFT is decided as blocks are placed (a base block comes
-    with its shifts, and no other block based in a shell of width above 1
-    is opened).  So every complete candidate passes every rule.  The
-    options, with their blocks named, are the profile's memo entry for the
-    rules (_named_table), built on the first listing of the profile object
-    under them and read by every later one.  The listing and the count
-    (_count_mdt) are one memoised walk (_walk), run afresh on every call:
-    here each state's value is the list of its completions, each an
+    The search places whole blocks from the search table's options: the
+    lowest unplaced atom opens a block, a passing union of it and other
+    unplaced atoms, and R-SHIFT is decided as blocks are placed (a base
+    block comes with its shifts, and no other block based in a shell of
+    width above 1 is opened).  So every complete candidate passes every
+    rule.  The options, with their blocks named, are the profile's memo
+    entry for the rules (_named_table), built on the first listing of the
+    profile object under them and read by every later one; max_r and the
+    rules are checked on every call (_search_rules).  The listing and the
+    count (_count_mdt) are one memoised walk (_walk), run afresh on every
+    call: here each state's value is the list of its completions, each an
     option's blocks followed by a completion of the state it leaves.  The
     options are tried in block order, so the survivors come out in
     canonical order, the order of their sorted blocks, with no sort: they
     are built canonical by construction, with no re-validation.
     """
     completions = _walk(
-        _search_table(profile, rules, max_r, _named_table),
+        _named_table(profile, _search_rules(profile, rules, max_r)),
         ((),),
         lambda pairs: [head + tail for head, tails in pairs for tail in tails],
     )
@@ -1122,11 +1120,12 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
 
 def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
     """len(enumerate_mdt(profile, rules, max_r)), building no partition:
-    the listing's memoised walk (_walk) over the memo's code table
-    (_code_table), which names no symbol, each state's value the number of
-    its completions."""
-    counts = operator.itemgetter(1)  # each pair's count
-    return _walk(_search_table(profile, rules, max_r), 1, lambda pairs: sum(map(counts, pairs)))
+    the listing's memoised walk (_walk) over a code table (_code_table),
+    which names no symbol, each state's value the number of its
+    completions.  The table is built on every call and kept nowhere, not
+    even when the profile object was listed under the same rules."""
+    table = _code_table(profile, _search_rules(profile, rules, max_r))
+    return _walk(table, 1, lambda pairs: sum([count for _, count in pairs]))
 
 
 # -- closed-form generators ----------------------------------------------------

@@ -1334,7 +1334,7 @@ def test_enumerate_results_pass_checker():
 
 
 # the memo entries of the search's options, keyed on the profile and rule set
-SEARCH_TABLES = ("_code_table", "_named_table")
+SEARCH_TABLES = ("_named_table",)
 
 
 def test_enumerate_bound_exceeded():
@@ -1369,19 +1369,39 @@ def test_count_bound_exceeded():
 
 def test_search_table_read_from_the_memo(monkeypatch):
     # once listed, a profile object's search table is read from its memo:
-    # listing and counting it again judge no union, and a fresh equal
-    # profile, whose memo is empty, builds its own
+    # listing it again judges no union, and a fresh equal profile, whose
+    # memo is empty, builds its own
     p = prof(10, 4, 2, [0, 1, 2, 4])
     listed = enumerate_mdt(p, RuleSet.proven())
+    assert mdt._count_mdt(p, RuleSet.proven()) == len(listed) == 2
 
     def refuse(*args):
         raise AssertionError("a union judged again")
 
     monkeypatch.setattr(mdt, "_passes", refuse)
     assert enumerate_mdt(p) == listed  # None reads the proven rules' entry
-    assert mdt._count_mdt(p, RuleSet.proven()) == len(listed) == 2
     with pytest.raises(AssertionError, match="judged again"):
         enumerate_mdt(QuadricProfile(p.dim, p.r, p.s, p.pattern))
+
+
+def test_count_keeps_no_search_table():
+    # the memo keeps one search table per rule set, the listing's: a count
+    # builds its own table and keeps none, before or after a listing
+    p = prof(19, 8, 3)
+    rule_sets = [RuleSet.proven(), RuleSet.proven().enable("R-EXC")]
+
+    def tables():  # the memo's search tables, by builder and rule set
+        kept = [(key[0].__name__, key[1]) for key in p._memo if len(key) == 2]
+        return sorted([key for key in kept if key[0] in ("_code_table", "_named_table")], key=repr)
+
+    counts = [mdt._count_mdt(p, rules) for rules in rule_sets]
+    assert tables() == []
+    listings = [enumerate_mdt(p, rules) for rules in rule_sets]
+    listed = sorted([("_named_table", rules) for rules in rule_sets], key=repr)
+    assert tables() == listed
+    again = [mdt._count_mdt(p, rules) for rules in rule_sets]
+    assert again == counts == [len(listing) for listing in listings] and counts[0] == 4140
+    assert tables() == listed
 
 
 @pytest.mark.parametrize("max_r", [None, 8.5, True, "8"], ids=["None", "float", "bool", "str"])
@@ -1413,7 +1433,8 @@ def test_one_compiled_form_per_profile():
     assert [value for value in memo.values() if type(value) is mdt._Compiled] == [
         mdt._compile(profile)
     ]
-    # per rule set: its scope, and the search's code table and named table
+    # per rule set: its scope and the listing's named table, and no code table
+    assert not [key for key in memo if key[0].__name__ == "_code_table"]
     for build in ("_scope",) + SEARCH_TABLES:
         keyed = {key[1]: value for key, value in memo.items() if key[0].__name__ == build}
         assert sorted(keyed, key=repr) == sorted(ORACLE_RULE_SETS, key=repr), build

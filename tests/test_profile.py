@@ -188,11 +188,13 @@ def test_profile_fields_and_indices_reject_non_int_types():
 @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
 def test_int_parameters_reject_non_int_types(bad):
     # each answered, read True as 1, or failed bare inside < or range
-    from quadmdt.chow import Cycle, h, steenrod
-    from quadmdt.mdt import mdt_height_one, mdt_isotropic_lift
+    from quadmdt.chow import Cycle, FactorSymbol, h, steenrod
+    from quadmdt.corr import derivative, diagonal_class, reduce_f, reduction_correspondence
+    from quadmdt.mdt import LambdaSymbol, lo, mdt_height_one, mdt_isotropic_lift
 
     profile, tower = QuadricProfile(6, 2, 2, (0, 2)), QuadricProfile(8, 3, 2, (0, 1, 2, 3))
     cycle, inner = Cycle.of_basis((tower,), (h(1),)), mdt_height_one(profile)
+    diagonal = diagonal_class(profile)
     kind = type(bad).__name__
     for call, name in (
         (lambda: alternating_2adic(bad), "value"),
@@ -201,11 +203,22 @@ def test_int_parameters_reject_non_int_types(bad):
         (lambda: i1_max_by_theorem(bad), "dim"),
         (lambda: mdt_isotropic_lift(bad, inner, profile), "w"),
         (lambda: steenrod(bad, cycle), "j"),
+        (lambda: derivative(bad, 0, diagonal), "k1"),
+        (lambda: derivative(0, bad, diagonal), "k2"),
+        (lambda: reduction_correspondence(tower, bad), "t"),
+        (lambda: reduce_f(tower, bad, cycle), "t"),
+        (lambda: LambdaSymbol("lo", bad), "index"),
+        (lambda: FactorSymbol("h", bad), "index"),
+        (lambda: h(bad), "index"),  # h(1) is cached: a non-int still misses
+        (lambda: lo(bad), "index"),
     ):
         with pytest.raises(TypeError, match="^%s must be an int, not %s$" % (name, kind)):
             call()
     assert steenrod(1, cycle) == Cycle.of_basis((tower,), (h(2),))
     assert mdt_isotropic_lift(1, inner, profile).r == 3
+    assert derivative(0, 0, diagonal) == diagonal
+    assert reduction_correspondence(tower, 1).cycle.context == (tower, tower.kernel(1))
+    assert LambdaSymbol("lo", 1) == lo(1) and FactorSymbol("h", 1) == h(1)
 
 
 def test_one_is_always_admissible():
