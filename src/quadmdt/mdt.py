@@ -981,7 +981,7 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> list:
         raise BoundExceeded("%d unconstrained atoms exceed the search bound" % len(atom_list))
     # witnesses reported on every partition: no atom opens a block
     if any(witnesses for witnesses, _ in connections.values()):
-        return ((),) * len(atom_list)
+        return [()] * len(atom_list)
     opened_by = [[] for _ in atom_list]
     shift, dual = "R-SHIFT" in rules.enabled, "R-DUAL" in rules.enabled
     implied = {  # the rows and R-UPPER's clauses not run: see the comments above
