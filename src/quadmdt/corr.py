@@ -47,7 +47,7 @@ class Correspondence(_Record):
     __slots__ = ("cycle", "split")
 
     def __init__(self, cycle: Cycle, split: int):
-        if not 0 <= split <= cycle.arity:
+        if not 0 <= _check_int("split", split) <= cycle.arity:
             raise ContextMismatch("split %d outside [0, %d]" % (split, cycle.arity))
         super().__init__(cycle, split)
 

@@ -46,23 +46,21 @@ encoded as the integers 0..2r-1 in lambda_set order (so integer order is
 symbol order) with each code's symbol and text, the profile's shells and
 each lower code's partner (its R-DUAL pair, whose upper symbol is the b
 that R-ENDPOINT requires; the first, partner[0], holds (Izh - 1)^up, the
-b of the upper block), the upper-block rows' other constants (the
-[j_1, j_2) data, 2^v, and per interior j_t R-KARPENKO's 2-adic
-witnesses), and R-VISHIK's positions; so no row recomputes profile data
-per candidate.  What a rule set decides is one small entry per (profile,
-RuleSet) pair in the same memo (_scope): the enabled rows, and per
-connection rule in scope its pairs and the witnesses it reports on every
-partition (an asserted R-VPN's numerology).  The listing's options, with
-their blocks named (_named_table), are one more entry per (profile,
+b of the upper block), R-EXC's pairs, R-VPN's pairs under both of its
+scopes and the witnesses an asserted R-VPN reports on every partition
+(its numerology), the upper-block rows' other constants (the [j_1, j_2)
+data, 2^v, and per interior j_t R-KARPENKO's 2-adic witnesses), and
+R-VISHIK's positions; so no row recomputes profile data per candidate,
+and each connection pair is built once per profile.  A rule set only
+selects from it (_scope, kept nowhere): the enabled rows, and per
+connection rule in scope its pairs and witnesses.  The listing's options,
+with their blocks named (_named_table), are the one entry per (profile,
 RuleSet) pair in the same memo, so a listing of the profile object again
 under the same rules builds no table, and only the walk and the survivors
 are made on every call.  They are named from a table of the same options
 over the codes (_code_table), which is kept nowhere: the count builds one
-on every call and names no symbol.
-Lambda(X) itself, its symbols, their texts and codes, is one table per
-(r, d_X); the connection pairs, the costliest part, are built in one place
-(_pair_codes) and shared between rule sets, kept in the same memo per rule
-and scope flag.
+on every call and names no symbol.  Lambda(X) itself, its symbols, their
+texts and codes, is one table per (r, d_X), shared by every profile.
 The checker calls each enabled row once per candidate, with the one view
 of it that the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN)
 reads which block each symbol is in and the rule set's connection table,
@@ -172,7 +170,7 @@ class LambdaSymbol(namedtuple("LambdaSymbol", "kind index")):
         return super().__new__(cls, kind, index)
 
     def shift(self, j: int) -> "LambdaSymbol":
-        return LambdaSymbol(self.kind, self.index + j)
+        return LambdaSymbol(self.kind, self.index + _check_int("j", j))
 
     def __str__(self):
         return "%d_lo" % self.index if self.kind == LO else "%d^up" % self.index
@@ -238,11 +236,11 @@ def forced_connections(profile: QuadricProfile) -> tuple:
     stopping one short would leave width-1 shells without connections,
     contradicting the worked low-dimensional cases.  With a = j_{t-1} + i
     the partner is the b that R-ENDPOINT requires of a block based at a:
-    these are R-DUAL's pairs (_pair_codes), named, which the checker and
-    the search read as the compiled form's ``partner``.
+    these are R-DUAL's pairs, which the checker and the search read as the
+    compiled form's ``partner``, named.
     """
-    symbols = lambda_set(profile)
-    return tuple([(symbols[a], symbols[b]) for a, b in _pair_codes(profile, "R-DUAL", False)])
+    c = _compile(profile)
+    return tuple([(c.symbols[a], c.symbols[b]) for a, b in c.partner])
 
 
 class MdtPartition(_Record):
@@ -251,6 +249,8 @@ class MdtPartition(_Record):
     __slots__ = ("blocks", "r", "d_x")
 
     def __init__(self, blocks: tuple, r: int, d_x: int):
+        _check_int("r", r)
+        _check_int("d_x", d_x)
         blocks = [tuple(block) for block in blocks]
         if not all(blocks):
             raise ArityMismatch("empty block")
@@ -418,10 +418,11 @@ def vpn_connections(profile: QuadricProfile, assumed: bool = False) -> tuple:
     Lambda(X) shifted by j_t.  With ``assumed`` the connections for the
     form itself are added whenever r + s <= 2^n (equivalently m <= r);
     otherwise the form cannot be a neighbour and its pairs would leave
-    Lambda(X).
+    Lambda(X).  These are the pairs of the compiled form's ``vpn`` entry
+    for the scope, named.
     """
-    symbols = lambda_set(profile)
-    return tuple([(symbols[a], symbols[b]) for a, b in _pair_codes(profile, "R-VPN", assumed)])
+    c = _compile(profile)
+    return tuple([(c.symbols[a], c.symbols[b]) for a, b in c.vpn[bool(assumed)][1]])
 
 
 # -- the compiled form -----------------------------------------------------------
@@ -432,12 +433,13 @@ class _Compiled:
 
     Code k is lambda_set(profile)[k], so integer order is LambdaSymbol
     order: k < r is k_lo, and k >= r is an upper symbol.  _compile sets
-    every attribute once, and no attribute depends on a rule set: that
-    part is _scope's.  The symbols, names and codes are Lambda(X)'s table
-    (_lambda); partner is R-DUAL's pairs (_pair_codes), the same object as
-    the rule's connection pairs.  The upper-block rows' profile-only data
-    (partner[0], interior, karpenko, between) is read by the checker and
-    the search alike, and computed here only.
+    every attribute once, and no attribute depends on a rule set: each
+    connection rule's pairs are here under every scope, as [a, b] codes,
+    and a rule set only selects among them (_scope).  The symbols, names
+    and codes are Lambda(X)'s table (_lambda); partner is R-DUAL's pairs,
+    the same object as the rule's connection pairs.  The upper-block rows'
+    profile-only data (partner[0], interior, karpenko, between) is read by
+    the checker and the search alike, and computed here only.
     """
 
     __slots__ = (
@@ -446,6 +448,8 @@ class _Compiled:
         "pattern",
         "shell",  # lower index -> its shell t
         "partner",  # lower code a -> R-DUAL's [a, code of the b that R-ENDPOINT requires]
+        "excellent",  # R-EXC's pairs: excellent_pairs as codes
+        "vpn",  # R-VPN's (witnesses on every partition, pairs): [False] automatic, [True] asserted
         "interior",  # j_t (0 < t < h) -> R-KARPENKO's witnesses when the upper block's least i > 0
         "karpenko",  # (2^v - 1, v), 2^v the least power of 2 >= i_1
         "between",  # (j_1, j_2, witness if i_1 does not divide i_2, indices R-UPPER wants there)
@@ -505,53 +509,38 @@ def _karpenko_bounds(profile: QuadricProfile) -> dict:
     return out
 
 
-# QuadricProfile and RuleSet are frozen, so one compiled form serves every
-# check of a profile under any rule set, one scope entry every check of a
-# (profile, rules) pair, and one list of pairs every rule set that puts a
-# connection rule in the same scope: callers check many partitions of one
-# profile, or one partition under several rule sets.  All are kept in the
-# profile's memo (_per_profile), so they live as long as the profile.
-@_per_profile
-def _pair_codes(profile: QuadricProfile, rule_id: str, assumed: bool) -> list:
-    """A connection rule's pairs as [lower code, upper code] under its scope
-    flag, the one builder of them: forced_connections, excellent_pairs and
-    vpn_connections as codes.  R-DUAL's pair of lower code a is its a-th,
-    so the compiled form reads it as a's partner."""
-    # 2-lists: fresh 2-tuples raised the peak memory of check_oneshot, which
-    # compiles every profile it checks, by 0.6-0.8 MB (of ~30)
-    p, r, up_offset = profile.pattern, profile.r, 2 * profile.r - 1 - profile.d_x
-    if rule_id == "R-DUAL":
-        # a in shell t pairs with (a + d_X + 1 - j_{t-1} - j_t)^up, code
-        # a + 2r - j_{t-1} - j_t: shell t's partners fill (d_X - j_t, d_X - j_{t-1}]
-        pairs = []
-        for t in range(1, len(p)):
-            shift = 2 * r - p[t - 1] - p[t]
-            pairs += [[a, a + shift] for a in range(p[t - 1], p[t])]
-        return pairs
-    if rule_id == "R-EXC":
-        return [[pair.a, pair.b + up_offset] for pair in excellent_pairs(profile)]
-    pairs = {}  # R-VPN's (lower index, upper index) -> None: deduped, in order
-    for t, w in enumerate(p[:-1]):  # the tower's t-th kernel, of Witt index w
-        n, m = pfister_split(profile.dim - 2 * w)  # its dimension is 2^n + m
-        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the kernel's
-        # pattern, which is p[t:] shifted down by w
-        forced = p[t + 1] - w == m or m == 1 or (m == 2 and w + 2 in p)
-        if forced or (assumed and t == 0 and m <= r):
-            for i in range(m):
-                pairs[(i + w, (1 << n) + i - 1 + w)] = None
-    return [[a, b + up_offset] for a, b in pairs]
-
-
+# QuadricProfile is frozen, so one compiled form serves every check and
+# every search of a profile under any rule set: callers check many partitions
+# of one profile, or one partition under several rule sets.  It is kept in the
+# profile's memo (_per_profile), so it lives as long as the profile.
 @_per_profile
 def _compile(profile: QuadricProfile) -> _Compiled:
     c = _Compiled()
     c.r = r = profile.r
-    c.up_offset = 2 * r - 1 - profile.d_x
+    c.up_offset = off = 2 * r - 1 - profile.d_x
     c.pattern = p = profile.pattern
-    c.shell = shell = []
+    # 2-lists: fresh 2-tuples raised the peak memory of check_oneshot, which
+    # compiles every profile it checks, by 0.6-0.8 MB (of ~30)
+    c.shell, c.partner = shell, partner = [], []
     for t in range(1, len(p)):
         shell += [t] * (p[t] - p[t - 1])
-    c.partner = _pair_codes(profile, "R-DUAL", False)
+        # a in shell t pairs with (a + d_X + 1 - j_{t-1} - j_t)^up, code
+        # a + 2r - j_{t-1} - j_t: shell t's partners fill (d_X - j_t, d_X - j_{t-1}]
+        shift = 2 * r - p[t - 1] - p[t]
+        partner += [[a, a + shift] for a in range(p[t - 1], p[t])]
+    c.excellent = [[pair.a, pair.b + off] for pair in excellent_pairs(profile)]
+    auto, asserted = {}, {}  # R-VPN's (lower code, upper code) -> None: deduped, in order
+    for t, w in enumerate(p[:-1]):  # the tower's t-th kernel, of Witt index w
+        n, m = pfister_split(profile.dim - 2 * w)  # its dimension is 2^n + m
+        # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the kernel's
+        # pattern, which is p[t:] shifted down by w; asserted, the form too if m <= r
+        forced = p[t + 1] - w == m or m == 1 or (m == 2 and w + 2 in p)
+        if forced or (t == 0 and m <= r):
+            level = dict.fromkeys([(i + w, (1 << n) + i - 1 + w + off) for i in range(m)])
+            asserted.update(level)
+            if forced:
+                auto.update(level)
+    c.vpn = ((), list(map(list, auto))), (_vpn_assertion(profile), list(map(list, asserted)))
     c.interior = _karpenko_bounds(profile)
     v = (p[1] - 1).bit_length()
     c.karpenko = (1 << v) - 1, v
@@ -563,11 +552,11 @@ def _compile(profile: QuadricProfile) -> _Compiled:
     return c
 
 
-@_per_profile
 def _scope(profile: QuadricProfile, rules: RuleSet) -> tuple:
     """What ``rules`` decides for the profile: (the enabled RULES rows in
     table order, connection rule id in scope -> (the witnesses it reports on
-    every partition, its pairs as [a, b] int codes)).
+    every partition, its pairs as [a, b] int codes)), selected afresh on
+    every call from the compiled form, which holds every scope's pairs.
 
     The one statement of the scopes of R-DUAL, R-EXC and R-VPN: the
     enumerator merges every pair of these rules, the checker reports every
@@ -575,15 +564,14 @@ def _scope(profile: QuadricProfile, rules: RuleSet) -> tuple:
     R-VPN has witnesses (_vpn_assertion); R-EXC's scope decides only whether
     it applies, not its pairs.
     """
-    table = {}
-    if "R-DUAL" in rules.enabled:
-        table["R-DUAL"] = (), _pair_codes(profile, "R-DUAL", False)
-    if "R-EXC" in rules.enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
-        table["R-EXC"] = (), _pair_codes(profile, "R-EXC", False)
-    if "R-VPN" in rules.enabled:
-        vpn = "R-VPN" in rules.assumed
-        table["R-VPN"] = _vpn_assertion(profile) if vpn else (), _pair_codes(profile, "R-VPN", vpn)
-    return tuple(rule for rule in RULES.values() if rule.id in rules.enabled), table
+    c, enabled, table = _compile(profile), rules.enabled, {}
+    if "R-DUAL" in enabled:
+        table["R-DUAL"] = (), c.partner
+    if "R-EXC" in enabled and (profile.s <= 1 or "R-EXC" in rules.assumed):
+        table["R-EXC"] = (), c.excellent
+    if "R-VPN" in enabled:
+        table["R-VPN"] = c.vpn["R-VPN" in rules.assumed]
+    return tuple([rule for rule in RULES.values() if rule.id in enabled]), table
 
 
 # -- the rule rows ---------------------------------------------------------------
@@ -941,9 +929,9 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> list:
     """The block search's options under the rules, built afresh on each call:
     per atom, in block order, (blocks, mask) for each option it opens.
 
-    The profile is compiled once (_compile), and its scope under the rules
-    once per rule set (_scope).  The pairs of the connection rules (R-DUAL,
-    scoped R-EXC/R-VPN) are merged up front by union-find into atoms, so no
+    The profile is compiled once (_compile), and the rules select from it
+    (_scope).  The pairs of the connection rules (R-DUAL, scoped
+    R-EXC/R-VPN) are merged up front by union-find into atoms, so no
     candidate splits one; a connection rule that reports witnesses on every
     partition (an asserted R-VPN that fails its numerology) excludes every
     partition, so then no atom has an option.
@@ -1225,11 +1213,13 @@ class ShellPattern(_Record):
     def __init__(self, r: int, pattern: tuple):
         pattern = tuple(pattern)
         check_pattern(r, pattern)
-        super().__init__(r, pattern)
+        _Record.__init__(self, r, pattern)
 
 
 class ShellDiagram(_Record):
     __slots__ = ("r", "pattern")
+
+    __init__ = ShellPattern.__init__  # the same checks: the renderers read both fields
 
     @property
     def max_row(self) -> int:

@@ -1345,11 +1345,12 @@ def test_enumerate_bound_exceeded():
     # max_r is checked on every call, not kept with the memo's table
     with pytest.raises(BoundExceeded):
         enumerate_mdt(p)
-    # more than 10 atoms: the build raises and leaves no table in the memo
+    # more than 10 atoms: the build raises and leaves no table in the memo,
+    # only the compiled form it read
     wide = prof(25, 11, 3)
     with pytest.raises(BoundExceeded):
         enumerate_mdt(wide, max_r=11)
-    assert not [key for key in wide._memo if key[0].__name__ in SEARCH_TABLES]
+    assert [key[0].__name__ for key in wide._memo] == ["_compile"]
 
 
 def test_count_bound_exceeded():
@@ -1364,7 +1365,7 @@ def test_count_bound_exceeded():
     wide = prof(25, 11, 3)
     with pytest.raises(BoundExceeded):
         mdt._count_mdt(wide, max_r=11)
-    assert not [key for key in wide._memo if key[0].__name__ in SEARCH_TABLES]
+    assert [key[0].__name__ for key in wide._memo] == ["_compile"]  # and no table
 
 
 def test_search_table_read_from_the_memo(monkeypatch):
@@ -1415,7 +1416,8 @@ def test_max_r_must_be_an_int(search, max_r):
 
 def test_one_compiled_form_per_profile():
     # checks and listings under five rule sets share the profile's one
-    # compiled form; what each rule set decides is its own memoised entry
+    # compiled form, which holds every connection rule's pairs; a rule set
+    # only selects from it, and its one memoised entry is the listing's table
     profile = QuadricProfile(13, 4, 5, (0, 1, 2, 3, 4))
     part = MdtPartition.of(profile, [[x] for x in lambda_set(profile)])
     for rules in NOT_RULE_SETS:  # refused before the memo is touched
@@ -1424,24 +1426,27 @@ def test_one_compiled_form_per_profile():
         with pytest.raises(TypeError):
             enumerate_mdt(profile, rules)
     assert profile._memo == {}
-    scopes = []
+    compiled, tables = [], []
     for rules in ORACLE_RULE_SETS:
         check_partition(profile, part, rules)
         enumerate_mdt(profile, rules)
-        scopes.append(mdt._scope(profile, rules))
+        compiled.append(mdt._compile(profile))
+        tables.append(mdt._named_table(profile, rules))
     memo = profile._memo
     assert [value for value in memo.values() if type(value) is mdt._Compiled] == [
         mdt._compile(profile)
     ]
-    # per rule set: its scope and the listing's named table, and no code table
+    # per rule set: the listing's named table, and no code table
     assert not [key for key in memo if key[0].__name__ == "_code_table"]
-    for build in ("_scope",) + SEARCH_TABLES:
+    assert sorted([key[0].__name__ for key in memo]) == ["_compile"] + ["_named_table"] * 5
+    for build in SEARCH_TABLES:
         keyed = {key[1]: value for key, value in memo.items() if key[0].__name__ == build}
         assert sorted(keyed, key=repr) == sorted(ORACLE_RULE_SETS, key=repr), build
         for rules in ORACLE_RULE_SETS:
             assert getattr(mdt, build)(profile, rules) is keyed[rules], build
-    for rules, scope in zip(ORACLE_RULE_SETS, scopes):
-        assert mdt._scope(profile, rules) is scope
+    for rules, form, table in zip(ORACLE_RULE_SETS, compiled, tables):
+        assert form is compiled[0] is mdt._compile(profile)
+        assert mdt._named_table(profile, rules) is table
     # asserted R-VPN fails its numerology here (r + s = 9 > 8): its entry
     # reports that on every partition, and the search opens no block
     witnesses, _ = mdt._scope(profile, RuleSet.proven().enable("R-VPN"))[1]["R-VPN"]

@@ -223,7 +223,8 @@ def test_records_behave_as_frozen_values():
     # only the records that validate their fields write their own constructor
     own = {type(record).__name__ for record, _, _ in records if "__init__" in vars(type(record))}
     assert own == {
-        "QuadricProfile", "MdtPartition", "RuleSet", "ShellPattern", "Cycle", "Correspondence",
+        "QuadricProfile", "MdtPartition", "RuleSet", "ShellPattern", "ShellDiagram", "Cycle",
+        "Correspondence",
     }
     # equality stays within one class, even over equal fields
     shell_pattern, shell_diagram = records[8][0], records[9][0]
@@ -256,11 +257,121 @@ def test_profile_memo_is_not_a_field():
     parts = listed + (mdt.MdtPartition.of(used, [[x] for x in mdt.lambda_set(used)]),)
     for rules in (mdt.RuleSet.proven(), wide):
         assert mdt._compile(used) is mdt._compile(used)
-        assert mdt._scope(used, rules) is mdt._scope(used, rules)
+        assert mdt._named_table(used, rules) is mdt._named_table(used, rules)
         # an equal profile built apart compiles its own form, to the same reports
         assert mdt._compile(unused) is not mdt._compile(used)
-        assert mdt._scope(unused, rules) is not mdt._scope(used, rules)
+        assert mdt._named_table(unused, rules) is not mdt._named_table(used, rules)
         assert [mdt.check_partition(unused, part, rules) for part in parts] == [
             mdt.check_partition(used, part, rules) for part in parts
         ]
     assert chow._rows(used, chow._partner_row) is chow._rows(used, chow._partner_row)
+
+
+def _int_parameters() -> set:
+    """(entry, name) for every parameter annotated int of an exported
+    function, or of the __init__, __new__ or a public method of an exported
+    class; an entry is the function's name, or Class.method."""
+    import inspect
+
+    found = set()
+    for names in quadmdt._EXPORTS.values():
+        for name in names:
+            obj = getattr(quadmdt, name)
+            if inspect.isclass(obj):
+                calls = [
+                    ("%s.%s" % (name, attr), value) for attr, value in vars(obj).items()
+                    if attr in ("__init__", "__new__") or not attr.startswith("_")
+                ]
+            else:
+                calls = [(name, obj)]
+            for entry, call in calls:
+                call = getattr(call, "__func__", call)  # a staticmethod's or classmethod's
+                if inspect.isfunction(call):
+                    for param in inspect.signature(call).parameters.values():
+                        if param.annotation in (int, "int"):
+                            found.add((entry, param.name))
+    return found
+
+
+def _int_parameter_calls() -> dict:
+    """(entry, name) -> a call passing its argument to that parameter, with
+    valid other arguments."""
+    from quadmdt.chow import Cycle, FactorSymbol, h, steenrod
+    from quadmdt.corr import (
+        Correspondence, derivative, diagonal_class, reduce_f, reduce_g, reduction_correspondence,
+    )
+    from quadmdt.mdt import (
+        LambdaSymbol, MdtPartition, ShellDiagram, ShellPattern, enumerate_mdt, lo,
+        mdt_height_one, mdt_isotropic_lift, mdt_strongly_excellent,
+    )
+    from quadmdt.profile import (
+        QuadricProfile, alternating_2adic, i1_admissible_set, i1_max_by_theorem, mk_profile,
+        pattern_enumerate, pfister_neighbour_invariants, strongly_excellent_profile,
+    )
+
+    profile, tower = QuadricProfile(6, 2, 2, (0, 2)), QuadricProfile(8, 3, 2, (0, 1, 2, 3))
+    cycle, inner = Cycle.of_basis((tower,), (h(1),)), mdt_height_one(profile)
+    diagonal = diagonal_class(profile)
+    return {
+        ("FactorSymbol.__new__", "index"): lambda x: FactorSymbol("h", x),
+        ("steenrod", "j"): lambda x: steenrod(x, cycle),
+        ("Correspondence.__init__", "split"): lambda x: Correspondence(cycle, x),
+        ("derivative", "k1"): lambda x: derivative(x, 0, diagonal),
+        ("derivative", "k2"): lambda x: derivative(0, x, diagonal),
+        ("reduce_f", "t"): lambda x: reduce_f(tower, x, cycle),
+        ("reduce_g", "t"): lambda x: reduce_g(tower, x, cycle),
+        ("reduction_correspondence", "t"): lambda x: reduction_correspondence(tower, x),
+        ("LambdaSymbol.__new__", "index"): lambda x: LambdaSymbol("lo", x),
+        ("LambdaSymbol.shift", "j"): lambda x: lo(0).shift(x),
+        ("MdtPartition.__init__", "r"): lambda x: MdtPartition(inner.blocks, x, 4),
+        ("MdtPartition.__init__", "d_x"): lambda x: MdtPartition(inner.blocks, 2, x),
+        ("ShellPattern.__init__", "r"): lambda x: ShellPattern(x, (0, 1)),
+        ("ShellDiagram.__init__", "r"): lambda x: ShellDiagram(x, (0, 1)),
+        ("enumerate_mdt", "max_r"): lambda x: enumerate_mdt(profile, None, x),
+        ("mdt_isotropic_lift", "w"): lambda x: mdt_isotropic_lift(x, inner, profile),
+        ("mdt_strongly_excellent", "s"): lambda x: mdt_strongly_excellent((3,), x),
+        ("QuadricProfile.__init__", "dim"): lambda x: QuadricProfile(x, 2, 2, (0, 2)),
+        ("QuadricProfile.__init__", "r"): lambda x: QuadricProfile(6, x, 2, (0, 2)),
+        ("QuadricProfile.__init__", "s"): lambda x: QuadricProfile(6, 2, x, (0, 2)),
+        ("QuadricProfile.kernel", "t"): lambda x: tower.kernel(x),
+        ("QuadricProfile.shell_of", "i"): lambda x: tower.shell_of(x),
+        ("alternating_2adic", "value"): lambda x: alternating_2adic(x),
+        ("i1_admissible_set", "r"): lambda x: i1_admissible_set(x, 0),
+        ("i1_admissible_set", "s"): lambda x: i1_admissible_set(4, x),
+        ("i1_max_by_theorem", "dim"): lambda x: i1_max_by_theorem(x),
+        ("mk_profile", "dim"): lambda x: mk_profile(x, 2, 2, [0, 2]),
+        ("mk_profile", "r"): lambda x: mk_profile(6, x, 2, [0, 2]),
+        ("mk_profile", "s"): lambda x: mk_profile(6, 2, x, [0, 2]),
+        ("pattern_enumerate", "r"): lambda x: pattern_enumerate(x, 0),
+        ("pattern_enumerate", "s"): lambda x: pattern_enumerate(4, x),
+        ("pfister_neighbour_invariants", "dim"): lambda x: pfister_neighbour_invariants(x, 0),
+        ("pfister_neighbour_invariants", "s"): lambda x: pfister_neighbour_invariants(8, x),
+        ("strongly_excellent_profile", "s"): lambda x: strongly_excellent_profile((3,), x),
+    }
+
+
+# the s of a strongly excellent form is documented to raise ConstraintViolated
+CONSTRAINED = {("strongly_excellent_profile", "s"), ("mdt_strongly_excellent", "s")}
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_every_exported_int_parameter_rejects_non_ints(bad):
+    # every parameter annotated int of the public names refuses a float, a
+    # bool and a string by name, rather than reading 1.0 or True as 1 or
+    # failing bare inside a comparison; an exact int passes its check
+    from quadmdt.errors import ConstraintViolated, QuadmdtError
+
+    calls = _int_parameter_calls()
+    assert calls.keys() == _int_parameters()
+    for (entry, name), call in calls.items():
+        if (entry, name) in CONSTRAINED:
+            with pytest.raises(ConstraintViolated, match="must be ints"):
+                call(bad)
+        else:
+            with pytest.raises(TypeError) as exc:
+                call(bad)
+            assert str(exc.value) == "%s must be an int, not %s" % (name, type(bad).__name__), entry
+        try:
+            call(1)
+        except (QuadmdtError, ValueError):  # 1 may lie outside the parameter's range
+            pass

@@ -166,8 +166,9 @@ def test_i1_args_reject_non_int_types():
 
 def test_profile_fields_and_indices_reject_non_int_types():
     # a float or bool field is refused by name, not accepted as an equal int
-    # nor left to fail inside &; ShellPattern shares the pattern check
-    from quadmdt.mdt import ShellPattern
+    # nor left to fail inside &; ShellPattern and ShellDiagram share the
+    # pattern check, on which the renderers rely
+    from quadmdt.mdt import ShellDiagram, ShellPattern
 
     profile = QuadricProfile(8, 4, 0, (0, 2, 4))
     for call, name, kind in (
@@ -177,12 +178,17 @@ def test_profile_fields_and_indices_reject_non_int_types():
         (lambda: mk_profile(6.0, 2, 2, [0, 2]), "dim", "float"),
         (lambda: ShellPattern(4.0, (0, 2, 4.0)), "r", "float"),
         (lambda: ShellPattern(4, (0, 2, 4.0)), "pattern entry", "float"),
+        (lambda: ShellDiagram(True, (0, 2, 4)), "r", "bool"),
+        (lambda: ShellDiagram(4.0, (0, 2, 4)), "r", "float"),
+        (lambda: ShellDiagram(4, (0, 2, True)), "pattern entry", "bool"),
         (lambda: profile.shell_of(1.0), "i", "float"),
         (lambda: profile.kernel(True), "t", "bool"),
     ):
         with pytest.raises(TypeError, match="^%s must be an int, not %s$" % (name, kind)):
             call()
     assert profile.shell_of(1) == 1 and profile.kernel(1) == QuadricProfile(4, 2, 0, (0, 2))
+    with pytest.raises(PatternInvalid):
+        ShellDiagram(4, (0, 2, 5))
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
