@@ -43,21 +43,23 @@ The rows work on one compiled form per profile, which _compile builds
 once and keeps in the profile's memo (_per_profile), so that it lives
 exactly as long as the profile and serves every rule set: Lambda(X)
 encoded as the integers 0..2r-1 in lambda_set order (so integer order is
-symbol order) with each code's symbol and text, the profile's shells and
-each lower code's partner (its R-DUAL pair, whose upper symbol is the b
-that R-ENDPOINT requires; the first, partner[0], holds (Izh - 1)^up, the
-b of the upper block), R-EXC's pairs, R-VPN's pairs under both of its
-scopes and the witnesses an asserted R-VPN reports on every partition
-(its numerology), the upper-block rows' other constants (the [j_1, j_2)
-data, 2^v, and per interior j_t R-KARPENKO's 2-adic witnesses), and
-R-VISHIK's positions; so no row recomputes profile data per candidate,
-and each connection pair is built once per profile.  A rule set only
-selects from it (_scope, kept nowhere): the enabled rows, and per
-connection rule in scope its pairs and witnesses.  The listing's options,
-with their blocks named (_named_table), are the one entry per (profile,
-RuleSet) pair in the same memo, so a listing of the profile object again
-under the same rules builds no table, and only the walk and the survivors
-are made on every call.  They are named from a table of the same options
+symbol order) with each code's symbol and text, R-EXC's pairs, the
+witnesses an asserted R-VPN reports on every partition (its numerology),
+the upper-block rows' other constants (the [j_1, j_2) data and 2^v), and
+all that it reads off the splitting tower in one pass over the shells
+[j_{t-1}, j_t): each lower code's shell and partner (its R-DUAL pair,
+whose upper symbol is the b that R-ENDPOINT requires; the first,
+partner[0], holds (Izh - 1)^up, the b of the upper block), R-VPN's pairs
+under both of its scopes from each kernel, of Witt index j_{t-1}, and, keyed
+by the shell's start j_{t-1}, R-KARPENKO's 2-adic witnesses and R-VISHIK's
+positions; so no row recomputes profile data per candidate, and each
+connection pair is built once per profile.  A rule set only selects from
+it (_scope, kept nowhere): the enabled rows, and per connection rule in
+scope its pairs and witnesses.  The listing's options, with their blocks
+named (_named_table), are the one entry per (profile, RuleSet) pair in
+the same memo, so a listing of the profile object again under the same
+rules builds no table, and only the walk and the survivors are made on
+every call.  They are named from a table of the same options
 over the codes (_code_table), which is kept nowhere: the count builds one
 on every call and names no symbol.  Lambda(X) itself, its symbols, their
 texts and codes, is one table per (r, d_X), shared by every profile.
@@ -74,15 +76,16 @@ check_partition formats them, row by row.  The enumerator searches block
 by block instead of testing whole candidates: a block is complete when it
 is chosen, so it forms only the unions of atoms that can open a block,
 each judged once, up to its first witness, by the per-block rows and
-R-UPPER clauses that the other enabled rules do not imply (the comments
-beside _code_table say which and why).  R-SHIFT is read whole by the
-checker (_check_shift) and block by block by the search (_code_table),
-which places a base block together with its shifts; no pass runs over
-complete candidates.  The listing and the count (_count_mdt, behind
-mdt-solve --count) are one walk of the search (_walk), memoised on the set
-of atoms not yet placed.  It tries blocks in order, so the survivors come
-out canonically ordered: they are built as MdtPartitions canonical by
-construction, with no re-validation, and the count builds none.
+R-UPPER clauses that the other enabled rules do not imply, a base block's
+shifts by the base block (the comments beside _code_table say which and
+why).  R-SHIFT is read whole by the checker (_check_shift) and block by
+block by the search (_code_table), which places a base block together
+with its shifts; no pass runs over complete candidates.  The listing and
+the count (_count_mdt, behind mdt-solve --count) are one walk of the
+search (_walk), memoised on the set of atoms not yet placed.  It tries
+blocks in order, so the survivors come out canonically ordered: they are
+built as MdtPartitions canonical by construction, with no re-validation,
+and the count builds none.
 """
 
 # annotations are never evaluated, so the Correspondence that alpha_cycle
@@ -439,7 +442,10 @@ class _Compiled:
     and codes are Lambda(X)'s table (_lambda); partner is R-DUAL's pairs,
     the same object as the rule's connection pairs.  The upper-block rows'
     profile-only data (partner[0], interior, karpenko, between) is read by
-    the checker and the search alike, and computed here only.
+    the checker and the search alike, and computed here only.  Everything
+    read off the splitting tower (shell, partner, R-VPN's kernel levels,
+    interior and vishik) is built in one pass over the shells t = 1..h,
+    [j_{t-1}, j_t), and a table per shell is keyed by its start j_{t-1}.
     """
 
     __slots__ = (
@@ -450,10 +456,14 @@ class _Compiled:
         "partner",  # lower code a -> R-DUAL's [a, code of the b that R-ENDPOINT requires]
         "excellent",  # R-EXC's pairs: excellent_pairs as codes
         "vpn",  # R-VPN's (witnesses on every partition, pairs): [False] automatic, [True] asserted
-        "interior",  # j_t (0 < t < h) -> R-KARPENKO's witnesses when the upper block's least i > 0
+        # per shell t, keyed by its start j_{t-1}: for 1 < t <= h, R-KARPENKO's
+        # witnesses when j_{t-1} is the upper block's smallest positive lower index
+        "interior",
         "karpenko",  # (2^v - 1, v), 2^v the least power of 2 >= i_1
         "between",  # (j_1, j_2, witness if i_1 does not divide i_2, indices R-UPPER wants there)
-        "vishik",  # j_{t-1} -> (t, ((position, k), ...)) per shell R-VISHIK constrains
+        # per shell t < h that R-VISHIK constrains, keyed by its start j_{t-1}:
+        # (t, ((position, k), ...)), the lower positions its base block must hold
+        "vishik",
         "symbols",  # code -> its LambdaSymbol
         "names",  # code -> its symbol's text
         "codes",  # LambdaSymbol -> its code
@@ -472,43 +482,6 @@ def _vpn_assertion(profile: QuadricProfile) -> tuple:
     return ()
 
 
-def _vishik_positions(profile: QuadricProfile) -> dict:
-    """Per shell 1 <= t < h, keyed by j_{t-1}: t and the lower positions (with
-    their k) that the block based at j_{t-1} must hold; a shell with
-    dim - 2 j_{t-1} - j_t < 1 has no expansion and requires none.
-
-    The k-th position (1 <= k <= j) is j_{t-1} + m_1 + ... + m_{k-1} in the
-    expansion of dim - 2 j_{t-1} - j_t: the left end of its k-th excellent
-    window, shifted to the shell."""
-    out = {}
-    p = profile.pattern
-    for t in range(1, profile.height):
-        m_val = profile.dim - 2 * p[t - 1] - p[t]
-        if m_val < 1:
-            continue
-        exp = alternating_2adic(m_val)
-        starts = itertools.accumulate(exp.m, initial=p[t - 1])
-        positions = zip(starts, range(1, exp.j + 1))
-        out[p[t - 1]] = (t, tuple((pos, k) for pos, k in positions if pos < profile.r))
-    return out
-
-
-def _karpenko_bounds(profile: QuadricProfile) -> dict:
-    """Per j_t, 0 < t < h: the witnesses, as (template, arguments), of
-    R-KARPENKO's bounds on v2(i_{t+1}) when j_t is the upper block's
-    smallest positive lower index."""
-    p = profile.pattern
-    v1, out = v2(p[1]), dict.fromkeys(p[1:-1], ())
-    for t in range(1, len(p) - 1):
-        vn, gap = v2(p[t + 1] - p[t]), p[t] - p[1]  # v2(i_{t+1}), and j_t - i_1
-        if vn < v1:
-            out[p[t]] = (("v2(i_%d) = %d < v2(i_1) = %d", (t + 1, vn, v1)),)
-        # second theorem; v2(0) counts as +infinity
-        elif vn > v1 + 1 and (gap == 0 or v2(gap) >= v1 + 2):
-            out[p[t]] = (("v2(i_%d) = %d exceeds v2(i_1) + 1 = %d", (t + 1, vn, v1 + 1)),)
-    return out
-
-
 # QuadricProfile is frozen, so one compiled form serves every check and
 # every search of a profile under any rule set: callers check many partitions
 # of one profile, or one partition under several rule sets.  It is kept in the
@@ -521,34 +494,49 @@ def _compile(profile: QuadricProfile) -> _Compiled:
     c.pattern = p = profile.pattern
     # 2-lists: fresh 2-tuples raised the peak memory of check_oneshot, which
     # compiles every profile it checks, by 0.6-0.8 MB (of ~30)
-    c.shell, c.partner = shell, partner = [], []
-    for t in range(1, len(p)):
-        shell += [t] * (p[t] - p[t - 1])
-        # a in shell t pairs with (a + d_X + 1 - j_{t-1} - j_t)^up, code
-        # a + 2r - j_{t-1} - j_t: shell t's partners fill (d_X - j_t, d_X - j_{t-1}]
-        shift = 2 * r - p[t - 1] - p[t]
-        partner += [[a, a + shift] for a in range(p[t - 1], p[t])]
-    c.excellent = [[pair.a, pair.b + off] for pair in excellent_pairs(profile)]
+    c.shell, c.partner, c.interior, c.vishik = shell, partner, interior, vishik = [], [], {}, {}
     auto, asserted = {}, {}  # R-VPN's (lower code, upper code) -> None: deduped, in order
-    for t, w in enumerate(p[:-1]):  # the tower's t-th kernel, of Witt index w
-        n, m = pfister_split(profile.dim - 2 * w)  # its dimension is 2^n + m
+    h, v1 = len(p) - 1, v2(p[1])
+    for t in range(1, h + 1):  # shell t is [w, j) = [j_{t-1}, j_t), of width i_t
+        w, j = p[t - 1], p[t]
+        shell += [t] * (j - w)
+        # a in shell t pairs with (a + d_X + 1 - w - j)^up, code a + 2r - w - j:
+        # shell t's partners fill (d_X - j, d_X - w]
+        partner += [[a, a + 2 * r - w - j] for a in range(w, j)]
+        n, m = pfister_split(profile.dim - 2 * w)  # the kernel of Witt index w is 2^n + m
         # forced VPN: maximal splitting, m = 1, or m = 2 with 2 in the kernel's
-        # pattern, which is p[t:] shifted down by w; asserted, the form too if m <= r
-        forced = p[t + 1] - w == m or m == 1 or (m == 2 and w + 2 in p)
-        if forced or (t == 0 and m <= r):
+        # pattern, which is p[t - 1:] shifted down by w; asserted, the form too if m <= r
+        forced = j - w == m or m == 1 or (m == 2 and w + 2 in p)
+        if forced or (t == 1 and m <= r):
             level = dict.fromkeys([(i + w, (1 << n) + i - 1 + w + off) for i in range(m)])
             asserted.update(level)
             if forced:
                 auto.update(level)
+        if t > 1:  # R-KARPENKO's bounds on v2(i_t), read when w = j_{t-1} is the
+            # upper block's smallest positive lower index
+            vn, gap = v2(j - w), w - p[1]  # v2(i_t), and j_{t-1} - i_1
+            interior[w] = ()
+            if vn < v1:
+                interior[w] = (("v2(i_%d) = %d < v2(i_1) = %d", (t, vn, v1)),)
+            # second theorem; v2(0) counts as +infinity
+            elif vn > v1 + 1 and (gap == 0 or v2(gap) >= v1 + 2):
+                interior[w] = (("v2(i_%d) = %d exceeds v2(i_1) + 1 = %d", (t, vn, v1 + 1)),)
+        # R-VISHIK, t < h: the k-th lower position (1 <= k <= its j) that the
+        # block based at w must hold is w + m_1 + ... + m_{k-1} in the expansion
+        # of dim - 2w - j, the left end of its k-th excellent window shifted to
+        # the shell; dim - 2w - j < 1 has no expansion and requires none
+        if t < h and (rest := profile.dim - 2 * w - j) >= 1:
+            exp = alternating_2adic(rest)
+            positions = zip(itertools.accumulate(exp.m, initial=w), range(1, exp.j + 1))
+            vishik[w] = (t, tuple([(pos, k) for pos, k in positions if pos < r]))
+    c.excellent = [[pair.a, pair.b + off] for pair in excellent_pairs(profile)]
     c.vpn = ((), list(map(list, auto))), (_vpn_assertion(profile), list(map(list, asserted)))
-    c.interior = _karpenko_bounds(profile)
     v = (p[1] - 1).bit_length()
     c.karpenko = (1 << v) - 1, v
     j1, j2 = p[1], p[min(2, len(p) - 1)]  # at h = 1 the window [j_1, j_1) is empty
     indivisible = (("i_1 = %d does not divide i_2 = %d", (j1, j2 - j1)),) if (j2 - j1) % j1 else ()
     c.between = j1, j2, indivisible, list(range(j1, j2 - j1 + 1, j1))
     c.symbols, _, c.names, c.codes = _lambda(r, profile.d_x)
-    c.vishik = _vishik_positions(profile)
     return c
 
 
@@ -879,6 +867,21 @@ def _passes(c, checks, block) -> bool:
 # So the search's state is the set of unplaced atoms alone, and only an
 # atom whose lowest symbol is some j_{t-1} or upper opens a block.
 #
+# The search judges B alone, never its shifts: each shift passes the
+# per-block rows when B does.  R-UPPER and R-KARPENKO read only the block of
+# 0_lo, which no shift holds, so the rows in question are R-PARITY,
+# R-ENDPOINT and R-VISHIK.  B shifted by 0 < k < i_t
+#   - has B's size, so R-PARITY holds of it as of B;
+#   - starts at j + k, still a lower symbol of shell t, and ends at B's last
+#     symbol plus k, upper as that one is.  R-ENDPOINT asks of B that its
+#     last symbol be partner[j]'s upper one, and partners are consecutive
+#     within a shell (partner[j + k][1] = partner[j][1] + k), so the shift
+#     ends at partner[j + k]'s upper symbol, as R-ENDPOINT asks of it;
+#   - is based at j + k, strictly inside shell t and so at no j_{t'-1},
+#     where R-VISHIK constrains nothing.
+# A new per-block row must be invariant under these shifts in the same way,
+# or the search must judge each shift by it again.
+#
 # The rows the search need not run.  R-DUAL pairs each lower symbol a of
 # shell t with its partner, (d_X + 1 - j_{t-1} - j_t + a)^up, the upper
 # symbol of partner[a]: shell t's partners fill (d_X - j_t, d_X - j_{t-1}],
@@ -938,7 +941,8 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> list:
     Only the unions of atoms that can open a block are formed (see the
     comments above), and each is judged once, up to its first witness, by
     the per-block rows and R-UPPER clauses that are not implied; an opener
-    with none of them to run judges none.  An option, a base block with
+    with none of them to run judges none, and a base block's shifts are
+    judged by it (the comments above).  An option, a base block with
     its shifts, is listed under its opening atom, with its blocks as code
     tuples, in the order of its base block.  Raises BoundExceeded, before
     it forms any union, when the atoms are more than 10.
@@ -1013,8 +1017,6 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> list:
                 held = sum([1 << i for i in ids])
                 # exactly a union of atoms, disjoint from the orbit so far
                 if sum([len(atom_list[i]) for i in ids]) != len(shifted) or held & mask:
-                    break
-                if checks and not _passes(c, checks, shifted):
                     break
                 orbit += (shifted,)
                 mask |= held

@@ -462,6 +462,24 @@ def test_index_bounds_enforced():
         Cycle.of_basis((P632, P632), (h(0),))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: Cycle.of_basis((P632,), (h(1),)) + Cycle.of_basis((P632, P632), (h(1), h(0))),
+            ContextMismatch,
+            "cannot add cycles over different contexts",
+        ),
+        (lambda: steenrod(-1, Cycle.of_basis((P632,), (h(1),))), ValueError, "j must be >= 0"),
+    ],
+    ids=["add-across-contexts", "negative-j"],
+)
+def test_bad_operands_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("entry", [("h", 0), 0, "h0"])
 def test_non_symbol_entry_rejected(entry):
     # a plain (kind, index) tuple equals its symbol, but is not one

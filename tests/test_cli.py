@@ -257,6 +257,14 @@ def test_mdt_solve_rules_opt_in(capsys):
     assert json.loads(out)["count"] == 1
 
 
+@pytest.mark.parametrize("rules", ["proven, R-EXC,,", " R-EXC , proven"])
+def test_mdt_rules_skip_empty_and_proven_tokens(capsys, rules):
+    # "proven" names the default set, and an empty token names nothing
+    expected = run(capsys, "mdt-solve", PROFILE_DIM10, "--rules", "R-EXC")
+    assert expected[0] == 0 and json.loads(expected[1])["partitions"]
+    assert run(capsys, "mdt-solve", PROFILE_DIM10, "--rules", rules) == expected
+
+
 def test_mdt_solve_invalid_profile(capsys):
     bad = '{"dim": 12, "r": 3, "s": 6, "pattern": [0, 3]}'
     code, _, err = run(capsys, "mdt-solve", bad)

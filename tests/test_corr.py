@@ -179,6 +179,71 @@ def test_compose_middle_mismatch():
         compose(corr2(p, (h(0), l(0))), corr2(q, (h(0), l(0))))
 
 
+P832, P51 = prof(8, 3, 2), prof(5, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: Correspondence(Cycle.of_basis((P832, P832), (h(0), l(0))), 3),
+            ContextMismatch,
+            "split 3 outside [0, 2]",
+        ),
+        (
+            lambda: corr2(P832, (h(0), l(0))) + Correspondence(corr2(P832, (h(0), l(0))).cycle, 2),
+            ContextMismatch,
+            "cannot add correspondences with different splits",
+        ),
+        (
+            lambda: derivative(-1, 0, diagonal_class(P832)),
+            ValueError,
+            "derivative orders must be >= 0",
+        ),
+        (
+            lambda: derivative(0, 0, Correspondence(Cycle.of_basis((P832, P51), (h(0), h(0))), 1)),
+            ContextMismatch,
+            "derivative expects a correspondence over X^2",
+        ),
+        (
+            lambda: cap(corr2(P832, (h(0), l(0))), corr2(P51, (h(0), l(0)))),
+            ContextMismatch,
+            "cap requires a common context",
+        ),
+        (
+            lambda: contains(corr2(P832, (h(0), l(0))), corr2(P51, (h(0), l(0)))),
+            ContextMismatch,
+            "containment requires a common context",
+        ),
+        (
+            lambda: diagonal_mult(Cycle.of_basis((P832, P51), (h(0), h(0)))),
+            ContextMismatch,
+            "diagonal_mult needs two equal factor blocks",
+        ),
+    ],
+    ids=[
+        "split-outside", "add-across-splits", "negative-order", "derivative-not-X2",
+        "cap-across-contexts", "contains-across-contexts", "diagonal-mult-unequal-halves",
+    ],
+)
+def test_bad_operands_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Cycle.of_basis((P832, P832), (h(1), l(0)), (l(1), h(0))), "h1*l0 + l1*h0"),
+        (corr2(P832, (h(1), l(0)), (l(1), h(0))), "h1*l0 + l1*h0 | split=1"),
+    ],
+    ids=["cycle", "correspondence"],
+)
+def test_str_is_the_cycle_text(value, text):
+    assert str(value) == text
+
+
 @pytest.mark.parametrize("r,s", [(1, 0), (1, 2), (2, 1), (3, 0), (3, 2)])
 def test_diagonal_is_two_sided_identity(r, s):
     p = prof(2 * r + s, r, s)

@@ -22,7 +22,6 @@ from quadmdt.errors import (
 )
 from quadmdt.mdt import (
     _GAP,
-    _vishik_positions,
     PROVEN_RULE_IDS,
     RULE_IDS,
     LambdaSymbol,
@@ -1051,8 +1050,11 @@ WITHOUT_KARPENKO = RuleSet(PROVEN_RULE_IDS - {"R-KARPENKO"})
     "rules,max_r",
     [(rules, 7) for rules in ORACLE_RULE_SETS]
     # without R-DUAL few symbols merge: r > 4 nears the 10-atom bound
-    + [(WITHOUT_SHIFT, 7), (WITHOUT_DUAL, 4), (WITHOUT_KARPENKO, 7)],
-    ids=ORACLE_RULE_IDS + ["no-R-SHIFT", "no-R-DUAL", "no-R-KARPENKO"],
+    + [(WITHOUT_SHIFT, 7), (WITHOUT_DUAL, 4), (WITHOUT_KARPENKO, 7)]
+    # R-PARITY, R-ENDPOINT and R-VISHIK all run on the unions, and the search
+    # judges a base block's shifts by the base block alone
+    + [(WITHOUT_DUAL.enable("R-VISHIK"), 4)],
+    ids=ORACLE_RULE_IDS + ["no-R-SHIFT", "no-R-DUAL", "no-R-KARPENKO", "no-R-DUAL-R-VISHIK"],
 )
 def test_enumerator_matches_leaf_pass(rules, max_r):
     # R-SHIFT decided as blocks are placed against the whole row run on
@@ -1584,7 +1586,7 @@ def test_vishik_positions_match_remainder_formula():
                         if 0 <= pos < r:
                             positions.append((pos, k))
                     expected[pattern[t - 1]] = (t, tuple(positions))
-                assert _vishik_positions(p) == expected
+                assert mdt._compile(p).vishik == expected
                 checked += 1
     assert checked > 1000
 
@@ -1735,6 +1737,33 @@ def test_mdt_isotropic_lift_singleton_count():
     for w in (1, 2, 3):
         lifted = mdt_isotropic_lift(w, inner, prof(8, 4, 0, [0, 4]))
         assert sum(1 for b in lifted.blocks if len(b) == 1) == 2 * w
+
+
+@pytest.mark.parametrize(
+    "call, error, args",
+    [
+        (lambda: mdt_height_one(P22).block_of(lo(2)), KeyError, (lo(2),)),
+        (
+            lambda: mdt_isotropic_lift(1, mdt_height_one(P22), prof(8, 4, 0, [0, 4])),
+            ArityMismatch,
+            ("inner partition does not match the inner profile",),
+        ),
+    ],
+    ids=["block-of-outsider", "lift-mismatched-inner"],
+)
+def test_bad_operands_raise(call, error, args):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.value.args == args
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(mdt_height_one(P22), "{0_lo, 3^up} | {1_lo, 4^up}"), (P22, "(6, (2,2), [0, 2])")],
+    ids=["partition", "profile"],
+)
+def test_str_forms(value, text):
+    assert str(value) == text
 
 
 # -- shell diagrams -------------------------------------------------------------------

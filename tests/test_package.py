@@ -72,6 +72,15 @@ def _loaded(code, *argv, flags=()):
     return json.loads(out)
 
 
+def test_layer_attribute_imports_the_layer():
+    # a fresh interpreter: the attribute, not an earlier import, loads the module
+    assert _loaded(
+        "import json, sys, quadmdt\n"
+        "before = 'quadmdt.mdt' in sys.modules\n"
+        "print(json.dumps([before, quadmdt.mdt is sys.modules['quadmdt.mdt']]))"
+    ) == [False, True]
+
+
 def test_bare_import_loads_no_layer():
     modules = _loaded(
         "import json, sys, quadmdt\n"

@@ -439,6 +439,28 @@ def test_strongly_excellent_rejects_non_int_data(n_list, s):
         strongly_excellent_profile(iter(n_list), s)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: v2(0), ValueError, "v2 requires a positive integer, got 0"),
+        (lambda: alternating_2adic(0), ValueError, "value must be >= 1"),
+        (lambda: mk_profile(12, 5, 2, [0, 2, 4, 5]).shell_of(5), ValueError, "index 5 outside [0, r)"),
+        (lambda: strongly_excellent_profile((3,), -1), ConstraintViolated, "s must be >= 0"),
+        (lambda: strongly_excellent_profile((3, 0), 0), ConstraintViolated, "exponents must be >= 1"),
+        (
+            lambda: QuadricProfile.from_json_dict({"dim": 6, "r": 2, "s": 2}),
+            PatternInvalid,
+            "malformed profile JSON: missing keys ['pattern']",
+        ),
+    ],
+    ids=["v2-zero", "expansion-zero", "shell-of-r", "negative-s", "zero-exponent", "no-pattern"],
+)
+def test_out_of_range_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_strongly_excellent_only_gap_conditions_refuse():
     # every strictly decreasing exponent list from 1..11 with h <= 5, and
     # s < 40: the two gap conditions are the only refusals, and an accepted
