@@ -55,14 +55,16 @@ by the shell's start j_{t-1}, R-KARPENKO's 2-adic witnesses and R-VISHIK's
 positions; so no row recomputes profile data per candidate, and each
 connection pair is built once per profile.  A rule set only selects from
 it (_scope, kept nowhere): the enabled rows, and per connection rule in
-scope its pairs and witnesses.  The listing's options, with their blocks
-named (_named_table), are the one entry per (profile, RuleSet) pair in
-the same memo, so a listing of the profile object again under the same
-rules builds no table, and only the walk and the survivors are made on
-every call.  They are named from a table of the same options
-over the codes (_code_table), which is kept nowhere: the count builds one
-on every call and names no symbol.  Lambda(X) itself, its symbols, their
-texts and codes, is one table per (r, d_X), shared by every profile.
+scope its pairs and witnesses.  The listing's search, walked once into its
+state graph (_state_graph: the options' blocks named, and the live states
+with their edges in bottom-up order), is the one entry per (profile,
+RuleSet) pair in the same memo, so a listing of the profile object again
+under the same rules builds no table and walks nothing: only a flat fold
+over the graph and the survivors are made on every call.  The graph is
+walked from a table of the same options over the codes (_code_table),
+which is kept nowhere: the count builds one on every call and names no
+symbol.  Lambda(X) itself, its symbols, their texts and codes, is one
+table per (r, d_X), shared by every profile.
 The checker calls each enabled row once per candidate, with the one view
 of it that the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN)
 reads which block each symbol is in and the rule set's connection table,
@@ -80,10 +82,11 @@ R-UPPER clauses that the other enabled rules do not imply, a base block's
 shifts by the base block (the comments beside _code_table say which and
 why).  R-SHIFT is read whole by the checker (_check_shift) and block by
 block by the search (_code_table), which places a base block together
-with its shifts; no pass runs over complete candidates.  The listing and
-the count (_count_mdt, behind mdt-solve --count) are one walk of the
-search (_walk), memoised on the set of atoms not yet placed.  It tries
-blocks in order, so the survivors come out canonically ordered: they are
+with its shifts; no pass runs over complete candidates.  The state graph
+and the count (_count_mdt, behind mdt-solve --count) are built by one
+walk of the search (_walk), memoised on the set of atoms not yet placed,
+the only traversal of a search table.  It tries blocks in order, so the
+fold over the graph makes the survivors in canonical order: they are
 built as MdtPartitions canonical by construction, with no re-validation,
 and the count builds none.
 """
@@ -1026,22 +1029,6 @@ def _code_table(profile: QuadricProfile, rules: RuleSet) -> list:
     return opened_by
 
 
-@_per_profile
-def _named_table(profile: QuadricProfile, rules: RuleSet) -> tuple:
-    """_code_table's options with each block named as LambdaSymbols: the
-    listing's table, the one search table kept in the profile's memo per
-    rule set, and all tuples, as every listing of the profile object under
-    the rules reads the one object.  A build that raises keeps nothing."""
-    symbol = _compile(profile).symbols.__getitem__
-    return tuple([
-        tuple([
-            (tuple([tuple(map(symbol, block)) for block in orbit]), mask)
-            for orbit, mask in options
-        ])
-        for options in _code_table(profile, rules)
-    ])
-
-
 def _search_rules(profile: QuadricProfile, rules, max_r: int) -> RuleSet:
     """The normalised RuleSet a search of the profile runs under, with None
     read as RuleSet.proven(), checked on every call before any table is read
@@ -1055,28 +1042,62 @@ def _search_rules(profile: QuadricProfile, rules, max_r: int) -> RuleSet:
 
 def _walk(opened_by, leaf, join):
     """The block search as one fold over its states, memoised: the value of
-    the first state, every atom free.
+    the first state, every atom free.  The one traversal of a search table:
+    the count's sum and the build of the listing's state graph
+    (_state_graph) differ only in the table's heads and in ``join``.
 
     A state is the mask of the atoms not yet placed.  The options open at a
     state depend on it alone (a base block is placed with its whole orbit),
-    so each state's value is computed once: ``join`` of the list of (blocks,
-    value of the state the option leaves) over the options of its lowest
-    free atom that fit, in block order.  The empty state's value is
-    ``leaf``.
+    so each state's value is computed once, after the value of every state
+    it leaves: ``join`` of the list of (head, value of the state the option
+    leaves) over the options of its lowest free atom that fit, in block
+    order, where an option is a (head, mask) pair of the table.  The empty
+    state's value is ``leaf``.
     """
     memo = {0: leaf}
 
     def value(free):
         pairs, outside = [], ~free  # an option fits when no bit of its mask is outside
-        for blocks, mask in opened_by[(free & -free).bit_length() - 1]:
+        for head, mask in opened_by[(free & -free).bit_length() - 1]:
             if not mask & outside:
                 rest = free ^ mask  # the state this option leaves, valued once
-                pairs.append((blocks, memo[rest] if rest in memo else value(rest)))
+                pairs.append((head, memo[rest] if rest in memo else value(rest)))
         return memo.setdefault(free, join(pairs))
 
     top = value((1 << len(opened_by)) - 1)
     memo.clear()  # value's closure is a reference cycle: free the memo now
     return top
+
+
+@_per_profile
+def _state_graph(profile: QuadricProfile, rules: RuleSet) -> tuple:
+    """The listing's search, walked once: (orbits, graph), the one search
+    table kept in the profile's memo per rule set, all tuples.
+
+    ``orbits`` holds each of _code_table's options, in table order, as its
+    blocks named as LambdaSymbols.  ``graph`` holds the live states of the
+    search in bottom-up order, each as its edges, the (orbit index, rest
+    state) int pairs of the options that fit it and leave a live state, in
+    block order.  State 0 is the empty state, every atom placed, which has
+    one completion and no node; graph[k - 1] is state k, and each edge
+    points to an earlier state.  A state is live when it has an edge, so
+    the walk (_walk) drops every dead state, one with no completion, with
+    the edges to it; the first state, every atom free, is the last node,
+    and the graph is empty exactly when it is dead.  A build that raises
+    keeps nothing."""
+    symbol, orbits, table, graph = _compile(profile).symbols.__getitem__, [], [], []
+    for options in _code_table(profile, rules):
+        table.append([(len(orbits) + index, mask) for index, (_, mask) in enumerate(options)])
+        orbits += [tuple([tuple(map(symbol, block)) for block in orbit]) for orbit, _ in options]
+
+    def join(pairs):  # a state's node and index, None for a dead state
+        if edges := tuple([pair for pair in pairs if pair[1] is not None]):
+            graph.append(edges)
+            return len(graph)
+        return None
+
+    _walk(table, 0, join)
+    return tuple(orbits), tuple(graph)
 
 
 def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
@@ -1088,32 +1109,37 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     unplaced atoms, and R-SHIFT is decided as blocks are placed (a base
     block comes with its shifts, and no other block based in a shell of
     width above 1 is opened).  So every complete candidate passes every
-    rule.  The options, with their blocks named, are the profile's memo
-    entry for the rules (_named_table), built on the first listing of the
-    profile object under them and read by every later one; max_r and the
-    rules are checked on every call (_search_rules).  The listing and the
-    count (_count_mdt) are one memoised walk (_walk), run afresh on every
-    call: here each state's value is the list of its completions, each an
-    option's blocks followed by a completion of the state it leaves.  The
-    options are tried in block order, so the survivors come out in
-    canonical order, the order of their sorted blocks, with no sort: they
-    are built canonical by construction, with no re-validation.
+    rule.  The search's state graph is the profile's memo entry for the
+    rules (_state_graph), built by one walk (_walk) on the first listing of
+    the profile object under them and read by every later one; max_r and
+    the rules are checked on every call (_search_rules).  Each call folds
+    the graph bottom-up in one flat loop, with no fit test and no
+    recursion: a state's completions are, edge by edge, the edge's orbit
+    followed by each completion of the state it leaves, and the survivors
+    are the first state's, the graph's last node; the graph is empty when
+    nothing survives.  The options are tried in block order, so the
+    survivors come out in canonical order, the order of their sorted
+    blocks, with no sort: they are built canonical by construction, with
+    no re-validation.
     """
-    completions = _walk(
-        _named_table(profile, _search_rules(profile, rules, max_r)),
-        ((),),
-        lambda pairs: [head + tail for head, tails in pairs for tail in tails],
-    )
+    orbits, graph = _state_graph(profile, _search_rules(profile, rules, max_r))
+    if not graph:  # the first state is dead
+        return ()
+    completions = [((),)]
+    append = completions.append
+    for edges in graph:
+        append([orbits[o] + tail for o, rest in edges for tail in completions[rest]])
     canonical, r, d_x = MdtPartition._canonical, profile.r, profile.d_x
-    return tuple([canonical(blocks, r, d_x) for blocks in completions])
+    return tuple([canonical(blocks, r, d_x) for blocks in completions[-1]])
 
 
 def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:
     """len(enumerate_mdt(profile, rules, max_r)), building no partition:
-    the listing's memoised walk (_walk) over a code table (_code_table),
-    which names no symbol, each state's value the number of its
-    completions.  The table is built on every call and kept nowhere, not
-    even when the profile object was listed under the same rules."""
+    the memoised walk (_walk) that builds the listing's state graph, over a
+    code table (_code_table), which names no symbol, each state's value the
+    number of its completions.  The table is built on every call and kept
+    nowhere, not even when the profile object was listed under the same
+    rules."""
     table = _code_table(profile, _search_rules(profile, rules, max_r))
     return _walk(table, 1, lambda pairs: sum([count for _, count in pairs]))
 

@@ -1046,16 +1046,22 @@ WITHOUT_DUAL = RuleSet(PROVEN_RULE_IDS - {"R-DUAL"})
 WITHOUT_KARPENKO = RuleSet(PROVEN_RULE_IDS - {"R-KARPENKO"})
 
 
-@pytest.mark.parametrize(
-    "rules,max_r",
+# (rules, max_r): the five oracle rule sets and the premise-off ones, each
+# searched on the sweep profiles with r <= max_r
+SEARCH_CASES = (
     [(rules, 7) for rules in ORACLE_RULE_SETS]
     # without R-DUAL few symbols merge: r > 4 nears the 10-atom bound
     + [(WITHOUT_SHIFT, 7), (WITHOUT_DUAL, 4), (WITHOUT_KARPENKO, 7)]
     # R-PARITY, R-ENDPOINT and R-VISHIK all run on the unions, and the search
     # judges a base block's shifts by the base block alone
-    + [(WITHOUT_DUAL.enable("R-VISHIK"), 4)],
-    ids=ORACLE_RULE_IDS + ["no-R-SHIFT", "no-R-DUAL", "no-R-KARPENKO", "no-R-DUAL-R-VISHIK"],
+    + [(WITHOUT_DUAL.enable("R-VISHIK"), 4)]
 )
+SEARCH_CASE_IDS = ORACLE_RULE_IDS + [
+    "no-R-SHIFT", "no-R-DUAL", "no-R-KARPENKO", "no-R-DUAL-R-VISHIK"
+]
+
+
+@pytest.mark.parametrize("rules,max_r", SEARCH_CASES, ids=SEARCH_CASE_IDS)
 def test_enumerator_matches_leaf_pass(rules, max_r):
     # R-SHIFT decided as blocks are placed against the whole row run on
     # every complete candidate, on every sweep profile with r <= max_r; the
@@ -1066,6 +1072,59 @@ def test_enumerator_matches_leaf_pass(rules, max_r):
         if profile.r <= max_r:
             expected = _leaf_pass_enumerate(profile, rules)
             assert enumerate_mdt(profile, rules) == expected, str(profile)
+
+
+def _walk_listing(profile, rules):
+    """The listing as every call made it before the state graph: the walk
+    (_walk) over the per-atom options, their blocks named, with the
+    concatenation join, each completion made a partition by _canonical."""
+    symbols = lambda_set(profile)
+    named = [
+        [
+            (tuple(tuple(symbols[k] for k in block) for block in orbit), mask)
+            for orbit, mask in options
+        ]
+        for options in mdt._code_table(profile, rules)
+    ]
+    completions = mdt._walk(
+        named, ((),), lambda pairs: [head + tail for head, tails in pairs for tail in tails]
+    )
+    return tuple(MdtPartition._canonical(blocks, profile.r, profile.d_x) for blocks in completions)
+
+
+@pytest.mark.parametrize("rules,max_r", SEARCH_CASES, ids=SEARCH_CASE_IDS)
+def test_listing_folds_what_the_walk_lists(rules, max_r):
+    # the fold over the memo's state graph against the per-call walk it
+    # replaces: on a fresh profile object (the first listing builds the
+    # graph, the second reads it) and on the sweep's shared one, which other
+    # tests may have listed before
+    for profile in SWEEP_R7:
+        if profile.r <= max_r:
+            expected = _walk_listing(profile, rules)
+            fresh = QuadricProfile(profile.dim, profile.r, profile.s, profile.pattern)
+            assert enumerate_mdt(fresh, rules) == expected, str(profile)
+            assert enumerate_mdt(fresh, rules) == expected, str(profile)
+            assert enumerate_mdt(profile, rules) == expected, str(profile)
+
+
+@pytest.mark.parametrize("rules,max_r", SEARCH_CASES, ids=SEARCH_CASE_IDS)
+def test_state_graph_is_bottom_up_and_sums_to_the_count(rules, max_r):
+    # every edge is a pair of exact ints and points to an earlier state;
+    # every node has an edge, so each state in the graph has a completion
+    # (no dead state is kept); and the completions summed over the graph
+    # are the count, zero exactly when the graph is empty
+    for profile in [p for p in SWEEP_R7 if p.r <= max_r] + (R8_FIXED if max_r == 7 else []):
+        orbits, graph = mdt._state_graph(profile, rules)
+        completions = [1]  # state 0, every atom placed
+        for state, edges in enumerate(graph, 1):
+            assert type(edges) is tuple and edges, str(profile)
+            for edge in edges:
+                assert type(edge) is tuple and len(edge) == 2, str(profile)
+                o, rest = edge
+                assert type(o) is int and type(rest) is int, str(profile)
+                assert 0 <= o < len(orbits) and 0 <= rest < state, str(profile)
+            completions.append(sum(completions[rest] for _, rest in edges))
+        assert (completions[-1] if graph else 0) == mdt._count_mdt(profile, rules), str(profile)
 
 
 @pytest.mark.parametrize(
@@ -1335,8 +1394,8 @@ def test_enumerate_results_pass_checker():
                 assert check_partition(p, part) == ()
 
 
-# the memo entries of the search's options, keyed on the profile and rule set
-SEARCH_TABLES = ("_named_table",)
+# the memo entries of the search, keyed on the profile and rule set
+SEARCH_TABLES = ("_state_graph",)
 
 
 def test_enumerate_bound_exceeded():
@@ -1371,9 +1430,9 @@ def test_count_bound_exceeded():
 
 
 def test_search_table_read_from_the_memo(monkeypatch):
-    # once listed, a profile object's search table is read from its memo:
-    # listing it again judges no union, and a fresh equal profile, whose
-    # memo is empty, builds its own
+    # once listed, a profile object's state graph is read from its memo:
+    # listing it again judges no union and walks no state, and a fresh equal
+    # profile, whose memo is empty, builds its own
     p = prof(10, 4, 2, [0, 1, 2, 4])
     listed = enumerate_mdt(p, RuleSet.proven())
     assert mdt._count_mdt(p, RuleSet.proven()) == len(listed) == 2
@@ -1381,7 +1440,11 @@ def test_search_table_read_from_the_memo(monkeypatch):
     def refuse(*args):
         raise AssertionError("a union judged again")
 
+    def refuse_walk(*args):
+        raise AssertionError("the search walked again")
+
     monkeypatch.setattr(mdt, "_passes", refuse)
+    monkeypatch.setattr(mdt, "_walk", refuse_walk)
     assert enumerate_mdt(p) == listed  # None reads the proven rules' entry
     with pytest.raises(AssertionError, match="judged again"):
         enumerate_mdt(QuadricProfile(p.dim, p.r, p.s, p.pattern))
@@ -1395,12 +1458,12 @@ def test_count_keeps_no_search_table():
 
     def tables():  # the memo's search tables, by builder and rule set
         kept = [(key[0].__name__, key[1]) for key in p._memo if len(key) == 2]
-        return sorted([key for key in kept if key[0] in ("_code_table", "_named_table")], key=repr)
+        return sorted([key for key in kept if key[0] in ("_code_table", "_state_graph")], key=repr)
 
     counts = [mdt._count_mdt(p, rules) for rules in rule_sets]
     assert tables() == []
     listings = [enumerate_mdt(p, rules) for rules in rule_sets]
-    listed = sorted([("_named_table", rules) for rules in rule_sets], key=repr)
+    listed = sorted([("_state_graph", rules) for rules in rule_sets], key=repr)
     assert tables() == listed
     again = [mdt._count_mdt(p, rules) for rules in rule_sets]
     assert again == counts == [len(listing) for listing in listings] and counts[0] == 4140
@@ -1419,7 +1482,8 @@ def test_max_r_must_be_an_int(search, max_r):
 def test_one_compiled_form_per_profile():
     # checks and listings under five rule sets share the profile's one
     # compiled form, which holds every connection rule's pairs; a rule set
-    # only selects from it, and its one memoised entry is the listing's table
+    # only selects from it, and its one memoised entry is the listing's state
+    # graph
     profile = QuadricProfile(13, 4, 5, (0, 1, 2, 3, 4))
     part = MdtPartition.of(profile, [[x] for x in lambda_set(profile)])
     for rules in NOT_RULE_SETS:  # refused before the memo is touched
@@ -1433,14 +1497,14 @@ def test_one_compiled_form_per_profile():
         check_partition(profile, part, rules)
         enumerate_mdt(profile, rules)
         compiled.append(mdt._compile(profile))
-        tables.append(mdt._named_table(profile, rules))
+        tables.append(mdt._state_graph(profile, rules))
     memo = profile._memo
     assert [value for value in memo.values() if type(value) is mdt._Compiled] == [
         mdt._compile(profile)
     ]
-    # per rule set: the listing's named table, and no code table
+    # per rule set: the listing's state graph, and no code table
     assert not [key for key in memo if key[0].__name__ == "_code_table"]
-    assert sorted([key[0].__name__ for key in memo]) == ["_compile"] + ["_named_table"] * 5
+    assert sorted([key[0].__name__ for key in memo]) == ["_compile"] + ["_state_graph"] * 5
     for build in SEARCH_TABLES:
         keyed = {key[1]: value for key, value in memo.items() if key[0].__name__ == build}
         assert sorted(keyed, key=repr) == sorted(ORACLE_RULE_SETS, key=repr), build
@@ -1448,7 +1512,7 @@ def test_one_compiled_form_per_profile():
             assert getattr(mdt, build)(profile, rules) is keyed[rules], build
     for rules, form, table in zip(ORACLE_RULE_SETS, compiled, tables):
         assert form is compiled[0] is mdt._compile(profile)
-        assert mdt._named_table(profile, rules) is table
+        assert mdt._state_graph(profile, rules) is table
     # asserted R-VPN fails its numerology here (r + s = 9 > 8): its entry
     # reports that on every partition, and the search opens no block
     witnesses, _ = mdt._scope(profile, RuleSet.proven().enable("R-VPN"))[1]["R-VPN"]

@@ -266,10 +266,10 @@ def test_profile_memo_is_not_a_field():
     parts = listed + (mdt.MdtPartition.of(used, [[x] for x in mdt.lambda_set(used)]),)
     for rules in (mdt.RuleSet.proven(), wide):
         assert mdt._compile(used) is mdt._compile(used)
-        assert mdt._named_table(used, rules) is mdt._named_table(used, rules)
+        assert mdt._state_graph(used, rules) is mdt._state_graph(used, rules)
         # an equal profile built apart compiles its own form, to the same reports
         assert mdt._compile(unused) is not mdt._compile(used)
-        assert mdt._named_table(unused, rules) is not mdt._named_table(used, rules)
+        assert mdt._state_graph(unused, rules) is not mdt._state_graph(used, rules)
         assert [mdt.check_partition(unused, part, rules) for part in parts] == [
             mdt.check_partition(used, part, rules) for part in parts
         ]
