@@ -56,15 +56,15 @@ positions; so no row recomputes profile data per candidate, and each
 connection pair is built once per profile.  A rule set only selects from
 it (_scope, kept nowhere): the enabled rows, and per connection rule in
 scope its pairs and witnesses.  The listing's search, walked once into its
-state graph (_state_graph: the options' blocks named, and the live states
-with their edges in bottom-up order), is the one entry per (profile,
-RuleSet) pair in the same memo, so a listing of the profile object again
-under the same rules builds no table and walks nothing: only a flat fold
-over the graph and the survivors are made on every call.  The graph is
-walked from a table of the same options over the codes (_code_table),
-which is kept nowhere: the count builds one on every call and names no
-symbol.  Lambda(X) itself, its symbols, their texts and codes, is one
-table per (r, d_X), shared by every profile.
+state graph (_state_graph: the live states with their edges in bottom-up
+order, and the blocks, named, of each option on an edge), is the one
+entry per (profile, RuleSet) pair in the same memo, so a listing of the
+profile object again under the same rules builds no table and walks
+nothing: only a flat fold over the graph and the survivors are made on
+every call.  The graph is walked from a table of the same options over
+the codes (_code_table), which is kept nowhere: the count builds one on
+every call and names no symbol.  Lambda(X) itself, its symbols, their
+texts and codes, is one table per (r, d_X), shared by every profile.
 The checker calls each enabled row once per candidate, with the one view
 of it that the row's scope reads: a connection row (R-DUAL, R-EXC, R-VPN)
 reads which block each symbol is in and the rule set's connection table,
@@ -1074,29 +1074,37 @@ def _state_graph(profile: QuadricProfile, rules: RuleSet) -> tuple:
     """The listing's search, walked once: (orbits, graph), the one search
     table kept in the profile's memo per rule set, all tuples.
 
-    ``orbits`` holds each of _code_table's options, in table order, as its
-    blocks named as LambdaSymbols.  ``graph`` holds the live states of the
-    search in bottom-up order, each as its edges, the (orbit index, rest
-    state) int pairs of the options that fit it and leave a live state, in
+    ``graph`` holds the live states of the search in bottom-up order, each
+    as its edges, one per option that fits it and leaves a live state, in
     block order.  State 0 is the empty state, every atom placed, which has
     one completion and no node; graph[k - 1] is state k, and each edge
     points to an earlier state.  A state is live when it has an edge, so
     the walk (_walk) drops every dead state, one with no completion, with
     the edges to it; the first state, every atom free, is the last node,
-    and the graph is empty exactly when it is dead.  A build that raises
-    keeps nothing."""
-    symbol, orbits, table, graph = _compile(profile).symbols.__getitem__, [], [], []
-    for options in _code_table(profile, rules):
-        table.append([(len(orbits) + index, mask) for index, (_, mask) in enumerate(options)])
-        orbits += [tuple([tuple(map(symbol, block)) for block in orbit]) for orbit, _ in options]
+    and the graph is empty exactly when it is dead.  An edge is one int,
+    rest << shift | o, where rest is the state the option leaves, o the
+    option's index in _code_table's order and shift is
+    len(orbits).bit_length(): a pair per edge would be one more object
+    per edge kept as long as the profile.  ``orbits[o]`` is option o's
+    blocks named as LambdaSymbols when an edge reads it, else None: only
+    those are named.  A build that raises keeps nothing."""
+    options, table, graph = [], [], []  # every option, and per atom its (index, mask) pairs
+    for opened in _code_table(profile, rules):
+        table.append([(index, mask) for index, (_, mask) in enumerate(opened, len(options))])
+        options += opened
+    shift = len(options).bit_length()
 
     def join(pairs):  # a state's node and index, None for a dead state
-        if edges := tuple([pair for pair in pairs if pair[1] is not None]):
+        if edges := tuple([rest << shift | o for o, rest in pairs if rest is not None]):
             graph.append(edges)
             return len(graph)
         return None
 
     _walk(table, 0, join)
+    table.clear()  # the walk's closure, a reference cycle, holds the table: free it now
+    symbols, orbits, low = _compile(profile).symbols, [None] * len(options), (1 << shift) - 1
+    for o in {edge & low for edges in graph for edge in edges}:
+        orbits[o] = tuple([tuple([symbols[k] for k in block]) for block in options[o][0]])
     return tuple(orbits), tuple(graph)
 
 
@@ -1125,12 +1133,19 @@ def enumerate_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> tuple:
     orbits, graph = _state_graph(profile, _search_rules(profile, rules, max_r))
     if not graph:  # the first state is dead
         return ()
-    completions = [((),)]
+    shift = len(orbits).bit_length()  # an edge is rest << shift | orbit index
+    low, completions = (1 << shift) - 1, [((),)]
     append = completions.append
     for edges in graph:
-        append([orbits[o] + tail for o, rest in edges for tail in completions[rest]])
+        append([
+            head + tail
+            for edge in edges for head in [orbits[edge & low]]
+            for tail in completions[edge >> shift]
+        ])
+    survivors = completions.pop()
+    completions.clear()  # the other states' completions, freed before the partitions are made
     canonical, r, d_x = MdtPartition._canonical, profile.r, profile.d_x
-    return tuple([canonical(blocks, r, d_x) for blocks in completions[-1]])
+    return tuple([canonical(blocks, r, d_x) for blocks in survivors])
 
 
 def _count_mdt(profile: QuadricProfile, rules=None, max_r: int = 8) -> int:

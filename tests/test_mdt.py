@@ -1066,11 +1066,19 @@ def test_enumerator_matches_leaf_pass(rules, max_r):
     # R-SHIFT decided as blocks are placed against the whole row run on
     # every complete candidate, on every sweep profile with r <= max_r; the
     # leaf pass runs every per-block row on every block.  Equality of the
-    # tuples also pins the order, which the search reaches unsorted
+    # tuples also pins the order, which the search reaches unsorted.  The
+    # per-call walk (_walk_listing) that the fold over the memo's state graph
+    # replaced lists the same; and so does a fresh profile object, whose first
+    # listing builds the graph and whose second reads it
     assert len(SWEEP_R7) == 349
     for profile in SWEEP_R7:
         if profile.r <= max_r:
             expected = _leaf_pass_enumerate(profile, rules)
+            assert enumerate_mdt(profile, rules) == expected, str(profile)
+            assert _walk_listing(profile, rules) == expected, str(profile)
+            fresh = QuadricProfile(profile.dim, profile.r, profile.s, profile.pattern)
+            assert enumerate_mdt(fresh, rules) == expected, str(profile)
+            assert enumerate_mdt(fresh, rules) == expected, str(profile)
             assert enumerate_mdt(profile, rules) == expected, str(profile)
 
 
@@ -1093,37 +1101,27 @@ def _walk_listing(profile, rules):
 
 
 @pytest.mark.parametrize("rules,max_r", SEARCH_CASES, ids=SEARCH_CASE_IDS)
-def test_listing_folds_what_the_walk_lists(rules, max_r):
-    # the fold over the memo's state graph against the per-call walk it
-    # replaces: on a fresh profile object (the first listing builds the
-    # graph, the second reads it) and on the sweep's shared one, which other
-    # tests may have listed before
-    for profile in SWEEP_R7:
-        if profile.r <= max_r:
-            expected = _walk_listing(profile, rules)
-            fresh = QuadricProfile(profile.dim, profile.r, profile.s, profile.pattern)
-            assert enumerate_mdt(fresh, rules) == expected, str(profile)
-            assert enumerate_mdt(fresh, rules) == expected, str(profile)
-            assert enumerate_mdt(profile, rules) == expected, str(profile)
-
-
-@pytest.mark.parametrize("rules,max_r", SEARCH_CASES, ids=SEARCH_CASE_IDS)
 def test_state_graph_is_bottom_up_and_sums_to_the_count(rules, max_r):
-    # every edge is a pair of exact ints and points to an earlier state;
-    # every node has an edge, so each state in the graph has a completion
-    # (no dead state is kept); and the completions summed over the graph
-    # are the count, zero exactly when the graph is empty
+    # every edge is an exact int, rest << shift | o, that points to an
+    # earlier state and reads a named option; every node has an edge, so
+    # each state in the graph has a completion (no dead state is kept); the
+    # options no edge reads are not named; and the completions summed over
+    # the graph are the count, zero exactly when the graph is empty
     for profile in [p for p in SWEEP_R7 if p.r <= max_r] + (R8_FIXED if max_r == 7 else []):
         orbits, graph = mdt._state_graph(profile, rules)
-        completions = [1]  # state 0, every atom placed
+        assert len(orbits) == sum(map(len, mdt._code_table(profile, rules))), str(profile)
+        shift = len(orbits).bit_length()
+        completions, read = [1], set()  # state 0, every atom placed
         for state, edges in enumerate(graph, 1):
             assert type(edges) is tuple and edges, str(profile)
             for edge in edges:
-                assert type(edge) is tuple and len(edge) == 2, str(profile)
-                o, rest = edge
-                assert type(o) is int and type(rest) is int, str(profile)
+                assert type(edge) is int, str(profile)
+                o, rest = edge & ((1 << shift) - 1), edge >> shift
                 assert 0 <= o < len(orbits) and 0 <= rest < state, str(profile)
-            completions.append(sum(completions[rest] for _, rest in edges))
+                assert type(orbits[o]) is tuple and orbits[o], str(profile)
+                read.add(o)
+            completions.append(sum(completions[edge >> shift] for edge in edges))
+        assert {o for o, orbit in enumerate(orbits) if orbit is not None} == read, str(profile)
         assert (completions[-1] if graph else 0) == mdt._count_mdt(profile, rules), str(profile)
 
 
