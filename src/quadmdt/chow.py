@@ -22,14 +22,18 @@ compositions with every part at most r - 1 contribute.
 
 mul and steenrod visit only the terms that can be nonzero.  Each indexes
 a support as a prefix tree, one level per factor.  mul multiplies the
-trees of its two inputs node by node from the roots, pairing each symbol
-only with its factor partners (the symbols with a nonzero product) and
-adding up the products of the subtrees below each pair as F2 sums of
-sets; steenrod walks the tree of its input factor by factor through the
-nonzero squares S^{j_t} of each symbol only, carrying the part of j still
-to be spent.  The products and squares come from per-profile tables
-whose rows are built from mul_factor and steenrod_factor, so each law
-above is stated once.
+trees of its two inputs node by node from the roots.  Above the last
+factor it pairs each symbol only with its factor partners (the symbols
+with a nonzero product), read from per-profile rows built from
+mul_factor, and adds up the products of the subtrees below each pair as
+F2 sums of sets.  At the last factor a node is a bit mask over the
+factor's symbols, and two nodes multiply as F2 polynomials truncated by
+the table above: shifts of ints, summed by XOR.  mul_factor stays the
+statement of the law, and the tests check the mask product against it
+on every symbol pair.  steenrod walks the tree of its input factor by
+factor through the nonzero squares S^{j_t} of each symbol only, carrying
+the part of j still to be spent, read from per-profile rows built from
+steenrod_factor.
 """
 
 from __future__ import annotations
@@ -251,17 +255,18 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
 
     The bilinear law sums the factorwise product over every pair of terms.
     A pair contributes exactly when every factor product is nonzero, so
-    both supports are indexed as prefix trees (one level per factor) and
-    multiplied node by node from the roots.  At a pair of nodes, each child
-    symbol s of a's node meets only its factor partners among the children
-    of b's node -- the symbols t with a nonzero product p = s t -- going
-    through the children or the partners, whichever are fewer.  The
-    subtrees below s and t multiply to a set of tails, and the F2 sum of the
-    tail sets of all pairs with one product p, a symmetric difference of
-    sets, gives the terms (p,) + tail.  At the last factor, a symbol times a
-    node is the F2 sum of the symbol's products with the node's symbols,
-    memoised per (symbol, node) within the call: one last-level node of b
-    meets the same symbol under many prefixes of a.  Every sum is an F2
+    both supports are indexed as prefix trees, one level per factor, each
+    node of the last factor a bit mask over its symbols (_mask_tree), and
+    multiplied node by node from the roots.  At a pair of nodes above the
+    last factor, each child symbol s of a's node meets only its factor
+    partners among the children of b's node -- the symbols t with a
+    nonzero product p = s t -- going through the children or the partners,
+    whichever are fewer.  The subtrees below s and t multiply to a set of
+    tails, and the F2 sum of the tail sets of all pairs with one product p,
+    a symmetric difference of sets, gives the terms (p,) + tail.  Two masks
+    of the last factor multiply in a few shifts and XORs per set bit
+    (_mask_product), the F2 sum of their symbols' products, and only the
+    masks of the result are decoded back to symbols.  Every sum is an F2
     sum, never a union: over dim == 2 (mod 4) and s = 0, l_m h^m and
     l_m l_m are both l_0 and cancel.
     """
@@ -270,23 +275,13 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
     if not a.context:
         # over the empty product the only basis tuple is the unit ()
         return Cycle._trusted((), a.support & b.support)
-    *rows, last = [_rows(prof, _partner_row) for prof in a.context]
-    memo = {}
-
-    def last_level(node_a, node_b):
-        # a node is a dict, so its id names it: both trees outlive the memo
-        out, node = set(), id(node_b)
-        for s in node_a:
-            key = (s, node)
-            if (sub := memo.get(key)) is None:
-                sub = memo[key] = _products(last[s], node_b)
-            out ^= sub
-        return out
+    if not (a.support and b.support):
+        return Cycle._trusted(a.context, frozenset())
+    *heads, last = a.context
+    rows, r, product = [_rows(prof, _partner_row) for prof in heads], last.r, _mask_product(last)
 
     def level(node_a, node_b, depth):
-        if depth == len(rows):
-            return last_level(node_a, node_b)
-        row = rows[depth]
+        row, inner = rows[depth], depth + 1 < len(rows)
         acc = {}
         for s, child_a in node_a.items():
             partners = row[s]
@@ -303,28 +298,77 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
                     if (child_b := node_b.get(t)) is not None
                 ]
             for prod, child_b in pairs:
-                # each level returns a fresh set, so acc may own and update it
-                sub = level(child_a, child_b, depth + 1)
+                # a fresh set or a mask, so acc may own and update it
+                sub = level(child_a, child_b, depth + 1) if inner else product(child_a, child_b)
                 if prod in acc:
                     acc[prod] ^= sub
                 else:
                     acc[prod] = sub
-        return {(prod,) + tail for prod, sub in acc.items() for tail in sub}
+        if inner:
+            return {(prod,) + tail for prod, sub in acc.items() for tail in sub}
+        return {(prod, sym) for prod, mask in acc.items() for sym in _symbols(mask, r)}
 
-    support = level(_prefix_tree(a.support), _prefix_tree(b.support), 0)
+    tree_a, tree_b = _mask_tree(a.support, r), _mask_tree(b.support, r)
+    if rows:
+        support = level(tree_a, tree_b, 0)
+    else:
+        support = [(sym,) for sym in _symbols(product(tree_a, tree_b), r)]
     return Cycle._trusted(a.context, frozenset(support))
 
 
-def _products(partners: dict, node: dict) -> frozenset:
-    """The F2 sum of the 1-tuples (s b,) over the symbols b of a node, given
-    the partner row {b: s b} of s."""
-    if len(node) < len(partners):
-        terms = [(prod,) for b in node if (prod := partners.get(b)) is not None]
-    else:
-        terms = [(prod,) for b, prod in partners.items() if b in node]
-    support = frozenset(terms)
-    # only l_0 can occur twice (l_m h^m = l_m l_m), and then it cancels
-    return support if len(support) == len(terms) else _odd_terms(terms)
+def _mask_tree(support, r: int):
+    """The prefix tree of a nonempty support (_prefix_tree), but with each
+    node of the last factor, of rank r, a bit mask over its symbols in
+    place of a dict: h^i is bit i and l_i bit r + i.  For one factor, the
+    tree is that mask."""
+    root = {}
+    for elt in support:
+        node, key = root, None
+        for sym in elt[:-1]:
+            node, key = node.setdefault(key, {}), sym
+        kind, index = elt[-1]
+        bit = 1 << (index + r if kind == L else index)
+        node[key] = node[key] | bit if key in node else bit
+    return root[None]
+
+
+def _symbols(mask: int, r: int):
+    """The symbols of a mask over a factor of rank r (_mask_tree), one per
+    set bit, highest bit first."""
+    while mask:
+        k = mask.bit_length() - 1
+        yield h(k) if k < r else l(k - r)
+        mask ^= 1 << k
+
+
+def _mask_product(profile: QuadricProfile):
+    """The product of two masks over the profile (_mask_tree): mul_factor
+    on every pair of their symbols, summed over F2, which XOR is.
+
+    Each h^i of either mask shifts the other's l part down by i (h^i l_j =
+    l_{j-i}, and nothing below l_0 is kept), and each h^i of the first
+    shifts the second's h part up by i (h^i h^j = h^{i+j}), cut at r once
+    at the end.  The one nonzero l l is a bit test: l_e l_e = l_0."""
+    r = profile.r
+    low = (1 << r) - 1
+    # a shift by r or more leaves no l bit, so e = r when no l_e l_e is l_0
+    e = (profile.dim - 2) // 2 if profile.dim % 4 == 2 else r
+
+    def product(a: int, b: int) -> int:
+        a_h, a_l, b_h, b_l = a & low, a >> r, b & low, b >> r
+        c_h, c_l = 0, a_l >> e & b_l >> e & 1
+        while a_h:
+            i = a_h.bit_length() - 1
+            c_h ^= b_h << i
+            c_l ^= b_l >> i
+            a_h ^= 1 << i
+        while b_h:
+            i = b_h.bit_length() - 1
+            c_l ^= a_l >> i
+            b_h ^= 1 << i
+        return c_h & low | c_l << r
+
+    return product
 
 
 def _prefix_tree(support) -> dict:

@@ -1065,7 +1065,7 @@ def _walk(opened_by, leaf, join):
         return memo.setdefault(free, join(pairs))
 
     top = value((1 << len(opened_by)) - 1)
-    memo.clear()  # value's closure is a reference cycle: free the memo now
+    del value  # it refers to itself through its cell: break the cycle
     return top
 
 
@@ -1101,7 +1101,6 @@ def _state_graph(profile: QuadricProfile, rules: RuleSet) -> tuple:
         return None
 
     _walk(table, 0, join)
-    table.clear()  # the walk's closure, a reference cycle, holds the table: free it now
     symbols, orbits, low = _compile(profile).symbols, [None] * len(options), (1 << shift) - 1
     for o in {edge & low for edges in graph for edge in edges}:
         orbits[o] = tuple([tuple([symbols[k] for k in block]) for block in options[o][0]])

@@ -176,11 +176,18 @@ def _mul_pairwise(a, b):
     return Cycle(a.context, frozenset(support))
 
 
+def full(context):
+    """The sum of every basis tuple of the context."""
+    return Cycle.of_basis(context, *basis_tuples(context))
+
+
 # P630 holds the exceptional l2 * l2 = l0; the full basis pairs every symbol.
-FULL = Cycle.of_basis((P630, P632), *basis_tuples((P630, P632)))
+FULL = full((P630, P632))
 # alone, its l2 * h2 and l2 * l2 are both l0 and cancel in one last-factor sum
-FULL_630 = Cycle.of_basis((P630,), *basis_tuples((P630,)))
+FULL_630 = full((P630,))
 UNIT_0, ZERO_0 = identity_cycle(()), Cycle.zero(())
+# dim 82 = 2 (mod 4), s = 0: l40 * l40 = l0, and a mask has 82 bits
+P82 = prof(82, 41, 0)
 
 
 def seeded_dense(seed, context=(P630, P632, P630)):
@@ -196,6 +203,11 @@ def seeded_dense(seed, context=(P630, P632, P630)):
 @example((ZERO_0, ZERO_0))
 @example((FULL_630, FULL_630))
 @example((seeded_dense(1), seeded_dense(2)))
+@example((full((P82,)), full((P82,))))
+@example((seeded_dense(3, (P82,)), seeded_dense(4, (P82,))))
+# the exceptional factor last: l2 * h2 and l2 * l2 cancel inside one mask
+@example((full((P632, P630)), full((P632, P630))))
+@example((full((P632, prof(2, 1, 0))), full((P632, prof(2, 1, 0)))))  # last r = 1
 def test_mul_matches_pairwise_oracle(pair):
     a, b = pair
     assert mul(a, b) == _mul_pairwise(a, b)
@@ -219,6 +231,25 @@ def test_factor_partners_match_mul_factor_scan():
             scan = [(b, mul_factor(sym, b, p)) for b in basis]
             expected = {b: prod for b, prod in scan if prod is not None}
             assert _rows(p, _partner_row)[sym] == expected, (p, sym)
+
+
+def test_mask_product_matches_mul_factor_scan():
+    # the last factor's mask product, in both orders: on every symbol pair,
+    # and on each symbol against the whole basis, the F2 sum of the scan
+    for p in every_profile(6, 4):
+        basis = factor_basis(p)
+        product, mask = chow._mask_product(p), {b: chow._mask_tree([(b,)], p.r) for b in basis}
+        whole = chow._mask_tree([(b,) for b in basis], p.r)
+        for sym in basis:
+            scan = [(b, mul_factor(sym, b, p)) for b in basis]
+            odd = set()
+            for b, prod in scan:
+                expected = [] if prod is None else [prod]
+                for got in (product(mask[sym], mask[b]), product(mask[b], mask[sym])):
+                    assert list(chow._symbols(got, p.r)) == expected, (p, sym, b)
+                odd ^= set(expected)
+            for got in (product(mask[sym], whole), product(whole, mask[sym])):
+                assert set(chow._symbols(got, p.r)) == odd, (p, sym)
 
 
 # -- ring axioms on small instances --------------------------------------------------

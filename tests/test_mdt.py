@@ -1,5 +1,6 @@
 """Tests for lambda symbols, the rule checker, the enumerator and generators."""
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -1466,6 +1467,22 @@ def test_count_keeps_no_search_table():
     again = [mdt._count_mdt(p, rules) for rules in rule_sets]
     assert again == counts == [len(listing) for listing in listings] and counts[0] == 4140
     assert tables() == listed
+
+
+def test_count_and_listing_leave_no_cyclic_garbage():
+    # the walk's fold refers to itself through its closure; once the walk
+    # breaks that cycle, a count's code table and a listing's walk table are
+    # freed as soon as the call returns, not at the next collection
+    p = QuadricProfile(16, 6, 4, (0, 1, 2, 3, 4, 5, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        assert mdt._count_mdt(p) > 0
+        assert gc.collect() == 0
+        assert enumerate_mdt(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("max_r", [None, 8.5, True, "8"], ids=["None", "float", "bool", "str"])

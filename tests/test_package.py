@@ -274,6 +274,11 @@ def test_profile_memo_is_not_a_field():
             mdt.check_partition(used, part, rules) for part in parts
         ]
     assert chow._rows(used, chow._partner_row) is chow._rows(used, chow._partner_row)
+    # mul multiplies the last factor as bit masks: over one factor it reads
+    # no partner row, so it leaves no table in the memo
+    alone = QuadricProfile(10, 3, 4, (0, 1, 3))
+    single = chow.Cycle.of_basis((alone,), *chow.basis_tuples((alone,)))
+    assert chow.mul(single, single) and alone._memo == {}
 
 
 def _int_parameters() -> set:
