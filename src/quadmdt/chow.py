@@ -20,20 +20,22 @@ with binomials mod 2, extended to products by the Cartan-type sum over
 compositions of j.  S^{j_t} vanishes on a factor once j_t >= r, so only
 compositions with every part at most r - 1 contribute.
 
-mul and steenrod visit only the terms that can be nonzero.  Each indexes
-a support as a prefix tree, one level per factor.  mul multiplies the
-trees of its two inputs node by node from the roots.  Above the last
-factor it pairs each symbol only with its factor partners (the symbols
-with a nonzero product), read from per-profile rows built from
-mul_factor, and adds up the products of the subtrees below each pair as
-F2 sums of sets.  At the last factor a node is a bit mask over the
-factor's symbols, and two nodes multiply as F2 polynomials truncated by
-the table above: shifts of ints, summed by XOR.  mul_factor stays the
-statement of the law, and the tests check the mask product against it
-on every symbol pair.  steenrod walks the tree of its input factor by
+mul, steenrod and corr.compose read these laws in closed form, on the
+symbols of their inputs only, so their cost follows the support and not r,
+and none of them keeps a table.  mul indexes both supports as prefix
+trees, one level per factor, and multiplies them node by node from the
+roots.  Above the last factor it pairs every child symbol of one node with
+every child of the other, computes the product from the table above, and
+adds up the products of the subtrees below each pair as F2 sums of sets.
+At the last factor a node is a bit mask over the factor's symbols, and two
+nodes multiply as F2 polynomials truncated by the table above: shifts of
+ints, summed by XOR.  steenrod walks the tree of its input factor by
 factor through the nonzero squares S^{j_t} of each symbol only, carrying
-the part of j still to be spent, read from per-profile rows built from
-steenrod_factor.
+the part of j still to be spent; by Lucas' theorem those squares are the
+submasks j_t of i (for h^i) or of dim - i - 1 (for l_i) within the caps
+above, listed once per call for each symbol of the support.  mul_factor
+and steenrod_factor stay the statement of each law, and the tests check
+every closed form against them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import re
 from collections import Counter, namedtuple
 
 from .errors import BoundExceeded, ContextMismatch
-from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _check_int, _per_profile, json_int
+from .profile import QuadricProfile, _ENTRY_KEYS, _Record, _check_int, json_int
 
 H = "h"
 L = "l"
@@ -255,15 +257,15 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
 
     The bilinear law sums the factorwise product over every pair of terms.
     A pair contributes exactly when every factor product is nonzero, so
-    both supports are indexed as prefix trees, one level per factor, each
-    node of the last factor a bit mask over its symbols (_mask_tree), and
-    multiplied node by node from the roots.  At a pair of nodes above the
-    last factor, each child symbol s of a's node meets only its factor
-    partners among the children of b's node -- the symbols t with a
-    nonzero product p = s t -- going through the children or the partners,
-    whichever are fewer.  The subtrees below s and t multiply to a set of
-    tails, and the F2 sum of the tail sets of all pairs with one product p,
-    a symmetric difference of sets, gives the terms (p,) + tail.  Two masks
+    both supports are indexed as prefix trees, one level per factor
+    (_mask_tree), and multiplied node by node from the roots.  At a pair of
+    nodes above the last factor, every child of a's node meets every child
+    of b's node, and their product p is read from mul_factor's table in
+    closed form, kind by kind: h^i h^j = h^{i+j} below r, h^i l_j = l_{j-i}
+    for j >= i, and l_e l_e = l_0 at the exceptional index (_exceptional).
+    The subtrees below each pair with p nonzero multiply to a set of tails,
+    and the F2 sum of the tail sets of all pairs with one product p, a
+    symmetric difference of sets, gives the terms (p,) + tail.  Two masks
     of the last factor multiply in a few shifts and XORs per set bit
     (_mask_product), the F2 sum of their symbols' products, and only the
     masks of the result are decoded back to symbols.  Every sum is an F2
@@ -278,58 +280,69 @@ def mul(a: Cycle, b: Cycle) -> Cycle:
     if not (a.support and b.support):
         return Cycle._trusted(a.context, frozenset())
     *heads, last = a.context
-    rows, r, product = [_rows(prof, _partner_row) for prof in heads], last.r, _mask_product(last)
+    laws, r, product = [(p.r, _exceptional(p)) for p in heads], last.r, _mask_product(last)
 
     def level(node_a, node_b, depth):
-        row, inner = rows[depth], depth + 1 < len(rows)
-        acc = {}
-        for s, child_a in node_a.items():
-            partners = row[s]
-            if len(node_b) < len(partners):
-                pairs = [
-                    (prod, child_b)
-                    for t, child_b in node_b.items()
-                    if (prod := partners.get(t)) is not None
-                ]
+        rank, e = laws[depth]
+        (a_h, a_l), (b_h, b_l) = node_a, node_b
+        pairs = []  # each kind is paired only when a holds it: nodes are often tiny
+        if a_h:
+            pairs += [(h(i + j), x, y) for i, x in a_h.items() for j, y in b_h.items() if i + j < rank]
+            pairs += [(l(j - i), x, y) for i, x in a_h.items() for j, y in b_l.items() if j >= i]
+        if a_l:
+            pairs += [(l(i - j), x, y) for i, x in a_l.items() for j, y in b_h.items() if j <= i]
+            if e in a_l and e in b_l:
+                pairs.append((l(0), a_l[e], b_l[e]))
+        inner, acc = depth + 1 < len(laws), {}
+        for prod, child_a, child_b in pairs:
+            # a fresh set or a mask, so acc may own and update it
+            sub = level(child_a, child_b, depth + 1) if inner else product(child_a, child_b)
+            if prod in acc:
+                acc[prod] ^= sub
             else:
-                pairs = [
-                    (prod, child_b)
-                    for t, prod in partners.items()
-                    if (child_b := node_b.get(t)) is not None
-                ]
-            for prod, child_b in pairs:
-                # a fresh set or a mask, so acc may own and update it
-                sub = level(child_a, child_b, depth + 1) if inner else product(child_a, child_b)
-                if prod in acc:
-                    acc[prod] ^= sub
-                else:
-                    acc[prod] = sub
+                acc[prod] = sub
         if inner:
             return {(prod,) + tail for prod, sub in acc.items() for tail in sub}
         return {(prod, sym) for prod, mask in acc.items() for sym in _symbols(mask, r)}
 
     tree_a, tree_b = _mask_tree(a.support, r), _mask_tree(b.support, r)
-    if rows:
+    if laws:
         support = level(tree_a, tree_b, 0)
     else:
         support = [(sym,) for sym in _symbols(product(tree_a, tree_b), r)]
+    del level  # it refers to itself through its cell: break the cycle
     return Cycle._trusted(a.context, frozenset(support))
 
 
+def _exceptional(profile: QuadricProfile) -> int:
+    """The index e with l_e l_e = l_0: (dim - 2)/2 when dim == 2 (mod 4),
+    else r.  An e >= r is the index of no symbol, and then every l l is 0."""
+    return (profile.dim - 2) // 2 if profile.dim % 4 == 2 else profile.r
+
+
 def _mask_tree(support, r: int):
-    """The prefix tree of a nonempty support (_prefix_tree), but with each
-    node of the last factor, of rank r, a bit mask over its symbols in
-    place of a dict: h^i is bit i and l_i bit r + i.  For one factor, the
-    tree is that mask."""
-    root = {}
+    """The prefix tree of a nonempty support, one level per factor.  A node
+    above the last factor is the pair (h children, l children) of dicts,
+    each keyed by the child's index.  A node of the last factor, of rank r,
+    is a bit mask over its symbols: h^i is bit i and l_i bit r + i.  The
+    masks are summed per head first, so each head is placed once.  For one
+    factor, the tree is that mask."""
+    masks = {}
     for elt in support:
-        node, key = root, None
-        for sym in elt[:-1]:
-            node, key = node.setdefault(key, {}), sym
         kind, index = elt[-1]
-        bit = 1 << (index + r if kind == L else index)
-        node[key] = node[key] | bit if key in node else bit
-    return root[None]
+        bit, head = 1 << (index + r if kind == L else index), elt[:-1]
+        masks[head] = masks[head] | bit if head in masks else bit
+    if () in masks:
+        return masks[()]
+    root = ({}, {})
+    for head, mask in masks.items():
+        node = root
+        for kind, index in head[:-1]:
+            children = node[kind == L]
+            node = children[index] if index in children else children.setdefault(index, ({}, {}))
+        kind, index = head[-1]
+        node[kind == L][index] = mask
+    return root
 
 
 def _symbols(mask: int, r: int):
@@ -351,8 +364,8 @@ def _mask_product(profile: QuadricProfile):
     at the end.  The one nonzero l l is a bit test: l_e l_e = l_0."""
     r = profile.r
     low = (1 << r) - 1
-    # a shift by r or more leaves no l bit, so e = r when no l_e l_e is l_0
-    e = (profile.dim - 2) // 2 if profile.dim % 4 == 2 else r
+    # a shift by r or more leaves no l bit, so an e >= r tests none
+    e = _exceptional(profile)
 
     def product(a: int, b: int) -> int:
         a_h, a_l, b_h, b_l = a & low, a >> r, b & low, b >> r
@@ -379,46 +392,6 @@ def _prefix_tree(support) -> dict:
         for sym in elt:
             node = node.setdefault(sym, {})
     return tree
-
-
-class _RowTable(dict):
-    """One profile's table: symbol -> row(symbol, profile).
-
-    A row is built the first time its symbol is looked up, so a call that
-    touches few symbols of a large profile builds few rows.  Each table
-    lives in its profile's memo (_rows) and holds its profile: a reference
-    cycle, which the garbage collector frees with the profile.
-    """
-
-    def __init__(self, profile: QuadricProfile, row):
-        self.profile = profile
-        self.row = row
-
-    def __missing__(self, sym: FactorSymbol):
-        value = self[sym] = self.row(sym, self.profile)
-        return value
-
-
-def _partner_row(sym: FactorSymbol, profile: QuadricProfile) -> dict:
-    """{b: sym * b} over the symbols b with a nonzero product."""
-    return {
-        b: prod
-        for b in _factor_basis(profile)
-        if (prod := mul_factor(sym, b, profile)) is not None
-    }
-
-
-def _square_row(sym: FactorSymbol, profile: QuadricProfile) -> tuple:
-    """((j, S^j sym), ...) over the j with S^j sym nonzero, j ascending."""
-    return tuple(
-        (jt, res)
-        for jt in range(profile.r)
-        if (res := steenrod_factor(jt, sym, profile)) is not None
-    )
-
-
-# _rows(profile, row): the profile's table of that row, built once per profile
-_rows = _per_profile(_RowTable)
 
 
 # The Steenrod walk chains one generator per factor, so a term is summed as
@@ -474,6 +447,20 @@ def steenrod_factor(j: int, sym: FactorSymbol, profile: QuadricProfile):
     return None
 
 
+def _squares(j: int, sym: FactorSymbol, profile: QuadricProfile) -> list:
+    """[(jt, S^jt sym), ...] over the jt <= j with S^jt sym nonzero, jt
+    ascending, in closed form.  By Lucas, C(n, jt) is odd exactly when the
+    bits of jt lie inside n, so jt runs over the submasks of n = i below
+    r - i for h^i, and of n = dim - i - 1 up to i for l_i, in ascending
+    order until the cap: the cost follows the output, not r."""
+    kind, i = sym
+    n, cap = (i, profile.r - 1 - i) if kind == H else (profile.dim - i - 1, i)
+    out, jt, cap = [(0, sym)], 0, min(j, cap)
+    while (jt := ((jt | ~n) + 1) & n) and jt <= cap:  # the next submask of n
+        out.append((jt, h(i + jt) if kind == H else l(i - jt)))
+    return out
+
+
 def steenrod(j: int, c: Cycle) -> Cycle:
     """Cohomological-type Steenrod operation S^j on R_X.
 
@@ -484,9 +471,11 @@ def steenrod(j: int, c: Cycle) -> Cycle:
     nonzero squares of each symbol only, carrying the part of j still to
     be spent.  S^{j_t} vanishes once j_t >= r, so each part is capped at
     r - 1, and a branch is cut once the remainder is negative or exceeds
-    the sum of the remaining factors' caps.  The branches that finish with
-    nothing left are exactly the contributing compositions, each reached
-    once; the result is 0 at once when j exceeds the sum of all the caps.
+    the sum of the remaining factors' caps.  The squares of each symbol
+    are listed once per call, in closed form (_squares).  The branches that
+    finish with nothing left are exactly the contributing compositions,
+    each reached once; the result is 0 at once when j exceeds the sum of
+    all the caps.
     Raises BoundExceeded when a level of the walk passes _MAX_FRONTIER
     entries.
     """
@@ -498,9 +487,16 @@ def steenrod(j: int, c: Cycle) -> Cycle:
         room[t] = room[t + 1] + c.context[t].r - 1
     if not c.support or j > room[0]:
         return Cycle._trusted(c.context, frozenset())
-    frontier = [(_prefix_tree(c.support), j, ())]
+    tree = _prefix_tree(c.support)
+    frontier, nodes, rows = [(tree, j, ())], [tree], {}
     for prof, rest in zip(c.context, room[1:]):
-        frontier = _square_level(frontier, _rows(prof, _square_row), rest)
+        # the squares of the symbols at this factor, listed once per call
+        # and shared by equal factors
+        squares = rows.setdefault(prof, {})
+        for sym in set().union(*nodes).difference(squares):
+            squares[sym] = _squares(j, sym, prof)
+        frontier = _square_level(frontier, squares, rest)
+        nodes = [child for node in nodes for child in node.values()]
     return Cycle._trusted(c.context, _odd_terms(out for _, _, out in frontier))
 
 

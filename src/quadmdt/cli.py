@@ -99,8 +99,9 @@ _MAX_PATTERN_R = 1000
 # a listing is built whole as one JSON list; 10^6 patterns admits r = 26,
 # s = 0 (793,973) and refuses r = 27 (1,268,254)
 _MAX_PATTERN_LISTING = 10**6
-# i1-bounds, excellent-pairs and steenrod (per symbol of a factor) scan
-# range(r): i1-bounds -r 10^7 takes 2.4 s.  Malformed input still exits 2.
+# i1-bounds and excellent-pairs scan range(r): i1-bounds -r 10^7 takes
+# 2.4 s.  steenrod reads its squares as submasks and scans nothing, but
+# keeps the same bound on every factor.  Malformed input still exits 2.
 _MAX_SCAN_R = 10**5
 
 

@@ -9,15 +9,16 @@ evaluated entirely inside R: deg(b b') is 1 exactly when the product of
 the two middle tuples is the all-l_0 tuple, i.e. when every middle factor
 of b' is a partner of the matching factor of b -- a symbol whose product
 with it is l_0 under the multiplication table.  Such a product pairs equal
-indices (h^i l_i, and l_m l_m with m = (dim - 2)/2 in the exceptional case
-dim == 2 (mod 4)), so each symbol has at most two partners, and the
-partner relation is symmetric.  compose is an F2 product by rows: the
-dual row of a middle b is the sum of the right sets of g's middles that
-are partner tuples of b, and the row of a left a is the sum of the dual
-rows of f's middles under a.  Every sum is a symmetric difference of sets,
-never a union, and no term of f meets a term of g on its own.  The
-partners come from per-profile tables whose rows are built from
-mul_factor, kept in the profile's memo as chow's are (chow._rows).
+indices, so the partners are read in closed form: h^i and l_i are
+partners, and l_e is also its own partner where l_e l_e = l_0 (e =
+(dim - 2)/2 on a factor with dim == 2 (mod 4), chow._exceptional).  So
+the relation is symmetric, and the dual of a middle tuple swaps h^i and
+l_i factor by factor, with a second choice at each exceptional l_e.
+compose is an F2 product by rows: the dual row of a middle b is the sum
+of the right sets of g's middles that are duals of b, and the row of a
+left a is the sum of the dual rows of f's middles under a.  Every sum is
+a symmetric difference of sets, never a union, no term of f meets a term
+of g on its own, and no table is kept: the cost follows the supports.
 This makes composition total on mixed-degree cycles.
 
 Isotropic reduction (reduce_f / reduce_g) shifts every index down/up by
@@ -31,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from operator import getitem
 
 from . import chow
-from .chow import Cycle, FactorSymbol, h, l
+from .chow import Cycle, h, l
 from .errors import ContextMismatch, DegreeUnderflow, InvalidLevel
 from .profile import QuadricProfile, _Record, _check_int, json_int
 
@@ -92,12 +92,12 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     deg(b b') = 1, that is when b is a tuple of factorwise partners of b'
     (deg(b b') = deg(b' b)).  So the product runs by rows, each an F2 sum
     of sets: g is indexed once as middle -> set of rights; each distinct
-    middle b' of g adds its set into the dual row of each of its partner
-    tuples b (at most 2^k for k middle factors, the empty tuple when the
+    middle b' of g adds its set into the dual row of each of its duals b
+    (h^i and l_i swapped factor by factor, with l_e also kept where l_e l_e
+    = l_0: at most 2^k for k middle factors, the empty tuple when the
     middle is empty); each term a x b of f adds the dual row of b into the
     row of a; and each term a x c of the result is built once, from the
-    rows.  The partners of each middle symbol are read from its factor's
-    table (chow._rows), built lazily once per profile and kept with it.
+    rows.
     """
     middle = f.right_context
     if middle != g.left_context:
@@ -106,12 +106,12 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     rights = defaultdict(set)
     for eg in g.cycle.support:
         rights[eg[: g.split]].add(eg[g.split :])
-    tables = [chow._rows(prof, _partners) for prof in middle]
+    exceptional = [chow._exceptional(prof) for prof in middle]
     # a dual row may be g's own set, so it is never changed in place: a
     # second sum into it makes a new set
     duals = {}
     for mid, row in rights.items():
-        for dual in itertools.product(*map(getitem, tables, mid)):
+        for dual in itertools.product(*map(_partner_symbols, mid, exceptional)):
             duals[dual] = duals[dual] ^ row if dual in duals else row
     rows = defaultdict(set)
     for ef in f.cycle.support:
@@ -121,11 +121,14 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     return Correspondence(Cycle._trusted(context, support), f.split)
 
 
-def _partners(sym: FactorSymbol, profile: QuadricProfile) -> list:
-    # The symbols b with sym * b = l_0.  A product equal to l_0 pairs equal
-    # indices, so h^i and l_i are the only candidates.
-    i = sym.index
-    return [b for b in (h(i), l(i)) if chow.mul_factor(sym, b, profile) == l(0)]
+def _partner_symbols(sym, e: int) -> tuple:
+    """The symbols b with sym b = l_0 on a factor whose exceptional index is
+    e (chow._exceptional): h^i and l_i are partners, and l_e is also its
+    own."""
+    kind, i = sym
+    if kind == chow.H:
+        return (l(i),)
+    return (h(i), sym) if i == e else (h(i),)
 
 
 def diagonal_class(profile: QuadricProfile) -> Correspondence:

@@ -1,19 +1,18 @@
 """Tests for the cycle ring: multiplication table, Steenrod operations, notation."""
 
+import gc
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quadmdt import chow
+from quadmdt import chow, corr
 from quadmdt.chow import (
     Cycle,
     FactorSymbol,
-    _partner_row,
-    _rows,
-    _square_row,
     basis_tuples,
     binom_mod2,
     cycle_from_text,
@@ -30,7 +29,7 @@ from quadmdt.chow import (
     steenrod_factor,
 )
 from quadmdt.errors import BoundExceeded, ContextMismatch
-from quadmdt.profile import mk_profile, pattern_enumerate
+from quadmdt.profile import QuadricProfile, mk_profile, pattern_enumerate
 
 
 def prof(dim, r, s):
@@ -190,6 +189,14 @@ UNIT_0, ZERO_0 = identity_cycle(()), Cycle.zero(())
 P82 = prof(82, 41, 0)
 
 
+# sparse, P82 at the head: l40 l40 and l40 h40 are both l0 and cancel in one
+# sum above the last factor
+SPARSE_82 = (
+    Cycle.of_basis((P82, P632), (l(40), h(0)), (h(3), l(1)), (l(40), l(2)), (h(40), h(1))),
+    Cycle.of_basis((P82, P632), (l(40), h(0)), (h(40), h(0)), (l(7), l(2)), (h(0), h(2))),
+)
+
+
 def seeded_dense(seed, context=(P630, P632, P630)):
     """Half the basis of the context, drawn with a fixed seed."""
     basis = list(basis_tuples(context))
@@ -208,6 +215,8 @@ def seeded_dense(seed, context=(P630, P632, P630)):
 # the exceptional factor last: l2 * h2 and l2 * l2 cancel inside one mask
 @example((full((P632, P630)), full((P632, P630))))
 @example((full((P632, prof(2, 1, 0))), full((P632, prof(2, 1, 0)))))  # last r = 1
+@example(SPARSE_82)
+@example((Cycle.of_basis((P632, P82, P630), (h(1), l(40), l(2))), Cycle.of_basis((P632, P82, P630), (l(2), l(40), h(0)), (h(0), h(40), l(2)))))
 def test_mul_matches_pairwise_oracle(pair):
     a, b = pair
     assert mul(a, b) == _mul_pairwise(a, b)
@@ -225,12 +234,16 @@ def test_results_match_validating_constructor(pair, j):
 
 
 def test_factor_partners_match_mul_factor_scan():
+    # mul reads the table in closed form above the last factor: the product
+    # of two single terms with their symbols at the first factor is the scan's
     for p in every_profile(6, 4):
-        basis = factor_basis(p)
+        context, basis = (p, p), factor_basis(p)
         for sym in basis:
-            scan = [(b, mul_factor(sym, b, p)) for b in basis]
-            expected = {b: prod for b, prod in scan if prod is not None}
-            assert _rows(p, _partner_row)[sym] == expected, (p, sym)
+            for b in basis:
+                prod = mul_factor(sym, b, p)
+                expected = Cycle.of_basis(context, *([(prod, h(0))] if prod is not None else []))
+                got = mul(Cycle.of_basis(context, (sym, h(0))), Cycle.of_basis(context, (b, h(0))))
+                assert got == expected, (p, sym, b)
 
 
 def test_mask_product_matches_mul_factor_scan():
@@ -416,17 +429,26 @@ def _steenrod_uncapped(j, c):
 
 
 @given(cycles(min_arity=0), st.integers(min_value=0, max_value=16))
+# equal r, different dim: S^1 l1 is l0 over dim 5 and 0 over dim 4, so the
+# two factors must not share their squares
+@example(Cycle.of_basis((prof(5, 2, 1), prof(4, 2, 0)), (l(1), l(1))), 1)
 def test_steenrod_matches_uncapped_oracle(c, j):
     assert steenrod(j, c) == _steenrod_uncapped(j, c)
 
 
 def test_factor_squares_match_steenrod_factor_scan():
     # The scan runs well past r - 1: no square beyond the cap may be missed.
+    # S^j (sym x h0) = S^j sym x h0, and the second factor's cap leaves room
+    # for every j of the scan, so steenrod lists sym's squares past its cap.
+    room = prof(68, 34, 0)
     for p in every_profile(6, 4):
+        context = (p, room)
         for sym in factor_basis(p):
-            scan = [(j, steenrod_factor(j, sym, p)) for j in range(2 * p.dim + 2)]
-            expected = tuple((j, res) for j, res in scan if res is not None)
-            assert _rows(p, _square_row)[sym] == expected, (p, sym)
+            term = Cycle.of_basis(context, (sym, h(0)))
+            for j in range(2 * p.dim + 2):
+                res = steenrod_factor(j, sym, p)
+                expected = Cycle.of_basis(context, *([(res, h(0))] if res is not None else []))
+                assert steenrod(j, term) == expected, (p, sym, j)
 
 
 def test_steenrod_zero_beyond_part_caps():
@@ -457,6 +479,54 @@ def test_steenrod_frontier_bound(monkeypatch):
     monkeypatch.setattr(chow, "_MAX_FRONTIER", 5455)
     with pytest.raises(BoundExceeded):
         steenrod(30, c)
+
+
+def _sparse(rng, context, n):
+    """n terms, each symbol h or l with its index drawn uniformly below r."""
+    return Cycle.of_basis(
+        context,
+        *(tuple(rng.choice((h, l))(rng.randrange(p.r)) for p in context) for _ in range(n)),
+    )
+
+
+@pytest.mark.parametrize("op", ["mul", "steenrod"])
+def test_mul_and_steenrod_cost_follows_the_support_not_r(op):
+    # a fresh profile at r = 20,000: a table over the 2r symbols of a factor
+    # would take seconds, the closed forms follow the support
+    r = 20_000
+    p, rng = QuadricProfile(2 * r, r, 0, tuple(range(r + 1))), random.Random(36)
+    if op == "mul":
+        args, call, oracle = (_sparse(rng, (p, p), 200), _sparse(rng, (p, p), 2)), mul, _mul_pairwise
+    else:
+        args, call, oracle = (3, _sparse(rng, (p, p), 50)), steenrod, _steenrod_uncapped
+    start = time.perf_counter()
+    out = call(*args)
+    assert time.perf_counter() - start < 0.1
+    assert out == oracle(*args)
+
+
+def test_mul_steenrod_and_compose_leave_no_cyclic_garbage():
+    # no op keeps a table in the profile's memo or a closure that refers to
+    # itself, so on fresh profiles each call's objects are freed as soon as
+    # it returns, not at the next collection
+    x1, x2, x3, x4 = (prof(10, 5, 0) for _ in range(4))
+    one, two, sq = full((x1,)), full((x2, x2)), full((x3, x3))
+    diagonal = corr.diagonal_class(x4)
+    calls = {
+        "mul over X": lambda: mul(one, one),
+        "mul over X^2": lambda: mul(two, two),
+        "steenrod": lambda: steenrod(3, sq),
+        "compose": lambda: corr.compose(diagonal, diagonal),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            assert call(), name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+    assert all(x._memo == {} for x in (x1, x2, x3, x4))
 
 
 # -- binomials mod 2 -----------------------------------------------------------------

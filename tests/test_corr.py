@@ -6,12 +6,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from quadmdt.chow import Cycle, FactorSymbol, _rows, basis_tuples, h, l, mul_factor
+from quadmdt.chow import Cycle, FactorSymbol, basis_tuples, h, l, mul_factor
 from quadmdt.corr import (
     Correspondence,
-    _partners,
     cap,
     compose,
     contains,
@@ -107,35 +106,67 @@ def test_compose_spec_examples():
 
 
 def test_partners_match_mul_factor_scan():
+    # compose reads the partners in closed form: a single middle symbol of f
+    # meets a single one of g with degree 1 exactly on the scanned partners
     for r in range(1, 7):
         for s in range(5):
             for pattern in pattern_enumerate(r, s):
                 p = prof(2 * r + s, r, s, pattern)
                 for sym in factor_basis(p):
-                    assert _partners(sym, p) == _scan_partners(sym, p), (p, sym)
-                    assert _rows(p, _partners)[sym] == _scan_partners(sym, p), (p, sym)
+                    f = Correspondence(Cycle.of_basis((p,), (sym,)), 0)
+                    partners = [
+                        b
+                        for b in factor_basis(p)
+                        if compose(f, Correspondence(Cycle.of_basis((p,), (b,)), 1))
+                    ]
+                    assert partners == _scan_partners(sym, p), (p, sym)
 
 
-@given(st.data())
-def test_compose_matches_pairwise_oracle(data):
-    left = data.draw(contexts(0, 2))
-    middle = data.draw(contexts(0, 3))
-    right = data.draw(contexts(0, 2))
-    f_terms = data.draw(terms(left + middle))
-    g_terms = data.draw(terms(middle + right))
+@st.composite
+def composable_pairs(draw):
+    left = draw(contexts(0, 2))
+    middle = draw(contexts(0, 3))
+    right = draw(contexts(0, 2))
+    f_terms = draw(terms(left + middle))
+    g_terms = draw(terms(middle + right))
     # Random middles rarely pair with degree 1, so give some f-terms a g-term
     # whose middle is dual to theirs.
     paired = []
     if f_terms:
-        paired = data.draw(st.lists(st.sampled_from(f_terms), min_size=1, max_size=4))
+        paired = draw(st.lists(st.sampled_from(f_terms), min_size=1, max_size=4))
     for ef in paired:
         mid = tuple(
-            data.draw(st.sampled_from(_scan_partners(sym, p)))
+            draw(st.sampled_from(_scan_partners(sym, p)))
             for sym, p in zip(ef[len(left) :], middle)
         )
-        g_terms.append(mid + data.draw(symbols(right)))
+        g_terms.append(mid + draw(symbols(right)))
     f = Correspondence(Cycle.of_basis(left + middle, *f_terms), len(left))
     g = Correspondence(Cycle.of_basis(middle + right, *g_terms), len(middle))
+    return f, g
+
+
+# dim 82 = 2 (mod 4), s = 0: l_40 l_40 = l_0, so l_40 has the partners h^40
+# and l_40, here in a sparse middle of two factors
+P82 = prof(82, 41, 0)
+P52 = prof(5, 2, 1)
+SPARSE_82 = (
+    Correspondence(
+        Cycle.of_basis((P52, P82, P52), (h(0), l(40), h(1)), (l(1), l(40), l(0)), (h(1), h(3), h(0))),
+        1,
+    ),
+    Correspondence(
+        Cycle.of_basis(
+            (P82, P52, P52), (l(40), l(0), h(1)), (h(40), l(0), h(0)), (h(40), h(1), l(1)), (l(3), l(1), h(0))
+        ),
+        2,
+    ),
+)
+
+
+@given(composable_pairs())
+@example(SPARSE_82)
+def test_compose_matches_pairwise_oracle(pair):
+    f, g = pair
     assert compose(f, g) == _compose_pairwise(f, g)
 
 
@@ -490,6 +521,27 @@ def test_reduce_cost_follows_the_support_not_r():
     out = reduce_f(p, 0, x)
     assert time.perf_counter() - start < 0.1
     assert out == x
+
+
+def test_compose_cost_follows_the_support_not_r():
+    # a fresh profile at r = 20,000: a table over the 2r symbols of a factor
+    # would take seconds, the closed-form partners follow the support
+    r = 20_000
+    p, rng = QuadricProfile(2 * r, r, 0, tuple(range(r + 1))), random.Random(36)
+
+    def sparse(n):
+        terms = [(rng.choice((h, l))(rng.randrange(r)), rng.choice((h, l))(rng.randrange(r))) for _ in range(n)]
+        return Cycle.of_basis((p, p), *terms)
+
+    f, g = Correspondence(sparse(200), 1), Correspondence(sparse(200), 1)
+    # give half of f's middles a partner in g, so that rows meet
+    g = g + Correspondence(
+        Cycle.of_basis((p, p), *{((l if b.kind == "h" else h)(b.index), h(0)) for _, b in sorted(f.cycle.support)[::2]}), 1
+    )
+    start = time.perf_counter()
+    out = compose(f, g)
+    assert time.perf_counter() - start < 0.1
+    assert out and out == _compose_pairwise(f, g)
 
 
 def test_reduce_f_shifts_down():
