@@ -195,6 +195,11 @@ SPARSE_82 = (
     Cycle.of_basis((P82, P632), (l(40), h(0)), (h(3), l(1)), (l(40), l(2)), (h(40), h(1))),
     Cycle.of_basis((P82, P632), (l(40), h(0)), (h(40), h(0)), (l(7), l(2)), (h(0), h(2))),
 )
+# and P82 in the middle, where l40 l40 = l0 feeds a level below
+SPARSE_82_MIDDLE = (
+    Cycle.of_basis((P632, P82, P630), (h(1), l(40), l(2)), (h(1), h(2), h(0))),
+    Cycle.of_basis((P632, P82, P630), (l(2), l(40), h(0)), (h(0), h(40), l(2)), (h(0), l(38), h(1))),
+)
 
 
 def seeded_dense(seed, context=(P630, P632, P630)):
@@ -216,7 +221,7 @@ def seeded_dense(seed, context=(P630, P632, P630)):
 @example((full((P632, P630)), full((P632, P630))))
 @example((full((P632, prof(2, 1, 0))), full((P632, prof(2, 1, 0)))))  # last r = 1
 @example(SPARSE_82)
-@example((Cycle.of_basis((P632, P82, P630), (h(1), l(40), l(2))), Cycle.of_basis((P632, P82, P630), (l(2), l(40), h(0)), (h(0), h(40), l(2)))))
+@example(SPARSE_82_MIDDLE)
 def test_mul_matches_pairwise_oracle(pair):
     a, b = pair
     assert mul(a, b) == _mul_pairwise(a, b)
@@ -507,26 +512,24 @@ def test_mul_and_steenrod_cost_follows_the_support_not_r(op):
 
 def test_mul_steenrod_and_compose_leave_no_cyclic_garbage():
     # no op keeps a table in the profile's memo or a closure that refers to
-    # itself, so on fresh profiles each call's objects are freed as soon as
-    # it returns, not at the next collection
-    x1, x2, x3, x4 = (prof(10, 5, 0) for _ in range(4))
-    one, two, sq = full((x1,)), full((x2, x2)), full((x3, x3))
-    diagonal = corr.diagonal_class(x4)
+    # itself, so once a call on a fresh profile returns and the profile is
+    # dropped, everything is freed at once, not at the next collection
     calls = {
-        "mul over X": lambda: mul(one, one),
-        "mul over X^2": lambda: mul(two, two),
-        "steenrod": lambda: steenrod(3, sq),
-        "compose": lambda: corr.compose(diagonal, diagonal),
+        "mul over X": lambda p: mul(full((p,)), full((p,))),
+        "mul over X^2": lambda p: mul(full((p, p)), full((p, p))),
+        "steenrod": lambda p: steenrod(3, full((p, p))),
+        "compose": lambda p: corr.compose(corr.diagonal_class(p), corr.diagonal_class(p)),
     }
     gc.collect()
     gc.disable()
     try:
         for name, call in calls.items():
-            assert call(), name
+            p = prof(10, 5, 0)
+            assert call(p) and p._memo == {}, name
+            del p
             assert gc.collect() == 0, name
     finally:
         gc.enable()
-    assert all(x._memo == {} for x in (x1, x2, x3, x4))
 
 
 # -- binomials mod 2 -----------------------------------------------------------------

@@ -146,7 +146,9 @@ def composable_pairs(draw):
 
 
 # dim 82 = 2 (mod 4), s = 0: l_40 l_40 = l_0, so l_40 has the partners h^40
-# and l_40, here in a sparse middle of two factors
+# and l_40, here at the head of a sparse middle of two factors.  The middle
+# l40 x h1 of f meets both h40 x l1 and l40 x l1 of g, whose equal rights
+# cancel; l40 x l0 meets only l40 x h0.
 P82 = prof(82, 41, 0)
 P52 = prof(5, 2, 1)
 SPARSE_82 = (
@@ -156,7 +158,8 @@ SPARSE_82 = (
     ),
     Correspondence(
         Cycle.of_basis(
-            (P82, P52, P52), (l(40), l(0), h(1)), (h(40), l(0), h(0)), (h(40), h(1), l(1)), (l(3), l(1), h(0))
+            (P82, P52, P52),
+            (h(40), l(1), h(1)), (l(40), l(1), h(1)), (l(40), h(0), l(1)), (l(3), l(0), h(0)),
         ),
         2,
     ),
@@ -524,8 +527,8 @@ def test_reduce_cost_follows_the_support_not_r():
 
 
 def test_compose_cost_follows_the_support_not_r():
-    # a fresh profile at r = 20,000: a table over the 2r symbols of a factor
-    # would take seconds, the closed-form partners follow the support
+    # a fresh profile at r = 20,000: the partners are read per symbol of the
+    # support, so the cost follows the support
     r = 20_000
     p, rng = QuadricProfile(2 * r, r, 0, tuple(range(r + 1))), random.Random(36)
 
@@ -535,9 +538,8 @@ def test_compose_cost_follows_the_support_not_r():
 
     f, g = Correspondence(sparse(200), 1), Correspondence(sparse(200), 1)
     # give half of f's middles a partner in g, so that rows meet
-    g = g + Correspondence(
-        Cycle.of_basis((p, p), *{((l if b.kind == "h" else h)(b.index), h(0)) for _, b in sorted(f.cycle.support)[::2]}), 1
-    )
+    partners = {((l if b.kind == "h" else h)(b.index), h(0)) for _, b in sorted(f.cycle.support)[::2]}
+    g = g + Correspondence(Cycle.of_basis((p, p), *partners), 1)
     start = time.perf_counter()
     out = compose(f, g)
     assert time.perf_counter() - start < 0.1
